@@ -10,14 +10,16 @@ against the reference full-scan backend:
   (generated from the reference engine; refresh with
   ``REPRO_UPDATE_GOLDEN=1``).
 - The speedup measurements re-run the same workloads on the reference
-  engine, which takes minutes at the 1k-server scale, so they only run
-  when ``REPRO_BENCH_REFERENCE=1``.
+  engine, sizing with the probing search of ``tests/oracles/sizing.py``
+  in place of the one-replay sizing; that takes minutes at the 1k-server
+  scale, so they only run when ``REPRO_BENCH_REFERENCE=1``.
 """
 
 import contextlib
 import json
 import os
 import pathlib
+import sys
 import time
 
 import pytest
@@ -63,6 +65,16 @@ def _reference_timing_enabled() -> bool:
     return os.environ.get("REPRO_BENCH_REFERENCE", "0") not in (
         "", "0", "false", "no",
     )
+
+
+def _oracle_sizing():
+    """The reference sizing searches (``tests/oracles/sizing.py``)."""
+    root = str(pathlib.Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from tests.oracles import sizing
+
+    return sizing
 
 
 @contextlib.contextmanager
@@ -356,44 +368,46 @@ def test_telemetry_overhead_and_manifest(save):
 
 
 def test_right_size_indexed_speedup(benchmark, save):
-    """The indexed engine right-sizes a 1k-server trace >= 5x faster."""
+    """``right_size`` sizes a 1k-server trace >= 5x faster than the
+    oracle search on the reference scan."""
     if not _reference_timing_enabled():
         pytest.skip("set REPRO_BENCH_REFERENCE=1 to time the reference scan")
+    oracle = _oracle_sizing()
     trace = generate_trace(seed=7, params=ENGINE_TRACE_PARAMS)
     sku = baseline_gen3()
 
-    with _engine("indexed"):
-        t0 = time.perf_counter()
-        n_indexed = run_once(benchmark, lambda: right_size(trace, sku))
-        indexed_s = time.perf_counter() - t0
-    with _engine("reference"):
-        t0 = time.perf_counter()
-        n_reference = right_size(trace, sku)
-        reference_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    n_indexed = run_once(benchmark, lambda: right_size(trace, sku))
+    indexed_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    n_reference = oracle.right_size(trace, sku)
+    reference_s = time.perf_counter() - t0
 
     assert n_indexed == n_reference
     speedup = reference_s / indexed_s
     save(
         "alloc_engine_rightsize.txt",
         f"right_size, {len(trace.vms)} VMs -> {n_indexed} baseline servers\n"
-        f"  reference scan: {reference_s:.2f}s\n"
-        f"  indexed engine: {indexed_s:.2f}s\n"
+        f"  oracle search, reference scan: {reference_s:.2f}s\n"
+        f"  one replay, indexed engine: {indexed_s:.2f}s\n"
         f"  speedup: {speedup:.1f}x (target >= 5x)",
     )
     assert speedup >= 5.0
 
 
-def test_fig9_serial_speedup(save):
-    """The indexed engine runs the serial Fig. 9 pipeline >= 2x faster.
+def test_fig9_serial_speedup(save, monkeypatch):
+    """The serial Fig. 9 pipeline runs >= 2x faster than on the reference
+    scan with the oracle sizing search.
 
     Trace generation happens outside the timed region (it is
     engine-independent), and the suite runs at a cluster scale where the
-    allocation hot path dominates (~300 servers per sizing probe).  At
-    the figure's default 250 mean-concurrent VMs the clusters are ~30
-    servers and the scan is not the bottleneck (~1.2x there).
+    allocation hot path dominates (~300 servers per cluster).  At the
+    figure's default 250 mean-concurrent VMs the clusters are ~30
+    servers and the scan is not the bottleneck.
     """
     if not _reference_timing_enabled():
         pytest.skip("set REPRO_BENCH_REFERENCE=1 to time the reference scan")
+    oracle = _oracle_sizing()
     traces = production_trace_suite(
         count=6, params=TraceParams(mean_concurrent_vms=2500)
     )
@@ -402,6 +416,9 @@ def test_fig9_serial_speedup(save):
         t0 = time.perf_counter()
         indexed_result = fig9_packing.run(traces=traces, jobs=1)
         indexed_s = time.perf_counter() - t0
+    monkeypatch.setattr(
+        fig9_packing, "size_mixed_cluster", oracle.size_mixed_cluster
+    )
     with _engine("reference"):
         t0 = time.perf_counter()
         reference_result = fig9_packing.run(traces=traces, jobs=1)
@@ -413,8 +430,8 @@ def test_fig9_serial_speedup(save):
         "alloc_engine_fig9.txt",
         f"Fig. 9 serial pipeline (6 traces, 2500 mean-concurrent VMs, "
         f"jobs=1, no cache)\n"
-        f"  reference scan: {reference_s:.2f}s\n"
-        f"  indexed engine: {indexed_s:.2f}s\n"
+        f"  oracle sizing search, reference scan: {reference_s:.2f}s\n"
+        f"  one-replay sizing, indexed engine: {indexed_s:.2f}s\n"
         f"  speedup: {speedup:.1f}x (target >= 2x)",
     )
     assert speedup >= 2.0

@@ -190,9 +190,17 @@ class ColumnarTrace:
     # -- reductions ------------------------------------------------------------
 
     def peak_concurrent_cores(self) -> int:
-        """Exact event-sweep peak of simultaneously requested cores.
+        """Exact event-sweep peak of simultaneously requested cores."""
+        return self._peak_concurrent(self.cores)
 
-        Equivalent to sorting ``(time, is_arrival, cores)`` event tuples
+    def peak_concurrent_vms(self) -> int:
+        """Exact event-sweep peak of simultaneously live VMs."""
+        return self._peak_concurrent(np.ones(self.n, dtype=np.int64))
+
+    def _peak_concurrent(self, weights: np.ndarray) -> int:
+        """Peak running sum of ``weights`` over live VMs.
+
+        Equivalent to sorting ``(time, is_arrival, weight)`` event tuples
         and taking the running-sum maximum: ``lexsort`` orders
         departures (flag 0) before arrivals (flag 1) at equal times
         (half-open ``[arrival, departure)`` occupancy), and within any
@@ -210,7 +218,7 @@ class ColumnarTrace:
                 np.zeros(int(finite.sum()), dtype=np.int8),
             ]
         )
-        deltas = np.concatenate([self.cores, -self.cores[finite]])
+        deltas = np.concatenate([weights, -weights[finite]])
         order = np.lexsort((flags, times))
         return int(np.cumsum(deltas[order]).max())
 

@@ -2,7 +2,7 @@
 
 The reference allocation path scans every server per placement decision
 and walks every server per density snapshot — O(n_servers) in the two
-hot operations that dominate Figs. 9–11 and every sizing bisection.
+hot operations that dominate Figs. 9–11 and every sizing replay.
 This module keeps the same decisions reachable in sublinear time:
 
 - :class:`_PoolIndex` groups the placeable servers of one pool view by
@@ -33,7 +33,7 @@ implementation.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.errors import ConfigError, SimulationError
 from .scheduler import MEM_EPS, PLACEMENT_POLICIES, Server
@@ -267,10 +267,9 @@ class PlacementEngine:
     snapshot aggregates per server kind when ``track_stats`` is on.
 
     Servers can be added and removed while empty, which lets sizing
-    searches reuse one engine across a whole bracket/bisection by
-    applying count deltas instead of rebuilding the cluster per probe;
-    :meth:`reset` restores every touched server to its pristine state
-    between probes.
+    searches reuse one engine across their replays by applying count
+    deltas instead of rebuilding the cluster per replay; :meth:`reset`
+    restores every touched server to its pristine state between replays.
     """
 
     def __init__(
@@ -524,6 +523,10 @@ class PlacementEngine:
         self._contrib.clear()
         self.green_agg = KindAggregate()
         self.base_agg = KindAggregate()
+
+    def touched_ids(self) -> FrozenSet[int]:
+        """Ids of the servers that have hosted a VM since the last reset."""
+        return frozenset(self._dirty)
 
     # -- snapshot aggregates --------------------------------------------------
 

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.errors import ConfigError
 from ..core.rng import RngFactory
 from ..hardware.sku import ServerSKU, baseline_gen3
-from .cluster import ClusterSpec, adopt_nothing, simulate
+from .cluster import ClusterSpec
 from .scheduler import BestFitScheduler, Server
 from .traces import VmTrace
 from .vm import VmRequest
@@ -96,21 +96,11 @@ def _min_servers_segregated(
             vm
         )
 
+    from ..gsf.sizing import right_size
+
     def right_size_subset(vms: List[VmRequest]) -> int:
-        if not vms:
-            return 0
         sub = VmTrace(name="sub", params=trace.params, vms=tuple(vms))
-        n = 1
-        while True:
-            outcome = simulate(
-                sub,
-                ClusterSpec.of((sku, n)),
-                adoption=adopt_nothing,
-                snapshot_hours=1e9,
-            )
-            if outcome.feasible:
-                return n
-            n += 1
+        return right_size(sub, sku)
 
     return right_size_subset(long_vms), right_size_subset(short_vms)
 

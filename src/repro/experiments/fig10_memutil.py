@@ -106,9 +106,7 @@ def run_trace(
     base_out = simulate(
         shared, ClusterSpec.of((baseline, n_base)), adoption=adopt_nothing
     )
-    # The green search warm-starts from the baseline count: the GreenSKU
-    # has at least as many cores, so its right-size lands at or below it.
-    n_green = right_size(shared, greensku, adoption, hint=n_base)
+    n_green = right_size(shared, greensku, adoption)
     green_out = simulate(
         shared, ClusterSpec.of((greensku, n_green)), adoption=adoption
     )

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..allocation.traces import VmTrace
 from ..carbon.model import CarbonModel
+from ..core import telemetry
 from ..hardware.datacenter import DataCenterConfig
 from ..hardware.rack import RackConfig
 from ..hardware.sku import ServerSKU, all_greenskus, baseline_gen3
@@ -121,58 +122,69 @@ class Gsf:
             sizing: Reuse a precomputed sizing (e.g. across a carbon-
                 intensity sweep where adoption decisions did not change).
         """
-        adoption = self.adoption_model(greensku)
-        if sizing is None:
-            base_sizing = size_mixed_cluster(
-                trace, self.baseline, greensku, adoption.policy()
+        with telemetry.span("gsf.adoption"):
+            adoption = self.adoption_model(greensku)
+            adopted_share = adoption.adopted_core_hour_share()
+
+        with telemetry.span("gsf.sizing"):
+            if sizing is None:
+                sizing = size_mixed_cluster(
+                    trace, self.baseline, greensku, adoption.policy()
+                )
+
+        with telemetry.span("gsf.maintenance"):
+            sizing_with_oos = ClusterSizing(
+                baseline_only_servers=sizing.baseline_only_servers,
+                mixed_baseline_servers=sizing.mixed_baseline_servers,
+                mixed_green_servers=sizing.mixed_green_servers,
+                oos_overhead_baseline=self.oos_fraction(self.baseline),
+                oos_overhead_green=self.oos_fraction(greensku),
             )
-        else:
-            base_sizing = sizing
-        sizing_with_oos = ClusterSizing(
-            baseline_only_servers=base_sizing.baseline_only_servers,
-            mixed_baseline_servers=base_sizing.mixed_baseline_servers,
-            mixed_green_servers=base_sizing.mixed_green_servers,
-            oos_overhead_baseline=self.oos_fraction(self.baseline),
-            oos_overhead_green=self.oos_fraction(greensku),
-        )
 
-        base_assessment = self.carbon_model.assess(self.baseline)
-        green_assessment = self.carbon_model.assess(greensku)
-        e_base = base_assessment.per_server_total_kg
-        e_green = green_assessment.per_server_total_kg
+        with telemetry.span("gsf.buffer"):
+            # Both deployments get a baseline-only buffer (the paper's
+            # single-buffer workaround).
+            ref_buffer = baseline_only_buffer(
+                sizing_with_oos.baseline_only_servers * self.baseline.cores,
+                self.baseline.cores,
+                self.config.buffer_fraction,
+            )
+            serving_cores = (
+                sizing_with_oos.mixed_baseline_servers * self.baseline.cores
+                + sizing_with_oos.mixed_green_servers * greensku.cores
+            )
+            mixed_buffer = baseline_only_buffer(
+                serving_cores, self.baseline.cores, self.config.buffer_fraction
+            )
 
-        # Reference deployment: all-baseline serving + OOS + buffer.
-        ref_serving = sizing_with_oos.deployed_baseline_only
-        ref_buffer = baseline_only_buffer(
-            sizing_with_oos.baseline_only_servers * self.baseline.cores,
-            self.baseline.cores,
-            self.config.buffer_fraction,
-        )
-        ref_servers = ref_serving + ref_buffer.baseline_buffer_servers
-        reference = DeploymentEmissions(
-            baseline_servers=ref_servers,
-            green_servers=0.0,
-            baseline_kg=ref_servers * e_base,
-            green_kg=0.0,
-        )
+        with telemetry.span("gsf.carbon"):
+            base_assessment = self.carbon_model.assess(self.baseline)
+            green_assessment = self.carbon_model.assess(greensku)
+            e_base = base_assessment.per_server_total_kg
+            e_green = green_assessment.per_server_total_kg
 
-        # Mixed deployment: baseline + GreenSKU serving, baseline-only
-        # buffer (the paper's single-buffer workaround).
-        mixed_base, mixed_green = sizing_with_oos.deployed_mixed
-        serving_cores = (
-            sizing_with_oos.mixed_baseline_servers * self.baseline.cores
-            + sizing_with_oos.mixed_green_servers * greensku.cores
-        )
-        mixed_buffer = baseline_only_buffer(
-            serving_cores, self.baseline.cores, self.config.buffer_fraction
-        )
-        mixed_base_total = mixed_base + mixed_buffer.baseline_buffer_servers
-        mixed = DeploymentEmissions(
-            baseline_servers=mixed_base_total,
-            green_servers=mixed_green,
-            baseline_kg=mixed_base_total * e_base,
-            green_kg=mixed_green * e_green,
-        )
+            # Reference deployment: all-baseline serving + OOS + buffer.
+            ref_serving = sizing_with_oos.deployed_baseline_only
+            ref_servers = ref_serving + ref_buffer.baseline_buffer_servers
+            reference = DeploymentEmissions(
+                baseline_servers=ref_servers,
+                green_servers=0.0,
+                baseline_kg=ref_servers * e_base,
+                green_kg=0.0,
+            )
+
+            # Mixed deployment: baseline + GreenSKU serving, baseline-only
+            # buffer.
+            mixed_base, mixed_green = sizing_with_oos.deployed_mixed
+            mixed_base_total = (
+                mixed_base + mixed_buffer.baseline_buffer_servers
+            )
+            mixed = DeploymentEmissions(
+                baseline_servers=mixed_base_total,
+                green_servers=mixed_green,
+                baseline_kg=mixed_base_total * e_base,
+                green_kg=mixed_green * e_green,
+            )
 
         return GsfEvaluation(
             greensku_name=greensku.name,
@@ -184,7 +196,7 @@ class Gsf:
             buffer=mixed_buffer,
             reference=reference,
             mixed=mixed,
-            adopted_core_hour_share=adoption.adopted_core_hour_share(),
+            adopted_core_hour_share=adopted_share,
             baseline_assessment=base_assessment,
             green_assessment=green_assessment,
         )

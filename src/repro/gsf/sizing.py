@@ -15,6 +15,14 @@ VM workload with no rejections:
    allocation simulator (adding GreenSKUs if fungible interleaving
    changed the picture).
 
+Both steps rest on one property of the production best-fit scheduler: it
+opens an empty server only when no busy server fits the VM, and then the
+lowest-id one (the servers of one SKU share a shape).  A replay against
+n servers of a SKU therefore matches a replay against any larger pool of
+that SKU until the larger replay opens server n, so n servers suffice
+exactly when n exceeds the highest server index the larger replay used.
+One replay against an upper-bound pool answers every count at once.
+
 Out-of-service maintenance overhead inflates each side's server count
 (failed servers await repair, so extra capacity is deployed).
 """
@@ -31,8 +39,6 @@ from ..allocation.cluster import (
     ClusterSpec,
     adopt_nothing,
     replay_on_engine,
-    resolve_engine,
-    simulate,
 )
 from ..allocation.index import PlacementEngine
 from ..allocation.scheduler import Server
@@ -48,13 +54,12 @@ MAX_SERVERS = 20_000
 
 @dataclass
 class SizingStats:
-    """Feasibility-probe counters for the sizing searches.
+    """Replay counters for the sizing searches.
 
-    ``simulate_calls`` counts configurations actually replayed through
-    the allocation simulator; ``memo_hits`` counts probes answered from
-    the per-search memo — each hit is a duplicate ``simulate()`` the memo
-    eliminated.  A module-wide aggregate (:func:`sizing_stats`) feeds the
-    bench harness's hit/miss report.
+    ``simulate_calls`` counts replays through the allocation simulator;
+    ``memo_hits`` counts questions answered from a per-search memo
+    instead — each hit is a replay the memo saved.  A module-wide
+    aggregate (:func:`sizing_stats`) feeds the bench harness's report.
     """
 
     simulate_calls: int = 0
@@ -79,7 +84,7 @@ _GLOBAL_SIZING_STATS = SizingStats()
 
 
 def sizing_stats() -> SizingStats:
-    """Process-wide probe counters (reset with :func:`reset_sizing_stats`)."""
+    """Process-wide replay counters (reset with :func:`reset_sizing_stats`)."""
     return _GLOBAL_SIZING_STATS
 
 
@@ -89,30 +94,32 @@ def reset_sizing_stats() -> SizingStats:
     return _GLOBAL_SIZING_STATS
 
 
-class _FeasibilityMemo:
-    """Memoizes one search's feasibility probes.
+def _account(search: SizingStats, stats: Optional[SizingStats]) -> None:
+    """Add one search's counters to the module aggregate and ``stats``."""
+    _GLOBAL_SIZING_STATS.merge(search)
+    if stats is not None:
+        stats.merge(search)
+
+
+class _ReplayMemo:
+    """Memoizes one search's replays by configuration key.
 
     Scoped to a single sizing search, where the trace and adoption policy
-    are fixed, so a configuration key (server count, or a count tuple for
-    mixed clusters) fully determines the simulator's verdict.  Guarantees
-    no configuration is ever simulated twice within the search.
+    are fixed, so the key fully determines the replay's answer.
+    Guarantees no configuration is replayed twice within the search.
     """
 
-    def __init__(self, probe: Callable[..., bool]):
-        self._probe = probe
-        self._seen: Dict[Hashable, bool] = {}
+    def __init__(self, replay: Callable[..., object]):
+        self._replay = replay
+        self._seen: Dict[Hashable, object] = {}
         self.stats = SizingStats()
 
-    def __call__(self, *key: Hashable) -> bool:
-        cached = self._seen.get(key)
-        if cached is not None:
+    def __call__(self, *key: Hashable):
+        if key in self._seen:
             self.stats.memo_hits += 1
-            _GLOBAL_SIZING_STATS.memo_hits += 1
-            return cached
-        result = self._probe(*key)
+            return self._seen[key]
         self.stats.simulate_calls += 1
-        _GLOBAL_SIZING_STATS.simulate_calls += 1
-        self._seen[key] = result
+        result = self._seen[key] = self._replay(*key)
         return result
 
 
@@ -152,11 +159,81 @@ class ClusterSizing:
         )
 
 
-def _feasible(
-    trace: VmTrace, cluster: ClusterSpec, adoption: AdoptionPolicy
-) -> bool:
-    outcome = simulate(trace, cluster, adoption=adoption, snapshot_hours=1e9)
-    return outcome.feasible
+def _peak_vms(trace: VmTrace) -> int:
+    """The most VMs a replay of ``trace`` holds placed at once.
+
+    A replay releases the departures due by each arrival before placing
+    it, the half-open occupancy the event sweep counts, as long as the
+    rows come in arrival order; for any other order the VM count bounds
+    it instead.
+    """
+    columns = trace.columns
+    if np.any(np.diff(columns.arrival_hours) < 0):
+        return columns.n
+    return columns.peak_concurrent_vms()
+
+
+class _HighWater:
+    """High-water replays of one trace against an upper-bound pool.
+
+    The pool holds ``bound = min(peak, MAX_SERVERS)`` servers of ``sku``
+    with ids ``0..bound-1``, where ``peak`` is the most VMs the trace
+    keeps placed at once: opening server k needs k busy servers, each
+    hosting a VM, so no replay opens an index at or beyond ``peak``.
+
+    Calling the object with a count of ``companion`` servers (ids from
+    ``bound`` up, the order ``ClusterSpec.build_servers`` gives them)
+    replays the trace once under the production best-fit scheduler and
+    returns how many pool servers it used — the highest index touched,
+    plus one — which is the fewest ``sku`` servers that host the trace
+    beside those companions.  A replay that rejects a VM anyway raises
+    :class:`CapacityError`: no count of ``sku`` up to ``bound`` hosts
+    the trace beside them.  Pool and companions share one
+    :class:`PlacementEngine`, reset before every replay.
+    """
+
+    def __init__(
+        self,
+        trace: VmTrace,
+        sku: ServerSKU,
+        adoption: AdoptionPolicy,
+        companion: Optional[ServerSKU] = None,
+    ):
+        self._trace = trace
+        self._sku = sku
+        self._adoption = adoption
+        self._companion = companion
+        self._companions = 0
+        self.bound = min(_peak_vms(trace), MAX_SERVERS)
+        self._engine = PlacementEngine(
+            Server(sid, sku) for sid in range(self.bound)
+        )
+
+    def __call__(self, companions: int = 0) -> int:
+        engine = self._engine
+        engine.reset()
+        bound = self.bound
+        while self._companions < companions:
+            engine.add_server(
+                Server(bound + self._companions, self._companion)
+            )
+            self._companions += 1
+        while self._companions > companions:
+            self._companions -= 1
+            engine.remove_server(bound + self._companions)
+        pools = [(self._sku, bound)]
+        if self._companion is not None:
+            pools.append((self._companion, companions))
+        replay_on_engine(
+            self._trace,
+            ClusterSpec.of(*pools),
+            engine,
+            adoption=self._adoption,
+            snapshot_hours=1e9,
+            raise_on_reject=True,
+        )
+        used = [sid for sid in engine.touched_ids() if sid < bound]
+        return max(used) + 1 if used else 0
 
 
 class _EngineProber:
@@ -233,120 +310,40 @@ def right_size(
     trace: VmTrace,
     sku: ServerSKU,
     adoption: AdoptionPolicy = adopt_nothing,
-    lower: int = 1,
-    hint: Optional[int] = None,
     stats: Optional[SizingStats] = None,
 ) -> int:
     """Minimum count of ``sku`` servers hosting ``trace`` with no rejection.
 
-    Binary search on the server count (rejections are monotone in cluster
-    size under best-fit for all practical traces), then a downward linear
-    verification pass to guard against non-monotonicity at the boundary.
-    Every probe within the search is memoized, so no configuration is
-    simulated twice (in particular the verification pass reuses the
-    bisection's final infeasible probe), and the result never falls below
-    the caller-supplied ``lower`` bound.
+    One replay against an upper-bound pool of ``sku`` servers: best-fit
+    fills the lowest-id empty server first, so the highest index that
+    replay uses, plus one, is the minimum (see the module docstring).
 
     Args:
-        lower: Minimum admissible count; the search neither probes nor
-            returns counts below it (an empty trace still needs 0).
-        hint: Warm-start for the bracket (e.g. a related search's
-            result); the exponential bracket starts there instead of at
-            ``lower``.  A wrong hint costs extra probes but never changes
-            the result.
-        stats: When given, this search's probe counters are accumulated
+        stats: When given, this search's replay counters are accumulated
             into it (on top of the module-wide aggregate).
+
+    Raises:
+        SizingError: No count up to :data:`MAX_SERVERS` hosts the trace;
+            the message names the first VM rejected.
     """
-    if lower < 0:
-        raise ConfigError("lower bound must be >= 0")
-
-    if resolve_engine() == "reference":
-
-        def probe(n: int) -> bool:
-            if n == 0:
-                return trace.vm_count == 0
-            return _feasible(trace, ClusterSpec.of((sku, n)), adoption)
-
-    else:
-        prober = _EngineProber(trace, (sku,), adoption)
-
-        def probe(n: int) -> bool:
-            if n == 0:
-                return trace.vm_count == 0
-            return prober(n)
-
     if not trace.vm_count:
         return 0
-
-    feasible = _FeasibilityMemo(probe)
-    floor = max(lower, 1)
-    bracket_steps = 0
-    bisect_steps = 0
-    verify_steps = 0
-    # Exponential bracket, optionally warm-started from a hint.  The
-    # invariant entering the bisection: ``lo`` infeasible (or the floor's
-    # sentinel below it), ``hi`` feasible.
-    start = max(floor, min(hint, MAX_SERVERS) if hint else floor)
-    bracket_steps += 1
-    if feasible(start):
-        hi = start
-        lo = floor - 1  # sentinel: never probed, counts below floor
-        # are out of bounds by contract.
-        step = max(1, hi // 2)
-        probe_down = hi - step
-        while probe_down > lo:
-            bracket_steps += 1
-            if feasible(probe_down):
-                hi = probe_down
-                step = max(1, hi // 2)
-                probe_down = hi - step
-            else:
-                lo = probe_down
-                break
-    else:
-        lo = start
-        hi = start * 2
-        while True:
-            if hi > MAX_SERVERS:
-                raise SizingError(
-                    f"trace {trace.name} does not fit {MAX_SERVERS} "
-                    f"{sku.name} servers"
-                )
-            bracket_steps += 1
-            if feasible(hi):
-                break
-            lo = hi
-            hi *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        bisect_steps += 1
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    # Downward verification: ensure hi-1 truly infeasible.  When the
-    # bisection just probed hi-1 (the common case), the memo answers and
-    # nothing is re-simulated.
-    while hi > floor:
-        verify_steps += 1
-        if not feasible(hi - 1):
-            break
-        hi -= 1
-    if stats is not None:
-        stats.merge(feasible.stats)
+    pool = _HighWater(trace, sku, adoption)
+    _account(SizingStats(simulate_calls=1), stats)
     tel = telemetry.active()
     if tel is not None:
-        tel.count_many(
-            {
-                "sizing.searches": 1,
-                "sizing.bracket_steps": bracket_steps,
-                "sizing.bisect_steps": bisect_steps,
-                "sizing.verify_steps": verify_steps,
-                "sizing.simulate_calls": feasible.stats.simulate_calls,
-                "sizing.memo_hits": feasible.stats.memo_hits,
-            }
+        tel.count_many({"sizing.searches": 1, "sizing.simulate_calls": 1})
+    try:
+        return pool()
+    except CapacityError as exc:
+        limit = (
+            f"{MAX_SERVERS} {sku.name} servers"
+            if pool.bound == MAX_SERVERS
+            else f"any number of {sku.name} servers"
         )
-    return max(hi, lower)
+        raise SizingError(
+            f"trace {trace.name} does not fit {limit}: {exc}"
+        ) from exc
 
 
 def _split_trace(
@@ -400,9 +397,13 @@ def size_mixed_cluster(
     which keeps the statistical multiplexing that fungible fallback
     placement (adopters overflowing onto idle baseline capacity) buys.
 
-    The reference search warm-starts the partition searches, and every
-    mixed-cluster configuration probed by the verification and trim loops
-    is memoized, so no (baseline, green) count pair is simulated twice.
+    The verification and trim loops ask one question per GreenSKU count
+    g: ``need(g)``, the fewest baselines that host the full trace beside
+    g GreenSKUs.  Adopters try the GreenSKUs first and only what they
+    reject reaches the baselines, so the GreenSKU pool evolves the same
+    way whatever the baseline count until a rejection, and one high-water
+    replay per g (memoized) answers every baseline count: (b, g) fits
+    exactly when ``b >= need(g)``.
 
     Args:
         trace: The VM workload.
@@ -413,48 +414,29 @@ def size_mixed_cluster(
             fractions (maintenance component output).
         verify: Run the end-to-end verification + trim passes (disable
             only for unit tests of the partition sizing itself).
-        stats: When given, accumulates this sizing's probe counters.
+        stats: When given, accumulates this sizing's replay counters.
     """
     n_reference = right_size(trace, baseline, adopt_nothing, stats=stats)
     green_trace, base_trace = _split_trace(trace, adoption)
-    # Warm-start each partition from the reference bracket: a partition
-    # never needs more servers of the same-or-bigger SKU than the whole
-    # trace needed baselines, and is usually close below it.
-    n_base = (
-        right_size(base_trace, baseline, hint=n_reference, stats=stats)
-        if base_trace.vm_count
-        else 0
-    )
-    n_green = (
-        right_size(
-            green_trace, greensku, adoption, hint=n_reference, stats=stats
-        )
-        if green_trace.vm_count
-        else 0
-    )
+    n_base = right_size(base_trace, baseline, stats=stats)
+    n_green = right_size(green_trace, greensku, adoption, stats=stats)
     if verify and (n_base or n_green):
-        if resolve_engine() == "reference":
+        pool = _HighWater(trace, baseline, adoption, companion=greensku)
 
-            def probe(nb: int, ng: int) -> bool:
-                if nb + ng == 0:
-                    return not trace.vm_count
-                return _feasible(
-                    trace,
-                    ClusterSpec.of((baseline, nb), (greensku, ng)),
-                    adoption,
-                )
+        def replay(ng: int) -> Optional[int]:
+            try:
+                return pool(ng)
+            except CapacityError:
+                return None  # no baseline count up to the bound fits
 
-        else:
-            prober = _EngineProber(trace, (baseline, greensku), adoption)
+        need = _ReplayMemo(replay)
 
-            def probe(nb: int, ng: int) -> bool:
-                if nb + ng == 0:
-                    return not trace.vm_count
-                return prober(nb, ng)
+        def fits(nb: int, ng: int) -> bool:
+            needed = need(ng)
+            return needed is not None and needed <= nb
 
-        feasible = _FeasibilityMemo(probe)
         grow_steps = 0
-        while not feasible(n_base, n_green):
+        while not fits(n_base, n_green):
             n_green += 1
             grow_steps += 1
             if n_base + n_green > MAX_SERVERS:
@@ -467,16 +449,16 @@ def size_mixed_cluster(
         trimmed = True
         while trimmed:
             trimmed = False
-            while n_base > 0 and feasible(n_base - 1, n_green):
-                n_base -= 1
-                trim_steps += 1
+            needed = need(n_green)
+            if needed < n_base:
+                trim_steps += n_base - needed
+                n_base = needed
                 trimmed = True
-            while n_green > 0 and feasible(n_base, n_green - 1):
+            while n_green > 0 and fits(n_base, n_green - 1):
                 n_green -= 1
                 trim_steps += 1
                 trimmed = True
-        if stats is not None:
-            stats.merge(feasible.stats)
+        _account(need.stats, stats)
         tel = telemetry.active()
         if tel is not None:
             tel.count_many(
@@ -484,8 +466,8 @@ def size_mixed_cluster(
                     "sizing.mixed_verifications": 1,
                     "sizing.grow_steps": grow_steps,
                     "sizing.trim_steps": trim_steps,
-                    "sizing.simulate_calls": feasible.stats.simulate_calls,
-                    "sizing.memo_hits": feasible.stats.memo_hits,
+                    "sizing.simulate_calls": need.stats.simulate_calls,
+                    "sizing.memo_hits": need.stats.memo_hits,
                 }
             )
     return ClusterSizing(
@@ -538,9 +520,8 @@ def size_generation_aware(
 
     The reference hosts each generation's VMs on that generation's SKU;
     the mixed cluster adds GreenSKUs for adopters and trims greedily on
-    the full trace with generation routing active.  The non-adopter
-    searches warm-start from the reference counts, and the verify/trim
-    loops memoize every probed configuration.
+    the full trace with generation routing active.  The verify/trim loops
+    memoize every probed configuration.
     """
     generations = sorted(baselines)
     # Reference: per-generation right-size on that generation's sub-trace.
@@ -549,9 +530,7 @@ def size_generation_aware(
         sub = trace.filter(
             trace.columns.generation == gen, name=f"{trace.name}-g{gen}"
         )
-        reference[gen] = (
-            right_size(sub, baselines[gen], stats=stats) if sub.vm_count else 0
-        )
+        reference[gen] = right_size(sub, baselines[gen], stats=stats)
 
     # Mixed: non-adopters per generation + greens for adopters.
     green_trace, base_trace = _split_trace(trace, adoption)
@@ -561,45 +540,18 @@ def size_generation_aware(
             base_trace.columns.generation == gen,
             name=f"{trace.name}-rest-g{gen}",
         )
-        mixed[gen] = (
-            right_size(
-                sub, baselines[gen], hint=reference[gen] or None, stats=stats
-            )
-            if sub.vm_count
-            else 0
-        )
-    n_green = (
-        right_size(green_trace, greensku, adoption, stats=stats)
-        if green_trace.vm_count
-        else 0
-    )
+        mixed[gen] = right_size(sub, baselines[gen], stats=stats)
+    n_green = right_size(green_trace, greensku, adoption, stats=stats)
 
     if verify:
-
-        def spec(counts: Tuple[Tuple[int, int], ...], ng: int) -> ClusterSpec:
-            pairs = [(baselines[gen], count) for gen, count in counts]
-            pairs.append((greensku, ng))
-            return ClusterSpec.of(*pairs)
-
-        if resolve_engine() == "reference":
-
-            def probe(counts: Tuple[Tuple[int, int], ...], ng: int) -> bool:
-                return _feasible(trace, spec(counts, ng), adoption)
-
-        else:
-            slot_skus = [baselines[gen] for gen in generations] + [greensku]
-            prober = _EngineProber(trace, slot_skus, adoption)
-
-            def probe(counts: Tuple[Tuple[int, int], ...], ng: int) -> bool:
-                by_gen = dict(counts)
-                return prober(
-                    *(by_gen.get(gen, 0) for gen in generations), ng
-                )
-
-        memo = _FeasibilityMemo(probe)
+        # Baseline pools route by which generations are present, so the
+        # high-water argument does not apply here: probe count tuples.
+        slot_skus = [baselines[gen] for gen in generations] + [greensku]
+        prober = _EngineProber(trace, slot_skus, adoption)
+        memo = _ReplayMemo(prober)
 
         def feasible(mixed_counts: "dict[int, int]", ng: int) -> bool:
-            return memo(tuple(sorted(mixed_counts.items())), ng)
+            return memo(*(mixed_counts[gen] for gen in generations), ng)
 
         grow_steps = 0
         while not feasible(mixed, n_green):
@@ -628,8 +580,7 @@ def size_generation_aware(
                 n_green -= 1
                 trim_steps += 1
                 trimmed = True
-        if stats is not None:
-            stats.merge(memo.stats)
+        _account(memo.stats, stats)
         tel = telemetry.active()
         if tel is not None:
             tel.count_many(

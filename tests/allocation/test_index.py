@@ -183,17 +183,20 @@ class TestTelemetryDifferential:
     def test_right_size_identical(self, engine, monkeypatch):
         from repro.gsf.sizing import right_size
 
-        monkeypatch.setenv("REPRO_ALLOC_ENGINE", engine)
         trace = generate_trace(
             seed=7,
             params=TraceParams(duration_days=2, mean_concurrent_vms=60),
         )
         plain = right_size(trace, baseline_gen3())
+        # Sizing replays on the indexed engine whatever the selector says.
+        monkeypatch.setenv("REPRO_ALLOC_ENGINE", engine)
         with telemetry.capture() as tel:
             instrumented = right_size(trace, baseline_gen3())
         assert plain == instrumented
         assert tel.counters["sizing.searches"] == 1
-        assert tel.counters["sizing.simulate_calls"] > 0
+        assert tel.counters["sizing.simulate_calls"] == 1
+        assert tel.counters["engine.places"] > 0
+        assert "engine.servers_scanned" not in tel.counters
 
     def test_trace_generation_rng_unperturbed(self):
         plain = generate_trace(seed=11, params=CHURN_PARAMS)

@@ -192,6 +192,7 @@ class TestPeakConcurrentCores:
         )
         assert _sampled_peak(trace, step_hours=2.0) == 8
         assert trace.peak_concurrent_cores() == 8 + 3 * 16
+        assert trace.columns.peak_concurrent_vms() == 4
         # step_hours is deprecated: still accepted (and ignored) but warns.
         with pytest.deprecated_call():
             assert trace.peak_concurrent_cores(step_hours=2.0) == 8 + 3 * 16
@@ -203,6 +204,7 @@ class TestPeakConcurrentCores:
             name="handoff", params=TraceParams(duration_days=1), vms=vms
         )
         assert trace.peak_concurrent_cores() == 32
+        assert trace.columns.peak_concurrent_vms() == 1
 
     def test_matches_sampling_on_generated_trace(self, trace):
         """On real traces the sweep can only find >= the sampled peak."""
@@ -214,6 +216,7 @@ class TestPeakConcurrentCores:
             name="empty", params=TraceParams(duration_days=1), vms=()
         )
         assert trace.peak_concurrent_cores() == 0
+        assert trace.columns.peak_concurrent_vms() == 0
 
 
 class TestAssignApp:

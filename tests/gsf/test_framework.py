@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.catalog.results import payload_digest
+from repro.core import telemetry
 from repro.gsf.framework import Gsf, GsfConfig
 from repro.hardware.datacenter import DataCenterConfig
 from repro.hardware.sku import (
@@ -62,6 +64,25 @@ class TestEvaluation:
         assert again.cluster_savings == pytest.approx(
             evaluation.cluster_savings
         )
+
+
+class TestStageSpans:
+    def test_captured_evaluate_spans_every_stage(
+        self, gsf, full_sku, small_trace
+    ):
+        plain = gsf.evaluate(full_sku, small_trace).to_payload()
+        with telemetry.capture() as tel:
+            captured = gsf.evaluate(full_sku, small_trace).to_payload()
+        stages = [node["name"] for node in tel.manifest()["spans"]]
+        assert sorted(stages) == [
+            "gsf.adoption",
+            "gsf.buffer",
+            "gsf.carbon",
+            "gsf.maintenance",
+            "gsf.sizing",
+        ]
+        assert tel.counters["sizing.searches"] == 3
+        assert payload_digest(captured) == payload_digest(plain)
 
 
 class TestMaintenanceHook:

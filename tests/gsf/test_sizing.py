@@ -1,20 +1,32 @@
 """Cluster-sizing search tests."""
 
 import collections
+import functools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.allocation.cluster import ClusterSpec, adopt_nothing, simulate
-from repro.allocation.traces import TraceParams, VmTrace
+from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
+from repro.analysis.ablations import ADOPTION_RULES, adoption_policy
+from repro.core import telemetry
+from repro.core.errors import SizingError
 from repro.gsf import sizing as sizing_module
+from repro.gsf.framework import Gsf
 from repro.gsf.sizing import (
     ClusterSizing,
     SizingStats,
     right_size,
     size_mixed_cluster,
 )
-from repro.hardware.sku import baseline_gen3, greensku_full
+from repro.hardware.sku import all_greenskus, baseline_gen3, greensku_full
+from tests.oracles import sizing as oracle
+
+#: Small enough for the reference-engine oracle searches.
+ORACLE_PARAMS = TraceParams(duration_days=2, mean_concurrent_vms=40)
 
 
 def make_vm(vm_id, cores=8, lifetime=24.0, app="Redis", gen=3):
@@ -80,79 +92,50 @@ class TestRightSize:
 
 
 class TestSearchEfficiency:
-    """The memoized searches never simulate a configuration twice."""
+    """Each right-size search is one replay; none is ever repeated."""
 
     @pytest.fixture()
     def simulate_counter(self, monkeypatch):
-        """Counts replay invocations per (trace, cluster) config.
-
-        Instruments both probe entry points — ``simulate`` (the
-        reference engine's path) and ``replay_on_engine`` (the indexed
-        probe-reuse path) — so the no-resimulation guarantee is checked
-        under whichever engine is active.
-        """
+        """Counts replay invocations per (trace, cluster) config."""
         calls = collections.Counter()
-        real_simulate = sizing_module.simulate
         real_replay = sizing_module.replay_on_engine
 
-        def key_of(trace, cluster):
-            return (
+        def counting_replay(trace, cluster, engine, **kwargs):
+            key = (
                 trace.name,
                 tuple((sku.name, count) for sku, count in cluster.skus),
             )
-
-        def counting_simulate(trace, cluster, **kwargs):
-            calls[key_of(trace, cluster)] += 1
-            return real_simulate(trace, cluster, **kwargs)
-
-        def counting_replay(trace, cluster, engine, **kwargs):
-            calls[key_of(trace, cluster)] += 1
+            calls[key] += 1
             return real_replay(trace, cluster, engine, **kwargs)
 
-        monkeypatch.setattr(sizing_module, "simulate", counting_simulate)
         monkeypatch.setattr(sizing_module, "replay_on_engine", counting_replay)
         return calls
 
     def test_right_size_never_resimulates(
         self, small_trace, simulate_counter
     ):
-        # In particular the downward-verification pass must reuse the
-        # bisection's final infeasible probe instead of re-running it.
         right_size(small_trace, baseline_gen3())
-        assert simulate_counter and max(simulate_counter.values()) == 1
+        assert sum(simulate_counter.values()) == 1
 
     def test_mixed_sizing_never_resimulates(
         self, small_trace, gsf, full_sku, simulate_counter
     ):
         policy = gsf.adoption_model(full_sku).policy()
         stats = SizingStats()
-        size_mixed_cluster(
-            small_trace, baseline_gen3(), full_sku, policy, stats=stats
-        )
-        assert max(simulate_counter.values()) == 1
-        # The memo must actually have absorbed repeat probes (the trim
-        # loops re-check configurations), and every simulated config is
-        # accounted for by the counters.
-        assert stats.memo_hits > 0
-        assert stats.simulate_calls >= sum(simulate_counter.values())
-
-    def test_right_size_clamps_to_lower(self, small_trace):
-        unconstrained = right_size(small_trace, baseline_gen3())
-        constrained = right_size(
-            small_trace, baseline_gen3(), lower=unconstrained + 3
-        )
-        assert constrained == unconstrained + 3
-
-    def test_hint_does_not_change_result(self, small_trace):
-        reference = right_size(small_trace, baseline_gen3())
-        for hint in (1, reference, reference + 10, 4 * reference):
-            assert (
-                right_size(small_trace, baseline_gen3(), hint=hint)
-                == reference
+        with telemetry.capture() as tel:
+            size_mixed_cluster(
+                small_trace, baseline_gen3(), full_sku, policy, stats=stats
             )
-
-    def test_empty_trace_ignores_lower(self):
-        assert right_size(trace_of([]), baseline_gen3(), lower=5) == 0
+        assert max(simulate_counter.values()) == 1
+        assert stats.simulate_calls == sum(simulate_counter.values())
+        # One replay for each of the three right-size searches, then one
+        # per GreenSKU count the grow and trim loops visit.
+        counters = tel.counters
+        visited = 2 + counters["sizing.grow_steps"] + counters[
+            "sizing.trim_steps"
+        ]
+        assert counters["sizing.searches"] == 3
+        assert stats.simulate_calls <= 3 + visited
 
     def test_stats_accumulate_across_searches(self, small_trace):
         stats = SizingStats()
@@ -167,6 +150,104 @@ class TestSearchEfficiency:
         )
         assert stats.simulate_calls > first
         assert stats.probes == stats.simulate_calls + stats.memo_hits
+
+
+class TestCapacityLimits:
+    def test_need_just_below_max_servers(self, monkeypatch):
+        # 81 concurrent 8-core VMs need 9 servers of 80 cores; a search
+        # whose bracket doubles past the cap (16 > 10) would give up.
+        monkeypatch.setattr(sizing_module, "MAX_SERVERS", 10)
+        trace = trace_of([make_vm(i) for i in range(81)])
+        assert right_size(trace, baseline_gen3()) == 9
+
+    def test_oversized_vm_fails_after_one_replay(self):
+        trace = trace_of([make_vm(0, cores=200)])
+        with telemetry.capture() as tel:
+            with pytest.raises(SizingError, match="VM 0 rejected"):
+                right_size(trace, baseline_gen3())
+        assert tel.counters["alloc.replays"] == 1
+
+
+def _cached(policy):
+    """The policy with its decisions cached (they are pure)."""
+    return functools.lru_cache(maxsize=None)(policy)
+
+
+class TestMatchesOracle:
+    """The high-water searches give the probing searches' answers."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_right_size(self, seed):
+        trace = generate_trace(seed=seed, params=ORACLE_PARAMS)
+        shared = trace.filter(~trace.columns.full_node)
+        assert right_size(trace, baseline_gen3()) == oracle.right_size(
+            trace, baseline_gen3()
+        )
+        always = _cached(adoption_policy("always", Gsf(), greensku_full()))
+        assert right_size(
+            shared, greensku_full(), always
+        ) == oracle.right_size(shared, greensku_full(), always)
+
+    @pytest.mark.parametrize("rule", ADOPTION_RULES)
+    @pytest.mark.parametrize(
+        "sku", all_greenskus(), ids=lambda sku: sku.name
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_size_mixed_cluster(self, seed, sku, rule):
+        trace = generate_trace(seed=seed, params=ORACLE_PARAMS)
+        gsf = Gsf()
+        policy = _cached(adoption_policy(rule, gsf, sku))
+        assert size_mixed_cluster(
+            trace, gsf.baseline, sku, policy
+        ) == oracle.size_mixed_cluster(trace, gsf.baseline, sku, policy)
+
+
+#: Random small traces: arrival gaps, lifetimes (``None`` never departs),
+#: VM shapes that fit one baseline server, and full-node flags.
+random_vms = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=4.0),
+        st.one_of(st.none(), st.floats(min_value=0.25, max_value=48.0)),
+        st.integers(min_value=1, max_value=80),
+        st.floats(min_value=1.0, max_value=768.0),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestHighWaterProperty:
+    @given(vms=random_vms, shuffled=st.booleans())
+    @settings(deadline=None, max_examples=60)
+    def test_feasible_exactly_from_right_size(self, vms, shuffled):
+        rows, now = [], 0.0
+        for i, (gap, lifetime, cores, memory, full) in enumerate(vms):
+            now += gap
+            rows.append(
+                VmRequest(
+                    vm_id=i,
+                    arrival_hours=now,
+                    lifetime_hours=math.inf if lifetime is None else lifetime,
+                    cores=cores,
+                    memory_gb=memory,
+                    generation=3,
+                    app_name="Redis",
+                    full_node=full,
+                )
+            )
+        if shuffled:
+            # The row replay takes rows in the order given.
+            rows.reverse()
+        trace = trace_of(rows)
+        need = right_size(trace, baseline_gen3())
+        for n in range(1, need + 3):
+            outcome = simulate(
+                trace,
+                ClusterSpec.of((baseline_gen3(), n)),
+                engine="reference",
+            )
+            assert outcome.feasible == (n >= need), n
 
 
 class TestMixedSizing:
@@ -192,6 +273,79 @@ class TestMixedSizing:
         assert sizing.mixed_green_servers == 0
         assert (
             sizing.mixed_baseline_servers == sizing.baseline_only_servers
+        )
+
+    def test_spare_baseline_absorbs_the_only_adopter(self):
+        # Nine 8-core non-adopters leave 8 cores free on one baseline, so
+        # the trim drops the adopter's GreenSKU and it falls back there.
+        vms = [make_vm(i) for i in range(9)] + [
+            make_vm(9, cores=4, app="Xapian")
+        ]
+        trace = trace_of(vms)
+
+        def policy(app, gen):
+            return 1.0 if app == "Xapian" else None
+
+        sizing = size_mixed_cluster(
+            trace, baseline_gen3(), greensku_full(), policy
+        )
+        assert sizing == ClusterSizing(
+            baseline_only_servers=1,
+            mixed_baseline_servers=1,
+            mixed_green_servers=0,
+        )
+        assert sizing == oracle.size_mixed_cluster(
+            trace, baseline_gen3(), greensku_full(), policy
+        )
+
+    def test_fallback_can_lower_the_baseline_need(self):
+        # A best-fit anomaly: the non-adopters alone need 3 baselines, but
+        # with every adopter falling back onto them the whole trace needs
+        # 2, so the trim drops the GreenSKU and then a baseline.
+        shapes = [
+            (0.0, math.inf, 32, 64.0, "Redis"),
+            (1.0, 1.0, 48, 96.0, "Xapian"),
+            (1.5, math.inf, 16, 16.0, "Redis"),
+            (1.5, 0.6, 12, 12.0, "Redis"),
+            (2.5, math.inf, 56, 56.0, "Redis"),
+            (2.75, 0.6, 2, 2.0, "Redis"),
+            (2.75, 0.3, 48, 192.0, "Redis"),
+            (3.0, 1.0, 2, 2.0, "Xapian"),
+            (3.5, 0.6, 2, 4.0, "Xapian"),
+            (4.5, 1.0, 4, 8.0, "Xapian"),
+        ]
+        trace = trace_of(
+            VmRequest(
+                vm_id=i,
+                arrival_hours=arrival,
+                lifetime_hours=lifetime,
+                cores=cores,
+                memory_gb=memory,
+                generation=3,
+                app_name=app,
+            )
+            for i, (arrival, lifetime, cores, memory, app) in enumerate(
+                shapes
+            )
+        )
+
+        def policy(app, gen):
+            return 1.25 if app == "Xapian" else None
+
+        partitions = size_mixed_cluster(
+            trace, baseline_gen3(), greensku_full(), policy, verify=False
+        )
+        assert partitions.mixed_total == 4
+        sizing = size_mixed_cluster(
+            trace, baseline_gen3(), greensku_full(), policy
+        )
+        assert sizing == ClusterSizing(
+            baseline_only_servers=2,
+            mixed_baseline_servers=2,
+            mixed_green_servers=0,
+        )
+        assert sizing == oracle.size_mixed_cluster(
+            trace, baseline_gen3(), greensku_full(), policy
         )
 
     def test_mixed_cluster_is_feasible(self, small_trace, gsf, full_sku):

@@ -1,0 +1,139 @@
+"""Reference sizing searches, the oracle for ``repro.gsf.sizing``.
+
+``repro.gsf.sizing`` answers each sizing question with one high-water
+replay, which is exact only because best-fit opens the lowest-id empty
+server.  These searches assume nothing about the scheduler: they ask the
+reference-engine simulator whether each candidate configuration hosts
+the trace — an exponential bracket, a bisection and a downward
+verification for one SKU; grow-then-trim over (baseline, GreenSKU)
+count pairs for a mixed cluster.  They are slow, so tests run them on
+small traces.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Hashable
+
+import numpy as np
+
+from repro.allocation.cluster import (
+    AdoptionPolicy,
+    ClusterSpec,
+    adopt_nothing,
+    simulate,
+)
+from repro.allocation.traces import VmTrace
+from repro.core.errors import SizingError
+from repro.gsf.sizing import MAX_SERVERS, ClusterSizing
+from repro.hardware.sku import ServerSKU
+
+
+def feasible(
+    trace: VmTrace, cluster: ClusterSpec, adoption: AdoptionPolicy
+) -> bool:
+    """Whether the reference engine hosts ``trace`` on ``cluster``."""
+    if cluster.total_servers == 0:
+        return trace.vm_count == 0
+    outcome = simulate(
+        trace,
+        cluster,
+        adoption=adoption,
+        snapshot_hours=1e9,
+        engine="reference",
+    )
+    return outcome.feasible
+
+
+def _memoized(probe: Callable[..., bool]) -> Callable[..., bool]:
+    seen: Dict[Hashable, bool] = {}
+
+    def call(*key: Hashable) -> bool:
+        if key not in seen:
+            seen[key] = probe(*key)
+        return seen[key]
+
+    return call
+
+
+def right_size(
+    trace: VmTrace, sku: ServerSKU, adoption: AdoptionPolicy = adopt_nothing
+) -> int:
+    """Minimum count of ``sku`` servers hosting ``trace``, by search."""
+    if not trace.vm_count:
+        return 0
+    fits = _memoized(
+        lambda n: feasible(trace, ClusterSpec.of((sku, n)), adoption)
+    )
+    # Exponential bracket: ``lo`` infeasible (0 when none was probed),
+    # ``hi`` feasible.
+    lo, hi = 0, 1
+    while not fits(hi):
+        if hi >= MAX_SERVERS:
+            raise SizingError(
+                f"trace {trace.name} does not fit {MAX_SERVERS} "
+                f"{sku.name} servers"
+            )
+        lo, hi = hi, min(2 * hi, MAX_SERVERS)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    # Downward verification: no smaller count may fit either.
+    while hi > 1 and fits(hi - 1):
+        hi -= 1
+    return hi
+
+
+def size_mixed_cluster(
+    trace: VmTrace,
+    baseline: ServerSKU,
+    greensku: ServerSKU,
+    adoption: AdoptionPolicy,
+) -> ClusterSizing:
+    """Reference sizing for ``repro.gsf.sizing.size_mixed_cluster``.
+
+    Right-sizes the adopter/rest partition, grows GreenSKUs until the
+    full trace fits, then trims baselines first and GreenSKUs second,
+    probing every (baseline, GreenSKU) pair by simulation.
+    """
+    adopts = np.array(
+        [
+            not vm.full_node
+            and adoption(vm.app_name, vm.generation) is not None
+            for vm in trace.vms
+        ],
+        dtype=np.bool_,
+    )
+    n_reference = right_size(trace, baseline)
+    n_base = right_size(trace.filter(~adopts), baseline)
+    n_green = right_size(trace.filter(adopts), greensku, adoption)
+    if n_base or n_green:
+        fits = _memoized(
+            lambda nb, ng: feasible(
+                trace,
+                ClusterSpec.of((baseline, nb), (greensku, ng)),
+                adoption,
+            )
+        )
+        while not fits(n_base, n_green):
+            n_green += 1
+            if n_base + n_green > MAX_SERVERS:
+                raise SizingError(
+                    f"mixed sizing for {trace.name} exceeded {MAX_SERVERS}"
+                )
+        trimmed = True
+        while trimmed:
+            trimmed = False
+            while n_base > 0 and fits(n_base - 1, n_green):
+                n_base -= 1
+                trimmed = True
+            while n_green > 0 and fits(n_base, n_green - 1):
+                n_green -= 1
+                trimmed = True
+    return ClusterSizing(
+        baseline_only_servers=n_reference,
+        mixed_baseline_servers=n_base,
+        mixed_green_servers=n_green,
+    )
