@@ -30,7 +30,6 @@ from ..gsf.sizing import right_size, size_mixed_cluster
 from ..hardware import catalog
 from ..hardware.sku import ServerSKU, baseline_gen3, greensku_full
 from ..hardware.sku import _platform_parts
-from ..perf.scaling import scaling_factor
 from ..reliability.afr import server_afr
 
 
@@ -171,8 +170,8 @@ def adoption_policy(rule: str, gsf: Gsf, greensku: ServerSKU) -> Callable:
     if rule == "performance-only":
 
         def performance_only(app_name: str, generation: int):
-            result = scaling_factor(model.apps[app_name], generation)
-            return result.factor if math.isfinite(result.factor) else None
+            factor = model.decide(app_name, generation).scaling_factor
+            return factor if math.isfinite(factor) else None
 
         return performance_only
     if rule == "always":
@@ -180,15 +179,11 @@ def adoption_policy(rule: str, gsf: Gsf, greensku: ServerSKU) -> Callable:
     raise ConfigError(f"unknown adoption rule {rule!r}")
 
 
-#: Backward-compatible alias (pre-catalog private name).
-_adoption_policy = adoption_policy
-
-
 def _adoption_rule_one(
     rule: str, trace: VmTrace, gsf: Gsf, greensku: ServerSKU
 ) -> AdoptionAblation:
     """One adoption rule's mixed sizing + savings (worker entry)."""
-    policy = _adoption_policy(rule, gsf, greensku)
+    policy = adoption_policy(rule, gsf, greensku)
     sizing = size_mixed_cluster(trace, gsf.baseline, greensku, policy)
     e_base = gsf.carbon_model.assess(gsf.baseline).per_server_total_kg
     e_green = gsf.carbon_model.assess(greensku).per_server_total_kg

@@ -28,7 +28,7 @@ from ..hardware.sku import (
     baseline_gen3,
 )
 from ..perf.apps import APPLICATIONS, ApplicationProfile
-from ..perf.scaling import BASELINE_CORES, scaling_factor
+from ..perf.scaling import BASELINE_CORES, ScalingResult, scaling_table
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,7 @@ class AdoptionModel:
             for gen, sku in self.baselines.items()
         }
         self._decisions: Dict[Tuple[str, int], AdoptionDecision] = {}
+        self._table: Optional[Dict[str, Dict[int, ScalingResult]]] = None
 
     def decide(self, app_name: str, generation: int) -> AdoptionDecision:
         """The (cached) adoption decision for one app and generation."""
@@ -114,11 +115,15 @@ class AdoptionModel:
             return self._decisions[key]
         if generation not in self._base_per_core:
             raise ConfigError(f"no baseline SKU for generation {generation}")
-        try:
-            app = self.apps[app_name]
-        except KeyError:
-            raise ConfigError(f"unknown application {app_name!r}") from None
-        result = scaling_factor(app, generation, cxl=self.cxl)
+        if app_name not in self.apps:
+            raise ConfigError(f"unknown application {app_name!r}")
+        if self._table is None:
+            # One batched Table III evaluation serves every cell this
+            # model decides; it lives on the instance, never across models.
+            self._table = scaling_table(
+                list(self.apps.values()), sorted(self.baselines), cxl=self.cxl
+            )
+        result = self._table[app_name][generation]
         baseline_carbon = self.baseline_cores * self._base_per_core[generation]
         if math.isfinite(result.factor):
             green_cores = self.baseline_cores * result.factor

@@ -1,8 +1,11 @@
 """Ablation study tests."""
 
+import math
+
 import pytest
 
 from repro.analysis.ablations import (
+    adoption_policy,
     adoption_rule_ablation,
     buffer_policy_ablation,
     cxl_fraction_sweep,
@@ -11,6 +14,9 @@ from repro.analysis.ablations import (
 )
 from repro.allocation.scheduler import BestFitScheduler
 from repro.core.errors import ConfigError
+from repro.gsf.framework import Gsf, GsfConfig
+from repro.hardware.sku import greensku_full
+from repro.perf.apps import APPLICATIONS
 
 
 class TestPlacementAblation:
@@ -79,6 +85,21 @@ class TestAdoptionAblation:
             results["carbon-aware"].cluster_savings
             >= results["performance-only"].cluster_savings - 1e-9
         )
+
+
+class TestPerformanceOnlyRule:
+    @pytest.mark.parametrize("cxl_scaling", [False, True])
+    def test_rule_reads_the_models_factors(self, cxl_scaling):
+        # The rule adopts wherever the performance component, under the
+        # config's CXL setting, meets the SLO, at that component's factor.
+        gsf = Gsf(GsfConfig(cxl_scaling=cxl_scaling))
+        rule = adoption_policy("performance-only", gsf, greensku_full())
+        model = gsf.adoption_model(greensku_full())
+        for app in APPLICATIONS:
+            for gen in (1, 2, 3):
+                factor = model.decide(app.name, gen).scaling_factor
+                expected = factor if math.isfinite(factor) else None
+                assert rule(app.name, gen) == expected, (app.name, gen)
 
 
 class TestBufferAblation:

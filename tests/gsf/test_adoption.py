@@ -4,9 +4,12 @@ import math
 
 import pytest
 
+from repro.analysis.ablations import adoption_policy
 from repro.carbon.model import CarbonModel
 from repro.core.errors import ConfigError
+from repro.gsf import adoption
 from repro.gsf.adoption import AdoptionModel, default_baseline_skus
+from repro.gsf.framework import Gsf
 from repro.hardware.sku import greensku_efficient, greensku_full
 
 
@@ -75,6 +78,49 @@ class TestPolicy:
     def test_policy_none_for_non_adopters(self, full_adoption):
         policy = full_adoption.policy()
         assert policy("Silo", 3) is None
+
+
+class TestOneTablePerModel:
+    """Every adoption rule on a model reads one batched Table III."""
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+        real = adoption.scaling_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adoption, "scaling_table", counting)
+        return calls
+
+    def test_one_table_serves_every_rule(self, table_calls, monkeypatch):
+        gsf = Gsf()
+        model = gsf.adoption_model(greensku_full())
+        # Build the performance-only rule on this same model.
+        monkeypatch.setattr(gsf, "adoption_model", lambda sku: model)
+        for name, gen in (("Redis", 3), ("Silo", 1), ("Moses", 3)):
+            model.decide(name, gen)
+        model.decisions()
+        model.adopted_core_hour_share()
+        carbon_aware = model.policy()
+        performance_only = adoption_policy(
+            "performance-only", gsf, greensku_full()
+        )
+        cells = [(name, gen) for name in model.apps for gen in (1, 2, 3)]
+        for i in range(1000):
+            carbon_aware(*cells[i % len(cells)])
+            performance_only(*cells[i % len(cells)])
+        assert len(table_calls) == 1
+
+    def test_invalid_cells_build_no_table(self, table_calls, carbon_model):
+        model = AdoptionModel(carbon_model, greensku_full())
+        with pytest.raises(ConfigError):
+            model.decide("Memcached", 3)
+        with pytest.raises(ConfigError):
+            model.decide("Redis", 5)
+        assert table_calls == []
 
 
 class TestAdoptedShare:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.perf.apps import get_app, table3_apps
+from repro.perf.apps import APPLICATIONS, get_app, table3_apps
 from repro.perf.scaling import (
     CANDIDATE_CORES,
     FACTOR_GRID,
@@ -102,12 +102,17 @@ class TestCxlScaling:
 
 
 class TestBatchedEquivalence:
-    def test_table_matches_scalar_oracle(self, table):
+    @pytest.mark.parametrize("cxl", [False, True])
+    def test_table_matches_scalar_oracle(self, cxl):
         # The vectorized grid evaluation behind scaling_table must agree
-        # cell-for-cell with the per-app scalar scaling_factor path.
-        for app in table3_apps():
+        # cell-for-cell with the per-app scalar scaling_factor path on
+        # every cell an AdoptionModel reads (all apps, both CXL settings).
+        table = scaling_table(list(APPLICATIONS), (1, 2, 3), cxl=cxl)
+        for app in APPLICATIONS:
             for gen in (1, 2, 3):
-                assert table[app.name][gen] == scaling_factor(app, gen)
+                assert table[app.name][gen] == scaling_factor(
+                    app, gen, cxl=cxl
+                ), (app.name, gen)
 
 
 class TestBatchedProbeRegression:
