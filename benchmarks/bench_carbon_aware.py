@@ -5,16 +5,17 @@ Two gates, mirroring the fleet bench:
 - ``test_carbon_golden_digest`` always runs (the CI smoke): it replays
   the divergent two-generation scenario (gen2 + gen3 baselines + a
   GreenSKU pool, where blind generation-routing and carbon-aware
-  watts-per-core tiering genuinely disagree) under both policies across
-  every engine × replay driver, asserts each policy collapses to a
+  watts-per-core tiering genuinely disagree) under both policies at
+  several chunk sizes and on the reference oracle of
+  ``tests/oracles/allocation.py``, asserts each policy collapses to a
   single outcome digest and a single exact operational-kg value, and
   pins both against ``benchmarks/golden_carbon_digests.json`` —
   including a *nonzero* operational-carbon delta.  Refresh with
   ``REPRO_UPDATE_GOLDEN=1``.
 - ``test_carbon_scale_overhead`` times the blind and carbon-aware
-  replays at ``REPRO_BENCH_CARBON_VMS`` concurrent VMs on the SoA
-  streaming path and writes ``benchmarks/out/BENCH_carbon_aware.json``
-  (schema checked by :func:`validate_bench_carbon_aware`).
+  replays at ``REPRO_BENCH_CARBON_VMS`` concurrent VMs on the streaming
+  path and writes ``benchmarks/out/BENCH_carbon_aware.json`` (schema
+  checked by :func:`validate_bench_carbon_aware`).
 
 ``--smoke`` shrinks the scale knob for CI.
 """
@@ -27,15 +28,15 @@ import time
 
 from repro.allocation.cluster import (
     ClusterSpec,
-    ENGINES,
     adopt_everything,
     outcome_digest,
-    replay_columnar,
     simulate,
 )
 from repro.allocation.traces import TraceParams, generate_trace
 from repro.carbon.grid import CarbonAccountant, carbon_aware_policy, diurnal_signal
 from repro.hardware.sku import baseline_gen2, baseline_gen3, greensku_full
+
+from conftest import oracle
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_carbon_digests.json"
 
@@ -69,49 +70,47 @@ def _scenario_cluster(mean_concurrent: int) -> ClusterSpec:
     )
 
 
-def _replay(policy_aware: bool, engine: str, driver, mean_concurrent: int):
-    """One (policy, engine, driver) replay; returns (digest, exact kg)."""
+def _replay(policy_aware: bool, chunk, mean_concurrent: int):
+    """One (policy, chunk size) replay; returns (digest, exact kg).
+
+    ``chunk`` is the streaming replay's events per batch, or
+    ``"oracle"`` for the reference scan and row loop.
+    """
     params = TraceParams(
         duration_days=GOLDEN_DAYS, mean_concurrent_vms=mean_concurrent
     )
     trace = generate_trace(GOLDEN_SEED, params, name="carbon-scenario")
     cluster = _scenario_cluster(mean_concurrent)
     signal = diurnal_signal()
-    accountant = CarbonAccountant(signal)
-    placement = carbon_aware_policy(signal) if policy_aware else None
-    if driver == "row":
-        outcome = simulate(
-            trace, cluster, adoption=adopt_everything, engine=engine,
-            placement=placement, accountant=accountant,
-        )
+    kwargs = dict(
+        adoption=adopt_everything,
+        placement=carbon_aware_policy(signal) if policy_aware else None,
+        accountant=CarbonAccountant(signal),
+    )
+    if chunk == "oracle":
+        outcome = oracle("allocation").simulate(trace, cluster, **kwargs)
     else:
-        outcome = replay_columnar(
-            trace, cluster, adopt_everything, engine=engine,
-            chunk_events=driver, placement=placement, accountant=accountant,
-        )
+        outcome = simulate(trace, cluster, chunk_events=chunk, **kwargs)
     return outcome_digest(outcome), outcome.operational.total_kg
 
 
 def _policy_identity(policy_aware: bool) -> dict:
-    """Replay one policy across engines × drivers; must collapse to one."""
+    """Replay one policy at every chunk size + the oracle; must agree."""
     digests, kgs = set(), set()
-    for engine in ENGINES:
-        for driver in ("row", 64, 4096):
-            digest, kg = _replay(
-                policy_aware, engine, driver, GOLDEN_CONCURRENT
-            )
-            digests.add(digest)
-            kgs.add(kg)
+    for chunk in ("oracle", 64, 4096):
+        digest, kg = _replay(policy_aware, chunk, GOLDEN_CONCURRENT)
+        digests.add(digest)
+        kgs.add(kg)
     assert len(digests) == 1, (
         f"policy {'aware' if policy_aware else 'blind'} diverged across "
-        f"engines/drivers: {sorted(digests)}"
+        f"chunk sizes and the oracle: {sorted(digests)}"
     )
     assert len(kgs) == 1, sorted(kgs)
     return {"digest": digests.pop(), "kg": kgs.pop()}
 
 
 def test_carbon_golden_digest(save):
-    """Both policies are engine-invariant and match the pinned goldens."""
+    """Both policies match the oracle and the pinned goldens."""
     blind = _policy_identity(policy_aware=False)
     aware = _policy_identity(policy_aware=True)
     current = {
@@ -155,16 +154,14 @@ def test_carbon_scale_overhead(save):
     trace = generate_trace(GOLDEN_SEED, params, name="carbon-scenario")
     acct = CarbonAccountant(signal)
     t0 = time.perf_counter()
-    blind = replay_columnar(
-        trace, cluster, adopt_everything, engine="soa", accountant=acct
-    )
+    blind = simulate(trace, cluster, adopt_everything, accountant=acct)
     blind_s = time.perf_counter() - t0
 
     trace = generate_trace(GOLDEN_SEED, params, name="carbon-scenario")
     acct = CarbonAccountant(signal)
     t0 = time.perf_counter()
-    aware = replay_columnar(
-        trace, cluster, adopt_everything, engine="soa",
+    aware = simulate(
+        trace, cluster, adopt_everything,
         placement=carbon_aware_policy(signal), accountant=acct,
     )
     aware_s = time.perf_counter() - t0

@@ -1,20 +1,20 @@
-"""Benchmark: fleet-scale allocation replay (streaming SoA vs row path).
+"""Benchmark: fleet-scale allocation replay (streaming path vs oracle).
 
 Two gates mirror the queueing bench:
 
 - ``test_fleet_golden_digest`` always runs (the CI smoke): it replays a
-  small fixed fleet through the SoA + streaming-columnar path and fails
+  small fixed fleet through the production streaming replay and fails
   on any fleet/per-cluster digest mismatch against
   ``benchmarks/golden_fleet_digests.json`` (generated from the
-  ``reference`` engine; refresh with ``REPRO_UPDATE_GOLDEN=1``).
+  reference scan and row loop of ``tests/oracles/allocation.py``;
+  refresh with ``REPRO_UPDATE_GOLDEN=1``).
 - ``test_fleet_scale_speedup`` replays the full fleet — by default 100
-  clusters totalling >= 10^6 VMs — on the SoA + streaming path, then
-  walks a *scale trajectory* of single-cluster samples (by default
-  1/4x, 1/2x, 1x, and 1.6x of the speedup scale — the largest ~3100
-  servers, well past the old single 25k-VM sample), timing each on both
-  the row-based reference path and the streaming path, asserting
-  bit-identical ``outcome_digest``s at every scale, and writes the
-  machine-readable ``benchmarks/out/BENCH_fleet.json`` artifact —
+  clusters totalling >= 10^6 VMs — on the streaming path, then walks a
+  *scale trajectory* of single-cluster samples (by default 1/4x, 1/2x,
+  1x, and 1.6x of the speedup scale — the largest ~3100 servers),
+  timing each on both the row-loop oracle and the streaming path,
+  asserting bit-identical ``outcome_digest``s at every scale, and writes
+  the machine-readable ``benchmarks/out/BENCH_fleet.json`` artifact —
   including the per-scale ``scale_trajectory`` — (schema checked by
   :func:`validate_bench_fleet`, peak RSS included, full-fleet
   ``VmRequest`` rows never materialized).
@@ -26,9 +26,9 @@ Scale knobs (CI smoke sets small values; ``--smoke`` does it for you):
   5200, about 11k VM arrivals per 3-day trace).
 - ``REPRO_BENCH_FLEET_SPEEDUP_VMS``: mean concurrent VMs of the
   largest speedup-sample cluster (default 25000 — ~1900 servers, the
-  scale where the vectorized scan's advantage over the Python row walk
-  is architectural rather than incidental; the trajectory extends 1.6x
-  beyond it).
+  scale where the indexed engine's advantage over the oracle's
+  per-query scan is architectural rather than incidental; the
+  trajectory extends 1.6x beyond it).
 - ``REPRO_BENCH_FLEET_TRAJECTORY``: explicit comma-separated
   concurrent-VM scales for the trajectory (overrides the derived
   1/4x,1/2x,1x,1.6x ladder).
@@ -49,15 +49,21 @@ from repro.allocation.cluster import (
     ClusterSpec,
     adopt_everything,
     outcome_digest,
-    replay_columnar,
     simulate,
 )
-from repro.allocation.fleet import ClusterTask, FleetSpec, simulate_fleet
+from repro.allocation.fleet import (
+    ClusterTask,
+    FleetOutcome,
+    FleetSpec,
+    simulate_fleet,
+)
 from repro.allocation.traces import TraceParams, generate_trace
+
+from conftest import oracle
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_fleet_digests.json"
 
-BENCH_SCHEMA = "repro-bench-fleet/1"
+BENCH_SCHEMA = "repro-bench-fleet/2"
 
 #: Server-per-concurrent-VM sizing: measured ~5.23 peak cores per unit
 #: of ``mean_concurrent_vms`` under the default trace shape, with 20%
@@ -104,20 +110,18 @@ def _sample_point(mean_concurrent: int) -> dict:
     cluster = _sized_cluster(mean_concurrent)
     streaming_trace = generate_trace(11, params, name="speedup-sample")
     t0 = time.perf_counter()
-    streaming = replay_columnar(
-        streaming_trace, cluster, adopt_everything, engine="soa"
-    )
+    streaming = simulate(streaming_trace, cluster, adopt_everything)
     streaming_s = time.perf_counter() - t0
     row_trace = generate_trace(11, params, name="speedup-sample")
     t0 = time.perf_counter()
-    row = simulate(row_trace, cluster, adopt_everything, engine="reference")
+    row = oracle("allocation").simulate(row_trace, cluster, adopt_everything)
     row_s = time.perf_counter() - t0
     return {
         "vms_concurrent": mean_concurrent,
         "vms": int(streaming_trace.columns.n),
         "servers": cluster.total_servers,
         "row_reference_s": round(row_s, 3),
-        "soa_streaming_s": round(streaming_s, 3),
+        "streaming_s": round(streaming_s, 3),
         "speedup": round(row_s / streaming_s, 2),
         "bit_identical": outcome_digest(streaming) == outcome_digest(row),
     }
@@ -156,9 +160,9 @@ def _fleet_spec(clusters: int, mean_concurrent: int) -> FleetSpec:
 
 
 def test_fleet_golden_digest(save):
-    """SoA+streaming fleet digests match the reference-engine goldens."""
+    """Streaming fleet digests match the oracle goldens."""
     spec = _fleet_spec(GOLDEN_CLUSTERS, GOLDEN_CONCURRENT)
-    outcome = simulate_fleet(spec, adopt_everything, engine="soa")
+    outcome = simulate_fleet(spec, adopt_everything)
     digests = {
         "fleet": outcome.digest(),
         "clusters": {
@@ -166,7 +170,17 @@ def test_fleet_golden_digest(save):
         },
     }
     if os.environ.get("REPRO_UPDATE_GOLDEN", "0") not in ("", "0"):
-        reference = simulate_fleet(spec, adopt_everything, engine="reference")
+        reference = FleetOutcome(
+            spec=spec,
+            outcomes=[
+                oracle("allocation").simulate(
+                    generate_trace(task.seed, task.params, name=task.name),
+                    task.cluster,
+                    adopt_everything,
+                )
+                for task in spec.clusters
+            ],
+        )
         GOLDEN_PATH.write_text(
             json.dumps(
                 {
@@ -182,8 +196,7 @@ def test_fleet_golden_digest(save):
         )
     golden = json.loads(GOLDEN_PATH.read_text())
     assert digests == golden, (
-        "SoA+streaming fleet digests diverged from the reference-engine "
-        "goldens"
+        "streaming fleet digests diverged from the oracle goldens"
     )
     save(
         "fleet_digests.txt",
@@ -210,10 +223,10 @@ def test_fleet_scale_speedup(save):
         and speedup_concurrent >= 20000
     )
 
-    # -- the fleet itself: streaming SoA only, rows never materialized.
+    # -- the fleet itself: streaming only, rows never materialized.
     spec = _fleet_spec(clusters, concurrent)
     t0 = time.perf_counter()
-    outcome = simulate_fleet(spec, adopt_everything, engine="soa")
+    outcome = simulate_fleet(spec, adopt_everything)
     fleet_s = time.perf_counter() - t0
     total_vms = outcome.placed_vms + outcome.rejected_vms
     if full_scale:
@@ -230,15 +243,13 @@ def test_fleet_scale_speedup(save):
         probe_task.seed, probe_task.params, name=probe_task.name
     )
     assert probe_trace._rows is None
-    replay_columnar(
-        probe_trace, probe_task.cluster, adopt_everything, engine="soa"
-    )
+    simulate(probe_trace, probe_task.cluster, adopt_everything)
     rows_materialized = probe_trace._rows is not None
     assert not rows_materialized, (
         "streaming replay materialized VmRequest rows"
     )
 
-    # -- speedup trajectory: row vs streaming at increasing cluster
+    # -- speedup trajectory: oracle vs streaming at increasing cluster
     #    scales, bit-identical at every rung; the largest rung is the
     #    headline speedup sample.
     trajectory = [
@@ -266,7 +277,7 @@ def test_fleet_scale_speedup(save):
                 "vms",
                 "servers",
                 "row_reference_s",
-                "soa_streaming_s",
+                "streaming_s",
                 "speedup",
                 "bit_identical",
             )
@@ -277,7 +288,7 @@ def test_fleet_scale_speedup(save):
     assert not problems, problems
     save("BENCH_fleet.json", json.dumps(payload, indent=2))
     assert bit_identical, (
-        "SoA+streaming sample diverged from the row-based reference path"
+        "streaming sample diverged from the row-loop oracle"
     )
     if full_scale:
         assert speedup >= 3.0, f"fleet speedup {speedup:.1f}x < 3x"
@@ -317,7 +328,7 @@ def validate_bench_fleet(manifest) -> list:
             problems.append(
                 f"speedup_sample.{key} is {value!r}, expected int > 0"
             )
-    for key in ("row_reference_s", "soa_streaming_s", "speedup"):
+    for key in ("row_reference_s", "streaming_s", "speedup"):
         value = sample.get(key)
         if not isinstance(value, (int, float)) or value <= 0:
             problems.append(

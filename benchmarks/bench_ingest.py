@@ -1,8 +1,8 @@
 """Benchmark: Azure vmtable ingestion — the CI ingestion smoke.
 
 Always-on gates for the real-trace backend: the bundled sample must
-parse, register in the trace store, replay bit-identically on the
-default engine, and produce a schema-valid marginals report — all
+parse, register in the trace store, replay bit-identically to the
+reference oracle, and produce a schema-valid marginals report — all
 pinned against ``benchmarks/golden_ingest_digests.json`` (refresh with
 ``REPRO_UPDATE_GOLDEN=1`` after an intentional sample/schema change).
 Timings are artifacts, not gates: ingestion throughput varies with the
@@ -18,7 +18,6 @@ from repro.allocation.cluster import (
     ClusterSpec,
     adopt_everything,
     outcome_digest,
-    replay_columnar,
     simulate,
 )
 from repro.allocation.ingest import (
@@ -33,6 +32,8 @@ from repro.analysis.marginals import (
 )
 from repro.hardware.sku import baseline_gen2, baseline_gen3, greensku_full
 
+from conftest import oracle
+
 GOLDEN_INGEST_PATH = (
     pathlib.Path(__file__).parent / "golden_ingest_digests.json"
 )
@@ -44,13 +45,10 @@ def _cluster():
     )
 
 
-def _golden_entry():
+def _golden_entry(replay=simulate):
     sample = bundled_sample_path()
     trace, report = ingest_azure_vm_trace(sample, name="azure-sample")
-    outcome = simulate(
-        trace, _cluster(), adopt_everything, snapshot_hours=6.0,
-        engine="reference",
-    )
+    outcome = replay(trace, _cluster(), adopt_everything, snapshot_hours=6.0)
     return trace, report, {
         "source_sha256": file_digest(sample),
         "trace_digest": trace.digest(),
@@ -62,8 +60,11 @@ def test_ingest_golden_digest(save):
     """Sample bytes -> trace -> replay all match the pinned goldens."""
     trace, report, entry = _golden_entry()
     if os.environ.get("REPRO_UPDATE_GOLDEN", "0") not in ("", "0"):
+        _trace, _report, reference = _golden_entry(
+            oracle("allocation").simulate
+        )
         GOLDEN_INGEST_PATH.write_text(
-            json.dumps({"azure-sample": entry}, indent=2) + "\n"
+            json.dumps({"azure-sample": reference}, indent=2) + "\n"
         )
     golden = json.loads(GOLDEN_INGEST_PATH.read_text())["azure-sample"]
     assert entry == golden, (
@@ -71,7 +72,7 @@ def test_ingest_golden_digest(save):
     )
     # The replayed outcome must also be chunking-independent.
     chunked = outcome_digest(
-        replay_columnar(
+        simulate(
             trace, _cluster(), adopt_everything, snapshot_hours=6.0,
             chunk_events=64,
         )

@@ -1,31 +1,31 @@
 """Benchmark: Section VIII runtime systems (autoscaling, DVFS, Pond),
-plus the allocation-engine speedup and equivalence suite.
+plus the allocation and trace-generation speedup and equivalence suite.
 
-The engine benchmarks compare the indexed placement engine (default)
-against the reference full-scan backend:
+The allocation benchmarks compare the production replay (the indexed
+placement engine on the streaming loop) against the reference scan and
+row loop of ``tests/oracles/allocation.py``:
 
 - ``test_alloc_engine_golden_digest`` always runs (the CI smoke): it
-  replays fixed scenarios on the indexed engine and fails on any
+  replays fixed scenarios on the production path and fails on any
   ``SimOutcome`` digest mismatch against ``benchmarks/golden_digests.json``
-  (generated from the reference engine; refresh with
-  ``REPRO_UPDATE_GOLDEN=1``).
-- The speedup measurements re-run the same workloads on the reference
-  engine, sizing with the probing search of ``tests/oracles/sizing.py``
-  in place of the one-replay sizing; that takes minutes at the 1k-server
-  scale, so they only run when ``REPRO_BENCH_REFERENCE=1``.
+  (generated from the oracle; refresh with ``REPRO_UPDATE_GOLDEN=1``).
+- The speedup measurements re-run the same workloads on the oracle,
+  sizing with the probing search of ``tests/oracles/sizing.py`` in place
+  of the one-replay sizing; that takes minutes at the 1k-server scale,
+  so they only run when ``REPRO_BENCH_REFERENCE=1``.
+
+The trace benchmarks compare the block-drawing generator against the
+scalar loop of ``tests/oracles/traces.py`` the same way.
 """
 
-import contextlib
 import json
 import os
 import pathlib
-import sys
 import time
 
 import pytest
 
 from repro.allocation.cluster import (
-    ENGINE_ENV,
     ClusterSpec,
     adopt_nothing,
     outcome_digest,
@@ -50,7 +50,7 @@ from repro.perf.pond import mitigated_share
 from repro.allocation.store import TraceStore
 from repro.experiments import fig10_memutil
 
-from conftest import run_once
+from conftest import oracle, run_once
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_digests.json"
 GOLDEN_TRACE_PATH = (
@@ -65,30 +65,6 @@ def _reference_timing_enabled() -> bool:
     return os.environ.get("REPRO_BENCH_REFERENCE", "0") not in (
         "", "0", "false", "no",
     )
-
-
-def _oracle_sizing():
-    """The reference sizing searches (``tests/oracles/sizing.py``)."""
-    root = str(pathlib.Path(__file__).resolve().parent.parent)
-    if root not in sys.path:
-        sys.path.insert(0, root)
-    from tests.oracles import sizing
-
-    return sizing
-
-
-@contextlib.contextmanager
-def _engine(name):
-    """Pin ``REPRO_ALLOC_ENGINE`` for code paths without an engine arg."""
-    old = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(ENGINE_ENV, None)
-        else:
-            os.environ[ENGINE_ENV] = old
 
 
 def _adopt_all(app_name, generation):
@@ -127,7 +103,7 @@ def _golden_scenarios():
 
 
 def test_alloc_engine_golden_digest(save):
-    """Indexed-engine ``SimOutcome`` digests match the reference goldens."""
+    """Production ``SimOutcome`` digests match the oracle goldens."""
     digests = {}
     for name, trace, cluster, adoption, policy in _golden_scenarios():
         outcome = simulate(
@@ -135,19 +111,17 @@ def test_alloc_engine_golden_digest(save):
             cluster,
             adoption=adoption,
             scheduler=BestFitScheduler(policy=policy),
-            engine="indexed",
         )
         digests[name] = outcome_digest(outcome)
     if os.environ.get("REPRO_UPDATE_GOLDEN", "0") not in ("", "0"):
-        # Regenerate from the reference engine — the equivalence oracle.
+        # Regenerate from the reference oracle.
         reference = {
             name: outcome_digest(
-                simulate(
+                oracle("allocation").simulate(
                     trace,
                     cluster,
                     adoption=adoption,
                     scheduler=BestFitScheduler(policy=policy),
-                    engine="reference",
                 )
             )
             for name, trace, cluster, adoption, policy in _golden_scenarios()
@@ -155,8 +129,7 @@ def test_alloc_engine_golden_digest(save):
         GOLDEN_PATH.write_text(json.dumps(reference, indent=2) + "\n")
     golden = json.loads(GOLDEN_PATH.read_text())
     assert digests == golden, (
-        "indexed-engine SimOutcome digests diverged from the "
-        "reference-engine goldens"
+        "production SimOutcome digests diverged from the oracle goldens"
     )
     save(
         "alloc_engine_digests.txt",
@@ -180,27 +153,26 @@ def _golden_trace_specs():
 
 
 def test_trace_golden_digest(save):
-    """Vectorized trace digests match the reference-generated goldens.
+    """Generated trace digests match the oracle-generated goldens.
 
     The digests in ``golden_trace_digests.json`` were produced by the
-    scalar reference generator; refresh with ``REPRO_UPDATE_GOLDEN=1``.
-    Any divergence means the block-drawing backend changed the VM
+    scalar oracle generator; refresh with ``REPRO_UPDATE_GOLDEN=1``.
+    Any divergence means the block-drawing generator changed the VM
     stream — exactly the regression the equivalence contract forbids.
     """
     digests = {
-        name: generate_trace(seed, params, method="vectorized").digest()
+        name: generate_trace(seed, params).digest()
         for name, seed, params in _golden_trace_specs()
     }
     if os.environ.get("REPRO_UPDATE_GOLDEN", "0") not in ("", "0"):
         reference = {
-            name: generate_trace(seed, params, method="reference").digest()
+            name: oracle("traces").generate_trace(seed, params).digest()
             for name, seed, params in _golden_trace_specs()
         }
         GOLDEN_TRACE_PATH.write_text(json.dumps(reference, indent=2) + "\n")
     golden = json.loads(GOLDEN_TRACE_PATH.read_text())
     assert digests == golden, (
-        "vectorized trace digests diverged from the reference-generated "
-        "goldens"
+        "generated trace digests diverged from the oracle-generated goldens"
     )
     save(
         "trace_pipeline_digests.txt",
@@ -211,19 +183,19 @@ def test_trace_golden_digest(save):
 
 
 def test_trace_generation_speedup(save):
-    """Block-drawn suite generation beats the scalar loop >= 5x.
+    """Block-drawn suite generation beats the scalar oracle loop >= 5x.
 
     Measures the full 35-trace production suite (the input of every
-    figure) under both backends.  The committed artifact records the
+    figure) under both generators.  The committed artifact records the
     measured ratio; the in-test floor is softer (3x) to tolerate noisy
     shared CI runners.
     """
     count = 35
     t0 = time.perf_counter()
-    reference = production_trace_suite(count=count, method="reference")
+    reference = oracle("traces").production_trace_suite(count=count)
     reference_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    vectorized = production_trace_suite(count=count, method="vectorized")
+    vectorized = production_trace_suite(count=count)
     vectorized_s = time.perf_counter() - t0
 
     total_vms = sum(t.vm_count for t in vectorized)
@@ -275,28 +247,25 @@ def test_trace_store_round_trip(save, tmp_path):
 def test_trace_pipeline_end_to_end(save):
     """Serial Fig. 9 + Fig. 10 wall-clock, scalar vs columnar pipeline.
 
-    Both runs use the indexed placement engine; only the trace backend
-    differs, so the delta is the generation + trace-plumbing share of
-    the end-to-end pipelines.  Outcomes must be bit-identical.
+    Both runs use the production replay; only the trace generator
+    differs (the scalar oracle's row-built traces vs columnar ones), so
+    the delta is the generation + trace-plumbing share of the end-to-end
+    pipelines.  Outcomes must be bit-identical.
     """
     if not _reference_timing_enabled():
         pytest.skip("set REPRO_BENCH_REFERENCE=1 to time the end-to-end runs")
 
-    def pipeline(method):
-        traces = production_trace_suite(
-            count=8,
-            params=TraceParams(mean_concurrent_vms=250),
-            method=method,
-        )
+    def pipeline(suite):
+        traces = suite(count=8, params=TraceParams(mean_concurrent_vms=250))
         fig9 = fig9_packing.run(traces=traces, jobs=1)
         fig10 = fig10_memutil.run(traces=traces, jobs=1)
         return fig9, fig10
 
     t0 = time.perf_counter()
-    ref9, ref10 = pipeline("reference")
+    ref9, ref10 = pipeline(oracle("traces").production_trace_suite)
     reference_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    vec9, vec10 = pipeline("vectorized")
+    vec9, vec10 = pipeline(production_trace_suite)
     vectorized_s = time.perf_counter() - t0
 
     assert vec9 == ref9
@@ -304,7 +273,7 @@ def test_trace_pipeline_end_to_end(save):
     save(
         "trace_pipeline_fig9_fig10.txt",
         f"serial Fig. 9 + Fig. 10 pipeline (8 traces, 250 mean-concurrent "
-        f"VMs, jobs=1, no cache, indexed engine)\n"
+        f"VMs, jobs=1, no cache)\n"
         f"  scalar trace pipeline:   {reference_s:.2f}s\n"
         f"  columnar trace pipeline: {vectorized_s:.2f}s\n"
         f"  speedup: {reference_s / vectorized_s:.2f}x end to end; "
@@ -330,7 +299,6 @@ def test_telemetry_overhead_and_manifest(save):
                 cluster,
                 adoption=adoption,
                 scheduler=BestFitScheduler(policy=policy),
-                engine="indexed",
             )
 
     def best_of(fn, rounds=7):
@@ -372,7 +340,7 @@ def test_right_size_indexed_speedup(benchmark, save):
     oracle search on the reference scan."""
     if not _reference_timing_enabled():
         pytest.skip("set REPRO_BENCH_REFERENCE=1 to time the reference scan")
-    oracle = _oracle_sizing()
+    sizing_oracle = oracle("sizing")
     trace = generate_trace(seed=7, params=ENGINE_TRACE_PARAMS)
     sku = baseline_gen3()
 
@@ -380,7 +348,7 @@ def test_right_size_indexed_speedup(benchmark, save):
     n_indexed = run_once(benchmark, lambda: right_size(trace, sku))
     indexed_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    n_reference = oracle.right_size(trace, sku)
+    n_reference = sizing_oracle.right_size(trace, sku)
     reference_s = time.perf_counter() - t0
 
     assert n_indexed == n_reference
@@ -389,15 +357,15 @@ def test_right_size_indexed_speedup(benchmark, save):
         "alloc_engine_rightsize.txt",
         f"right_size, {len(trace.vms)} VMs -> {n_indexed} baseline servers\n"
         f"  oracle search, reference scan: {reference_s:.2f}s\n"
-        f"  one replay, indexed engine: {indexed_s:.2f}s\n"
+        f"  one replay, production engine: {indexed_s:.2f}s\n"
         f"  speedup: {speedup:.1f}x (target >= 5x)",
     )
     assert speedup >= 5.0
 
 
 def test_fig9_serial_speedup(save, monkeypatch):
-    """The serial Fig. 9 pipeline runs >= 2x faster than on the reference
-    scan with the oracle sizing search.
+    """The serial Fig. 9 pipeline runs >= 2x faster than on the oracle's
+    reference scan with the oracle sizing search.
 
     Trace generation happens outside the timed region (it is
     engine-independent), and the suite runs at a cluster scale where the
@@ -407,22 +375,23 @@ def test_fig9_serial_speedup(save, monkeypatch):
     """
     if not _reference_timing_enabled():
         pytest.skip("set REPRO_BENCH_REFERENCE=1 to time the reference scan")
-    oracle = _oracle_sizing()
     traces = production_trace_suite(
         count=6, params=TraceParams(mean_concurrent_vms=2500)
     )
 
-    with _engine("indexed"):
-        t0 = time.perf_counter()
-        indexed_result = fig9_packing.run(traces=traces, jobs=1)
-        indexed_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    indexed_result = fig9_packing.run(traces=traces, jobs=1)
+    indexed_s = time.perf_counter() - t0
     monkeypatch.setattr(
-        fig9_packing, "size_mixed_cluster", oracle.size_mixed_cluster
+        fig9_packing, "size_mixed_cluster",
+        oracle("sizing").size_mixed_cluster,
     )
-    with _engine("reference"):
-        t0 = time.perf_counter()
-        reference_result = fig9_packing.run(traces=traces, jobs=1)
-        reference_s = time.perf_counter() - t0
+    monkeypatch.setattr(
+        fig9_packing, "simulate", oracle("allocation").simulate
+    )
+    t0 = time.perf_counter()
+    reference_result = fig9_packing.run(traces=traces, jobs=1)
+    reference_s = time.perf_counter() - t0
 
     assert indexed_result == reference_result
     speedup = reference_s / indexed_s
@@ -431,7 +400,7 @@ def test_fig9_serial_speedup(save, monkeypatch):
         f"Fig. 9 serial pipeline (6 traces, 2500 mean-concurrent VMs, "
         f"jobs=1, no cache)\n"
         f"  oracle sizing search, reference scan: {reference_s:.2f}s\n"
-        f"  one-replay sizing, indexed engine: {indexed_s:.2f}s\n"
+        f"  one-replay sizing, production engine: {indexed_s:.2f}s\n"
         f"  speedup: {speedup:.1f}x (target >= 2x)",
     )
     assert speedup >= 2.0

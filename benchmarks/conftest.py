@@ -11,11 +11,25 @@ output is the artifact, not a timing distribution.
 
 from __future__ import annotations
 
+import importlib
 import pathlib
+import sys
 
 import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+
+
+def oracle(name: str):
+    """Import ``tests.oracles.<name>``, a reference implementation.
+
+    The benches run from ``benchmarks/`` with only ``src`` and this
+    directory on the path, so the repository root is added first.
+    """
+    root = str(pathlib.Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    return importlib.import_module(f"tests.oracles.{name}")
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,7 @@ from .cluster import (
     adopt_everything,
     adopt_nothing,
     outcome_digest,
-    replay_columnar,
     replay_on_engine,
-    resolve_engine,
     resolve_placement,
     simulate,
 )
@@ -37,7 +35,6 @@ from .lifetimes import (
 )
 from .packing import PackingPoint, cdf, fraction_below, packing_point
 from .scheduler import BestFitScheduler, PlacementDecision, Server
-from .soa import SoAPlacementEngine
 from .store import TraceStore, store_enabled
 from .traces import TraceParams, VmTrace, generate_trace, production_trace_suite
 from .vm import VmRequest
@@ -55,9 +52,7 @@ __all__ = [
     "adopt_everything",
     "adopt_nothing",
     "outcome_digest",
-    "replay_columnar",
     "replay_on_engine",
-    "resolve_engine",
     "resolve_placement",
     "simulate",
     "ClusterTask",
@@ -65,7 +60,6 @@ __all__ = [
     "FleetSpec",
     "simulate_fleet",
     "PlacementEngine",
-    "SoAPlacementEngine",
     "LifetimePredictor",
     "SegregationOutcome",
     "segregation_study",

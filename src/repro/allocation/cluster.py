@@ -16,41 +16,28 @@ scaling factor and prefer GreenSKU capacity but may *fungibly* fall back
 to baseline SKUs (the paper's growth-buffer workaround); non-adopters and
 full-node VMs run only on baseline SKUs.
 
-Three interchangeable placement backends replay the same event stream:
+Every replay runs on one placement engine and one replay loop:
 
-- the **indexed** engine (:class:`~repro.allocation.index.PlacementEngine`,
-  the default) answers each placement query from an incrementally
-  maintained server index and each snapshot from O(1) aggregate sums;
-- the **reference** backend scans every server per query and walks every
-  server per snapshot — the original implementation, kept as the
-  equivalence oracle and selectable via ``simulate(..., engine=
-  "reference")`` or ``REPRO_ALLOC_ENGINE=reference``;
-- the **soa** engine (:class:`~repro.allocation.soa.SoAPlacementEngine`)
-  keeps per-server state in parallel numpy arrays and is paired with
-  the streaming columnar replay below for fleet-scale runs.
+- the indexed :class:`~repro.allocation.index.PlacementEngine` answers
+  each placement query from an incrementally maintained server index
+  and each snapshot from O(1) exact aggregate sums;
+- :func:`_replay_events` streams a precomputed lexsorted
+  arrival/departure event stream drawn directly from
+  :class:`~repro.allocation.columnar.ColumnarTrace` arrays, in
+  cache-sized chunks, never materializing ``VmRequest`` rows.  It needs
+  a trace sorted by arrival time; every trace source sorts.
 
-All three produce bit-identical :class:`SimOutcome` values (same server
-for every VM, same exact snapshot sums); ``tests/allocation/``
-holds them to it.
-
-Two replay drivers share the placement semantics:
-
-- :func:`_replay` — the original row loop over ``trace.vms``
-  (``VmRequest`` objects plus a departure heap);
-- :func:`_replay_events` / :func:`replay_columnar` — a streaming loop
-  over a precomputed lexsorted arrival/departure event stream drawn
-  directly from :class:`~repro.allocation.columnar.ColumnarTrace`
-  arrays, processed in cache-sized chunks, never materializing
-  ``VmRequest`` rows.  ``simulate(..., engine="soa")`` routes through
-  it; any engine can be driven through it explicitly.
+The reference implementation — a scan of every server per query, a walk
+of every server per snapshot, and a row loop with a departure heap —
+lives in ``tests/oracles/allocation.py``; ``tests/allocation/`` holds
+this module to bit-identical :class:`SimOutcome` values against it (same
+server for every VM, same exact snapshot sums).
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,19 +50,13 @@ from ..core.errors import CapacityError, ConfigError
 from ..hardware.sku import ServerSKU
 from ..perf.apps import APP_BY_NAME
 from ..perf.pond import plan_tiering
-from .index import METRICS, SCALE_SHIFT, KindAggregate, PlacementEngine, scaled_int
+from .index import METRICS, SCALE_SHIFT, KindAggregate, PlacementEngine
 from .scheduler import BestFitScheduler, Server
-from .soa import SoAPlacementEngine
 from .traces import VmTrace
 
 #: An adoption policy maps (app_name, generation) to a scaling factor, or
 #: None when the application must stay on baseline SKUs.
 AdoptionPolicy = Callable[[str, int], Optional[float]]
-
-#: Selectable placement backends and the env override honored when the
-#: ``simulate(engine=...)`` argument is absent.
-ENGINES = ("indexed", "reference", "soa")
-ENGINE_ENV = "REPRO_ALLOC_ENGINE"
 
 #: Emission-aware placement policy names (orthogonal to the scheduler's
 #: best-fit/first-fit/worst-fit heuristics): ``"blind"`` is today's
@@ -84,21 +65,10 @@ ENGINE_ENV = "REPRO_ALLOC_ENGINE"
 CARBON_PLACEMENT_POLICIES = ("blind", "carbon_aware")
 
 #: Default number of merged arrival/departure events the streaming
-#: columnar replay gathers per chunk: large enough to amortize the
+#: replay gathers per chunk: large enough to amortize the
 #: fancy-index + ``tolist`` per chunk, small enough that a chunk's
 #: Python-scalar lists stay cache-resident.
 DEFAULT_CHUNK_EVENTS = 4096
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve the placement backend: argument > env > indexed default."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "indexed"
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown allocation engine {engine!r}; known: {ENGINES}"
-        )
-    return engine
 
 
 @dataclass(frozen=True)
@@ -110,8 +80,7 @@ class PlacementPolicy:
     ``"carbon_aware"`` partitions the cluster into *tiers* of equal
     ``carbon_key`` (marginal operational carbon per core, ascending)
     and consults tiers in order: within a tier, placement is exactly
-    the blind scheduler, so the policy composes with every engine and
-    both replay drivers identically.
+    the blind scheduler.
 
     Build ``"carbon_aware"`` policies with
     :func:`repro.carbon.grid.carbon_aware_policy`, which derives
@@ -236,11 +205,11 @@ class SnapshotStats:
     Sums are kept *exactly*: each observed ratio contributes its float
     numerator converted losslessly to a 2**-1080 fixed-point integer,
     bucketed by the (per-SKU) capacity denominator.  Integer addition is
-    associative, so per-server accumulation (the reference snapshot walk)
-    and pre-aggregated merges (the indexed engine's O(1) snapshots)
-    produce bit-identical state regardless of grouping — the property the
-    indexed/reference equivalence suite relies on.  Means divide exactly
-    (via ``Fraction``) and round to float once at the end.
+    associative, so per-server accumulation (the reference snapshot walk
+    of ``tests/oracles/allocation.py``) and pre-aggregated merges (the
+    engine's O(1) snapshots) produce bit-identical state regardless of
+    grouping.  Means divide exactly (via ``Fraction``) and round to float
+    once at the end.
     """
 
     samples: int = 0
@@ -258,33 +227,11 @@ class SnapshotStats:
         else:
             del bucket[denominator]
 
-    def observe(self, server: Server) -> None:
-        """Accumulate one non-empty server's densities for one snapshot."""
-        self._add("core", server.total_cores, scaled_int(server.allocated_cores))
-        self._add(
-            "mem", server.total_memory_gb, scaled_int(server.allocated_memory_gb)
-        )
-        self._add(
-            "touched",
-            server.total_memory_gb,
-            scaled_int(server._touched_memory_gb),
-        )
-        if server.total_cxl_gb:
-            self._add(
-                "cxl", server.total_cxl_gb, scaled_int(server._cxl_used_gb)
-            )
-        self.samples += 1
-
     def merge_aggregate(self, aggregate: KindAggregate) -> None:
         """Fold an engine's current per-kind sums in as one snapshot."""
         for metric, sums in aggregate.sums.items():
-            bucket = self._cum[metric]
             for denominator, value in sums.items():
-                cum = bucket.get(denominator, 0) + value
-                if cum:
-                    bucket[denominator] = cum
-                else:
-                    del bucket[denominator]
+                self._add(metric, denominator, value)
         self.samples += aggregate.count
 
     def merge(self, other: "SnapshotStats") -> None:
@@ -296,13 +243,8 @@ class SnapshotStats:
         the fleet outcome is checked against.
         """
         for metric, bucket in other._cum.items():
-            mine = self._cum[metric]
             for denominator, value in bucket.items():
-                cum = mine.get(denominator, 0) + value
-                if cum:
-                    mine[denominator] = cum
-                else:
-                    del mine[denominator]
+                self._add(metric, denominator, value)
         self.samples += other.samples
 
     def _sum(self, metric: str) -> float:
@@ -410,8 +352,8 @@ def outcome_digest(outcome: SimOutcome) -> str:
     """A stable sha256 digest of everything behavioral in an outcome.
 
     Covers placements, rejections, routing counters, and the exact
-    snapshot sums — the fields the indexed/reference equivalence
-    guarantee (and the CI golden checks) are stated over.
+    snapshot sums — the fields the equivalence guarantee against the
+    reference oracle (and the CI golden checks) are stated over.
     """
     parts = (
         outcome.placed_vms,
@@ -424,118 +366,13 @@ def outcome_digest(outcome: SimOutcome) -> str:
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-class _ReferenceBackend:
-    """The original O(n_servers) scan/walk, kept as equivalence oracle."""
-
-    def __init__(self, servers: List[Server], scheduler: BestFitScheduler):
-        self.servers = servers
-        self.scheduler = scheduler
-        self.stat_queries = 0
-        self.stat_servers_scanned = 0
-        self.green_pool = [s for s in servers if s.is_green]
-        self.base_pool = [s for s in servers if not s.is_green]
-        # Generation routing: when the cluster contains generation-
-        # specific baseline SKUs, a VM's baseline placements go to its own
-        # generation's pool (old VM images run on their own hardware
-        # generation); clusters with a single baseline generation behave
-        # as before.
-        self.base_by_gen: Dict[int, List[Server]] = {}
-        for server in self.base_pool:
-            self.base_by_gen.setdefault(server.sku.generation, []).append(
-                server
-            )
-
-    def has_green(self) -> bool:
-        return bool(self.green_pool)
-
-    def _baseline_pool(self, generation: int) -> List[Server]:
-        if len(self.base_by_gen) > 1 and generation in self.base_by_gen:
-            return self.base_by_gen[generation]
-        return self.base_pool
-
-    def choose_green(self, vm, cores: int, memory_gb: float):
-        self.stat_queries += 1
-        self.stat_servers_scanned += len(self.green_pool)
-        return self.scheduler.choose(vm, self.green_pool, cores, memory_gb)
-
-    def choose_baseline(self, vm, cores: int, memory_gb: float):
-        pool = self._baseline_pool(vm.generation)
-        self.stat_queries += 1
-        self.stat_servers_scanned += len(pool)
-        return self.scheduler.choose(vm, pool, cores, memory_gb)
-
-    def place(self, server, vm, cores, memory_gb, cxl_gb=0.0):
-        server.place(vm, cores, memory_gb, cxl_gb=cxl_gb)
-
-    def remove(self, server, vm_id):
-        server.remove(vm_id)
-
-    def snapshot(self, outcome: SimOutcome) -> None:
-        for server in self.servers:
-            if server.is_empty:
-                continue
-            stats = (
-                outcome.green_stats
-                if server.is_green
-                else outcome.baseline_stats
-            )
-            stats.observe(server)
-
-    def telemetry_counters(self) -> Dict[str, int]:
-        """Cumulative work counters (the replay loop folds deltas)."""
-        return {
-            "engine.queries": self.stat_queries,
-            "engine.servers_scanned": self.stat_servers_scanned,
-        }
-
-
-class _IndexedBackend:
-    """Adapter running the replay loop against a :class:`PlacementEngine`."""
-
-    def __init__(self, engine: PlacementEngine):
-        self.engine = engine
-
-    def has_green(self) -> bool:
-        return self.engine.green_count > 0
-
-    def choose_green(self, vm, cores: int, memory_gb: float):
-        return self.engine.choose_green(vm, cores, memory_gb)
-
-    def choose_baseline(self, vm, cores: int, memory_gb: float):
-        return self.engine.choose_baseline(vm, cores, memory_gb)
-
-    def place(self, server, vm, cores, memory_gb, cxl_gb=0.0):
-        self.engine.place(server, vm, cores, memory_gb, cxl_gb=cxl_gb)
-
-    def remove(self, server, vm_id):
-        self.engine.remove(server, vm_id)
-
-    def snapshot(self, outcome: SimOutcome) -> None:
-        self.engine.merge_stats(outcome.green_stats, outcome.baseline_stats)
-
-    def telemetry_counters(self) -> Dict[str, int]:
-        """Cumulative work counters (the replay loop folds deltas)."""
-        engine = self.engine
-        return {
-            "engine.queries": engine.stat_queries,
-            "engine.bucket_probes": engine.bucket_probes(),
-            "engine.places": engine.stat_places,
-            "engine.removes": engine.stat_removes,
-            "engine.snapshot_merges": engine.stat_snapshot_merges,
-        }
-
-
 class _TieredBackend:
-    """Composite backend: one inner backend per carbon tier.
+    """Composite backend: one :class:`PlacementEngine` per carbon tier.
 
     Servers are grouped by exact ``carbon_key`` value and each group
-    becomes an independent inner backend of the *same* engine kind,
-    consulted in ascending-key order — so ``choose_*`` prefers the
-    lowest-marginal-carbon tier that can host the VM, and within a tier
-    behaves exactly like the blind scheduler.  Because every engine
-    builds its tiers from the same server groups in the same order, the
-    composite inherits the per-tier bit-identity of the underlying
-    engines: carbon-aware outcomes are engine- and driver-independent.
+    becomes an independent engine, consulted in ascending-key order — so
+    ``choose_*`` prefers the lowest-marginal-carbon tier that can host
+    the VM, and within a tier behaves exactly like the blind scheduler.
 
     Note one deliberate semantic: generation routing is computed *per
     tier*.  A multi-generation baseline fleet split across tiers routes
@@ -543,9 +380,13 @@ class _TieredBackend:
     generation affinity (documented in docs/carbon_aware.md).
     """
 
-    def __init__(self, tiers: List, owner: Dict[int, object]):
+    def __init__(
+        self,
+        tiers: List[PlacementEngine],
+        owner: Dict[int, PlacementEngine],
+    ):
         self.tiers = tiers
-        self._owner = owner  # server_id -> owning tier backend
+        self._owner = owner  # server_id -> owning tier engine
         self.stat_tier_probes = 0
 
     def has_green(self) -> bool:
@@ -577,7 +418,7 @@ class _TieredBackend:
 
     def snapshot(self, outcome: SimOutcome) -> None:
         # Snapshot accumulation is associative (exact integer buckets),
-        # so folding tier by tier equals one whole-cluster walk.
+        # so folding tier by tier equals one whole-cluster snapshot.
         for tier in self.tiers:
             tier.snapshot(outcome)
 
@@ -592,163 +433,13 @@ class _TieredBackend:
         return totals
 
 
-def _replay(
-    trace: VmTrace,
-    cluster: ClusterSpec,
-    backend,
-    adoption: AdoptionPolicy,
-    snapshot_hours: float,
-    raise_on_reject: bool,
-    accountant=None,
-) -> SimOutcome:
-    """The event loop shared by both placement backends."""
-    outcome = SimOutcome(cluster=cluster)
-    has_green = backend.has_green()
-
-    # Telemetry: snapshot the backend's cumulative counters up front and
-    # fold the deltas (plus per-replay event tallies, accumulated as
-    # plain local ints) once at the end — zero per-event overhead.
-    tel = telemetry.active()
-    if tel is not None:
-        counters_before = backend.telemetry_counters()
-        t_start = time.perf_counter()
-    n_departures = 0
-    n_snapshots = 0
-    acct_events_before = accountant.events if accountant is not None else 0
-
-    # Departures as a heap of (time, vm_id, server, cores); the trailing
-    # cores element is never compared — (time, vm_id) is unique — it
-    # just rides along for the carbon accountant.  Arrivals in order.
-    # The snapshot grid anchors at the window start (first arrival), so
-    # traces that begin mid-day observe the same grid as their rebased
-    # twins instead of burning phantom empty snapshots from t=0.
-    departures: List[Tuple[float, int, Server, int]] = []
-    rows = trace.vms
-    start = rows[0].arrival_hours if rows else 0.0
-    next_snapshot = start + snapshot_hours
-
-    def take_snapshots_until(now: float) -> None:
-        nonlocal next_snapshot, n_snapshots
-        while next_snapshot <= now:
-            backend.snapshot(outcome)
-            n_snapshots += 1
-            next_snapshot += snapshot_hours
-
-    try:
-        for vm in trace.vms:
-            # Release departures and take snapshots up to this arrival.
-            while departures and departures[0][0] <= vm.arrival_hours:
-                dep_time, vm_id, server, dep_cores = heapq.heappop(departures)
-                take_snapshots_until(dep_time)
-                backend.remove(server, vm_id)
-                if accountant is not None:
-                    accountant.on_remove(dep_time, server.sku, dep_cores)
-                n_departures += 1
-            take_snapshots_until(vm.arrival_hours)
-
-            factor = (
-                None if vm.full_node else adoption(vm.app_name, vm.generation)
-            )
-            placed_server: Optional[Server] = None
-            cores, memory_gb = vm.cores, vm.memory_gb
-            if factor is not None and has_green:
-                scaled = vm.scaled(factor)
-                placed_server = backend.choose_green(
-                    vm, scaled.cores, scaled.memory_gb
-                )
-                if placed_server is not None:
-                    cores, memory_gb = scaled.cores, scaled.memory_gb
-            if placed_server is None:
-                # Non-adopters, full-node VMs, and fungible fallback.
-                placed_server = backend.choose_baseline(vm, cores, memory_gb)
-                if placed_server is not None and factor is not None:
-                    outcome.fallback_placements += 1
-            if placed_server is None:
-                if raise_on_reject:
-                    raise CapacityError(
-                        f"VM {vm.vm_id} rejected by cluster "
-                        f"({cluster.total_servers} servers)"
-                    )
-                outcome.rejected_vms.append(vm.vm_id)
-                continue
-
-            # Pond tiering: on CXL-equipped servers, place the VM's
-            # predicted-untouched memory (or, for tolerant apps,
-            # everything) on the CXL pool, bounded by the pool's
-            # remaining capacity.
-            cxl_gb = 0.0
-            if (
-                placed_server.is_green
-                and placed_server.total_cxl_gb > 0
-                and not vm.full_node
-            ):
-                app = APP_BY_NAME.get(vm.app_name)
-                if app is not None:
-                    plan = plan_tiering(
-                        app,
-                        memory_gb,
-                        vm.max_memory_fraction,
-                        server_cxl_fraction=placed_server.sku.cxl_fraction,
-                    )
-                    cxl_gb = min(plan.cxl_gb, placed_server.free_cxl_gb)
-            backend.place(placed_server, vm, cores, memory_gb, cxl_gb=cxl_gb)
-            outcome.placed_vms += 1
-            if placed_server.is_green:
-                outcome.green_placements += 1
-            if accountant is not None:
-                accountant.on_place(
-                    vm.arrival_hours, placed_server.sku, cores
-                )
-            if math.isfinite(vm.departure_hours):
-                heapq.heappush(
-                    departures,
-                    (vm.departure_hours, vm.vm_id, placed_server, cores),
-                )
-
-        # Drain remaining departures within the trace window for final
-        # snapshots.
-        end = start + trace.duration_hours
-        while departures and departures[0][0] <= end:
-            dep_time, vm_id, server, dep_cores = heapq.heappop(departures)
-            take_snapshots_until(dep_time)
-            backend.remove(server, vm_id)
-            if accountant is not None:
-                accountant.on_remove(dep_time, server.sku, dep_cores)
-            n_departures += 1
-        take_snapshots_until(end)
-        if accountant is not None:
-            outcome.operational = accountant.finalize(end)
-    finally:
-        # Flush even when a probe replay aborts on its first rejection
-        # (raise_on_reject), so sizing manifests account the work done.
-        if tel is not None:
-            deltas = {
-                key: value - counters_before.get(key, 0)
-                for key, value in backend.telemetry_counters().items()
-            }
-            deltas["alloc.replays"] = 1
-            deltas["alloc.placements"] = outcome.placed_vms
-            deltas["alloc.rejections"] = len(outcome.rejected_vms)
-            deltas["alloc.green_placements"] = outcome.green_placements
-            deltas["alloc.fallback_placements"] = outcome.fallback_placements
-            deltas["alloc.departures"] = n_departures
-            deltas["alloc.snapshots"] = n_snapshots
-            if accountant is not None:
-                deltas["carbon.accounted_events"] = (
-                    accountant.events - acct_events_before
-                )
-            tel.count_many(deltas)
-            tel.record_timer("alloc.replay", time.perf_counter() - t_start)
-    return outcome
-
-
 class _VmView:
-    """Flyweight VM record for the streaming columnar replay.
+    """Flyweight VM record for the streaming replay.
 
-    Carries exactly the attributes the placement backends and
+    Carries exactly the attributes the placement engine and
     ``Server.place`` read from a ``VmRequest``; one instance is reused
-    per event (backends never retain it), so arrival processing touches
-    plain Python scalars without ever building dataclass rows.
+    per event (the engine never retains it), so arrival processing
+    touches plain Python scalars without ever building dataclass rows.
     """
 
     __slots__ = (
@@ -767,21 +458,20 @@ def _merged_events(
 
     Returns ``(times, kinds, rows)`` where kind 1 is an arrival of trace
     row ``rows[i]`` and kind 0 the departure of that row's VM.  The
-    order reproduces the row loop's heap semantics exactly: a departure
-    is processed immediately before the first arrival at-or-after it
-    that follows the VM's own placement (heap-ordered by ``(time,
-    vm_id)`` among departures released together), and departures beyond
-    the last arrival drain only up to the trace window ``end``.
+    order reproduces a departure heap's semantics exactly (the row loop
+    of ``tests/oracles/allocation.py``): a departure is processed
+    immediately before the first arrival at-or-after it that follows the
+    VM's own placement (heap-ordered by ``(time, vm_id)`` among
+    departures released together), and departures beyond the last
+    arrival drain only up to the trace window ``end``.
     """
     arrivals = columns.arrival_hours
     n = columns.n
     if n and np.any(np.diff(arrivals) < 0):
-        raise ConfigError(
-            "columnar replay requires a trace sorted by arrival time"
-        )
+        raise ConfigError("replay requires a trace sorted by arrival time")
     departures = arrivals + columns.lifetime_hours
     row_index = np.arange(n, dtype=np.int64)
-    # The arrival the row loop would pop this departure in front of:
+    # The arrival a departure heap would pop this departure in front of:
     # first arrival at-or-after the departure time, but never before the
     # VM's own placement (ties between a VM's arrival and its departure
     # resolve to "placed first").
@@ -816,12 +506,14 @@ def _replay_events(
 ) -> SimOutcome:
     """Streaming replay over chunked columnar event arrays.
 
-    Behaviorally identical to :func:`_replay` (same backend calls in the
-    same order on the same float values) but driven by the precomputed
-    event stream of :func:`_merged_events`: per chunk, the needed column
-    slices are gathered with one fancy index and converted to plain
-    Python scalars via ``tolist``, so the hot loop never boxes numpy
-    scalars and never materializes ``VmRequest`` rows.
+    Driven by the precomputed event stream of :func:`_merged_events`:
+    per chunk, the needed column slices are gathered with one fancy
+    index and converted to plain Python scalars via ``tolist``, so the
+    hot loop never boxes numpy scalars and never materializes
+    ``VmRequest`` rows.  Telemetry snapshots the backend's cumulative
+    counters up front and folds the deltas (plus per-replay event
+    tallies kept as plain local ints) once at the end, even when a
+    probe replay aborts on its first rejection (``raise_on_reject``).
     """
     if chunk_events <= 0:
         raise ConfigError("chunk_events must be > 0")
@@ -971,7 +663,6 @@ def _replay_events(
                 for key, value in backend.telemetry_counters().items()
             }
             deltas["alloc.replays"] = 1
-            deltas["alloc.columnar_replays"] = 1
             deltas["alloc.event_chunks"] = n_chunks
             deltas["alloc.placements"] = outcome.placed_vms
             deltas["alloc.rejections"] = len(outcome.rejected_vms)
@@ -988,162 +679,68 @@ def _replay_events(
     return outcome
 
 
-def _build_one_backend(
-    engine_name: str,
-    servers: List[Server],
-    scheduler: BestFitScheduler,
-    track_stats: bool,
-):
-    """Instantiate one flat placement backend for a resolved engine name."""
-    if engine_name == "reference":
-        return _ReferenceBackend(servers, scheduler)
-    if engine_name == "soa":
-        return SoAPlacementEngine(
-            servers, policy=scheduler.policy, track_stats=track_stats
-        )
-    return _IndexedBackend(
-        PlacementEngine(
-            servers, policy=scheduler.policy, track_stats=track_stats
-        )
-    )
-
-
 def _build_backend(
-    engine_name: str,
     servers: List[Server],
-    scheduler: BestFitScheduler,
+    policy: str,
     track_stats: bool,
     placement: Optional[PlacementPolicy] = None,
 ):
-    """Instantiate the placement backend, tiered when carbon-aware.
+    """Instantiate the placement engine, tiered when carbon-aware.
 
     With an active ``carbon_aware`` policy, servers are grouped by the
-    exact value of ``placement.carbon_key(sku)`` and each group gets
-    its own inner backend of the requested engine kind (ascending key
-    order; a group keeps its servers' original ascending-id order, so
-    the per-tier min-id tie-break is engine-independent).
+    exact value of ``placement.carbon_key(sku)`` and each group gets its
+    own engine (ascending key order; a group keeps its servers' original
+    ascending-id order, so the per-tier min-id tie-break is unchanged).
     """
-    if placement is not None and placement.name == "carbon_aware":
-        keyed: Dict[float, List[Server]] = {}
-        for server in servers:
-            key = float(placement.carbon_key(server.sku))
-            if not math.isfinite(key):
-                raise ConfigError(
-                    f"carbon_key returned non-finite rank {key!r} for "
-                    f"SKU {server.sku.name!r}"
-                )
-            keyed.setdefault(key, []).append(server)
-        tiers: List = []
-        owner: Dict[int, object] = {}
-        for key in sorted(keyed):
-            group = keyed[key]
-            tier = _build_one_backend(
-                engine_name, group, scheduler, track_stats
+    if placement is None:
+        return PlacementEngine(servers, policy=policy, track_stats=track_stats)
+    keyed: Dict[float, List[Server]] = {}
+    for server in servers:
+        key = float(placement.carbon_key(server.sku))
+        if not math.isfinite(key):
+            raise ConfigError(
+                f"carbon_key returned non-finite rank {key!r} for "
+                f"SKU {server.sku.name!r}"
             )
-            tiers.append(tier)
-            for server in group:
-                owner[server.server_id] = tier
-        return _TieredBackend(tiers, owner)
-    return _build_one_backend(engine_name, servers, scheduler, track_stats)
-
-
-def replay_columnar(
-    trace: VmTrace,
-    cluster: ClusterSpec,
-    adoption: AdoptionPolicy = adopt_nothing,
-    snapshot_hours: float = 6.0,
-    raise_on_reject: bool = False,
-    scheduler: Optional[BestFitScheduler] = None,
-    engine: Optional[str] = None,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
-    placement=None,
-    accountant=None,
-) -> SimOutcome:
-    """Streaming columnar replay of ``trace`` against ``cluster``.
-
-    The fleet-scale entry point: consumes :class:`ColumnarTrace` arrays
-    directly (including memory-mapped store loads) through the chunked
-    event-stream loop, with any placement engine.  Bit-identical to
-    :func:`simulate` on the same inputs for every engine and chunk size
-    — the equivalence suite pins ``outcome_digest`` across
-    {reference, indexed, soa} × chunk sizes.
-
-    ``chunk_events`` bounds how many merged events are gathered per
-    fancy-index batch (memory ~O(chunk), independent of trace size).
-    ``placement`` / ``accountant`` mirror :func:`simulate`.
-    """
-    if snapshot_hours <= 0:
-        raise ConfigError("snapshot interval must be > 0")
-    engine_name = resolve_engine(engine)
-    scheduler = scheduler or BestFitScheduler()
-    backend = _build_backend(
-        engine_name,
-        cluster.build_servers(),
-        scheduler,
-        _wants_stats(trace, snapshot_hours),
-        placement=resolve_placement(placement),
-    )
-    return _replay_events(
-        trace,
-        cluster,
-        backend,
-        adoption,
-        snapshot_hours,
-        raise_on_reject,
-        chunk_events,
-        accountant=accountant,
-    )
+        keyed.setdefault(key, []).append(server)
+    tiers: List[PlacementEngine] = []
+    owner: Dict[int, PlacementEngine] = {}
+    for key in sorted(keyed):
+        tier = PlacementEngine(
+            keyed[key], policy=policy, track_stats=track_stats
+        )
+        tiers.append(tier)
+        for server in keyed[key]:
+            owner[server.server_id] = tier
+    return _TieredBackend(tiers, owner)
 
 
 def replay_on_engine(
     trace: VmTrace,
     cluster: ClusterSpec,
-    engine,
+    engine: PlacementEngine,
     adoption: AdoptionPolicy = adopt_nothing,
     snapshot_hours: float = 1e9,
     raise_on_reject: bool = False,
-    chunk_events: Optional[int] = None,
-    accountant=None,
 ) -> SimOutcome:
-    """Replay a trace against a caller-prepared placement engine.
+    """Replay a trace against a caller-prepared :class:`PlacementEngine`.
 
     This is the probe-reuse entry point for sizing searches: the caller
-    owns the engine (a :class:`PlacementEngine` or
-    :class:`SoAPlacementEngine`), adjusts its server set between probes,
-    and calls its ``reset`` before each replay.  ``cluster`` only
-    describes the configuration for the outcome record; the servers
-    actually used are the engine's.
-
-    ``chunk_events`` switches the drive loop: ``None`` (default) walks
-    ``VmRequest`` rows; an integer streams the chunked columnar event
-    arrays instead — bit-identical, but never materializing rows.
+    owns the engine, adjusts its server set between probes, and calls
+    its ``reset`` before each replay.  ``cluster`` only describes the
+    configuration for the outcome record; the servers actually used are
+    the engine's.
     """
     if snapshot_hours <= 0:
         raise ConfigError("snapshot interval must be > 0")
-    backend = (
-        _IndexedBackend(engine)
-        if isinstance(engine, PlacementEngine)
-        else engine
-    )
-    if chunk_events is None:
-        return _replay(
-            trace,
-            cluster,
-            backend,
-            adoption,
-            snapshot_hours,
-            raise_on_reject,
-            accountant=accountant,
-        )
     return _replay_events(
         trace,
         cluster,
-        backend,
+        engine,
         adoption,
         snapshot_hours,
         raise_on_reject,
-        chunk_events,
-        accountant=accountant,
+        DEFAULT_CHUNK_EVENTS,
     )
 
 
@@ -1172,14 +769,15 @@ def simulate(
     snapshot_hours: float = 6.0,
     raise_on_reject: bool = False,
     scheduler: Optional[BestFitScheduler] = None,
-    engine: Optional[str] = None,
     placement=None,
     accountant=None,
+    chunk_events: int = DEFAULT_CHUNK_EVENTS,
 ) -> SimOutcome:
     """Replay ``trace`` against ``cluster`` under ``adoption``.
 
     Args:
-        trace: VM arrivals/departures.
+        trace: VM arrivals/departures, sorted by arrival time
+            (:class:`ConfigError` otherwise).
         cluster: Cluster configuration to test.
         adoption: Adoption policy; maps (app, generation) to a scaling
             factor or None.
@@ -1188,54 +786,38 @@ def simulate(
             rejection instead of recording it (used by sizing searches to
             exit early).
         scheduler: Placement heuristic (default: production best-fit);
-            pass a first-fit/worst-fit scheduler for ablations.  Both
-            backends honor the scheduler's policy.
-        engine: ``"indexed"`` (default), ``"reference"``, or ``"soa"``;
-            ``None`` falls back to the ``REPRO_ALLOC_ENGINE`` environment
-            variable, then the indexed default.  All backends are
-            bit-identical in outcome; the reference scan exists as the
-            equivalence oracle, the SoA engine rides the streaming
-            columnar replay (:func:`replay_columnar`) for fleet-scale
-            runs.
+            pass a first-fit/worst-fit scheduler for ablations.
         placement: Emission-aware policy — ``None`` / ``"blind"`` / a
             :class:`PlacementPolicy`.  Blind resolves to the exact
             pre-policy code path; ``carbon_aware`` (built via
             ``repro.carbon.grid.carbon_aware_policy``) tiers servers by
-            marginal operational carbon, identically on every engine.
+            marginal operational carbon.
         accountant: Optional ``repro.carbon.grid.CarbonAccountant``;
             when given, every placement/departure is integrated against
             its grid signal and the exact operational-carbon report
             lands on ``outcome.operational``.  Attaching an accountant
             never changes placement behavior or ``outcome_digest``.
+        chunk_events: How many merged arrival/departure events the
+            streaming loop gathers per fancy-index batch (memory
+            ~O(chunk), independent of trace size).  Outcomes do not
+            depend on it.
     """
     if snapshot_hours <= 0:
         raise ConfigError("snapshot interval must be > 0")
-    engine_name = resolve_engine(engine)
     scheduler = scheduler or BestFitScheduler()
     backend = _build_backend(
-        engine_name,
         cluster.build_servers(),
-        scheduler,
+        scheduler.policy,
         _wants_stats(trace, snapshot_hours),
         placement=resolve_placement(placement),
     )
-    if engine_name == "soa":
-        return _replay_events(
-            trace,
-            cluster,
-            backend,
-            adoption,
-            snapshot_hours,
-            raise_on_reject,
-            DEFAULT_CHUNK_EVENTS,
-            accountant=accountant,
-        )
-    return _replay(
+    return _replay_events(
         trace,
         cluster,
         backend,
         adoption,
         snapshot_hours,
         raise_on_reject,
+        chunk_events,
         accountant=accountant,
     )

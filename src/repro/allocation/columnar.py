@@ -47,7 +47,7 @@ NPZ_SCHEMA = "repro-trace/1"
 
 
 class ColumnarTrace:
-    """The SoA form of a VM trace: one read-only array per attribute.
+    """A VM trace as structure of arrays: one read-only array per attribute.
 
     Arrays are row-aligned (index ``i`` across all columns is one VM)
     and frozen (``writeable=False``) so views can be shared without

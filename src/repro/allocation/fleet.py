@@ -12,10 +12,10 @@ shard results (integer fixed-point snapshot sums are associative, so
 merge order cannot change a single bit).
 
 Cache/journal keys cover the generation inputs, the adoption policy's
-qualified name, and the snapshot interval — **not** the engine or chunk
-size, because every engine and chunking is bit-identical by contract
-(the equivalence suite pins this), so a journal written with one
-backend resumes correctly under another.
+qualified name, and the snapshot interval — **not** the chunk size,
+because every chunking is bit-identical by contract (the equivalence
+suite pins this), so a journal written with one chunk size resumes
+correctly under another.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .cluster import (
     SnapshotStats,
     adopt_nothing,
     outcome_digest,
-    replay_columnar,
-    resolve_engine,
+    simulate,
 )
 from .traces import TraceParams, VmTrace, generate_trace
 
@@ -157,8 +156,8 @@ class FleetOutcome:
 
         The fleet-level identity the golden CI checks pin: it changes
         exactly when any shard's behavioral outcome changes (or a shard
-        fails), independent of engine, chunking, worker count, and
-        resume history.
+        fails), independent of chunking, worker count, and resume
+        history.
         """
         h = hashlib.sha256()
         for name, digest in self.cluster_digests():
@@ -228,7 +227,6 @@ class _ClusterJob:
 
     task: ClusterTask
     adoption: AdoptionPolicy
-    engine: Optional[str]
     chunk_events: int
     snapshot_hours: float
     mmap: bool
@@ -237,7 +235,7 @@ class _ClusterJob:
 
 
 def _job_key(job: _ClusterJob) -> str:
-    """Engine/chunk-independent cache key (outcomes are bit-identical)."""
+    """Chunk-independent cache key (outcomes are bit-identical)."""
     return content_key(
         FLEET_KEY_VERSION,
         job.task.name,
@@ -273,7 +271,7 @@ def _load_trace(job: _ClusterJob) -> VmTrace:
 
 
 def _run_cluster(job: _ClusterJob) -> SimOutcome:
-    """Replay one shard through the streaming columnar path.
+    """Replay one shard through the streaming replay.
 
     Rebuilds the placement policy / carbon accountant from their string
     names inside the worker (live policies close over an unpicklable
@@ -288,15 +286,14 @@ def _run_cluster(job: _ClusterJob) -> SimOutcome:
         accountant = grid.CarbonAccountant(signal)
         if job.placement_policy == "carbon_aware":
             placement = grid.carbon_aware_policy(signal)
-    return replay_columnar(
+    return simulate(
         trace,
         job.task.cluster,
         job.adoption,
         snapshot_hours=job.snapshot_hours,
-        engine=job.engine,
-        chunk_events=job.chunk_events,
         placement=placement,
         accountant=accountant,
+        chunk_events=job.chunk_events,
     )
 
 
@@ -304,7 +301,6 @@ def simulate_fleet(
     spec: FleetSpec,
     adoption: AdoptionPolicy = adopt_nothing,
     snapshot_hours: float = 6.0,
-    engine: Optional[str] = None,
     chunk_events: int = DEFAULT_CHUNK_EVENTS,
     mmap: bool = True,
     jobs: Optional[int] = None,
@@ -324,11 +320,10 @@ def simulate_fleet(
     survivors only, and ``feasible`` is False).
 
     ``adoption`` must be picklable (a module-level function or a policy
-    object) so workers can receive it.  ``engine``/``chunk_events``
-    select the replay backend per the usual resolution order but are
-    deliberately *excluded* from the cache key — outcomes are
-    bit-identical across backends by contract, so resumed journals stay
-    valid across backend switches.
+    object) so workers can receive it.  ``chunk_events`` is deliberately
+    *excluded* from the cache key — outcomes are bit-identical across
+    chunk sizes by contract, so resumed journals stay valid when it
+    changes.
 
     The merged aggregates are reconciled against the shard outcomes
     before returning (raises :class:`SimulationError` on any bit of
@@ -357,12 +352,10 @@ def simulate_fleet(
             )
     elif placement_policy == "carbon_aware":
         raise ConfigError("carbon_aware placement needs a grid_signal")
-    engine_name = resolve_engine(engine)
     task_jobs = [
         _ClusterJob(
             task=task,
             adoption=adoption,
-            engine=engine_name,
             chunk_events=chunk_events,
             snapshot_hours=snapshot_hours,
             mmap=mmap,

@@ -1,6 +1,6 @@
 """Indexed placement engine: sublinear scheduling, O(1) snapshot sums.
 
-The reference allocation path scans every server per placement decision
+A reference allocation path scans every server per placement decision
 and walks every server per density snapshot — O(n_servers) in the two
 hot operations that dominate Figs. 9–11 and every sizing replay.
 This module keeps the same decisions reachable in sublinear time:
@@ -27,7 +27,7 @@ snapshot sums are kept as *exact scaled integers* (every float
 contribution is converted losslessly via ``float.as_integer_ratio``), so
 accumulation order cannot change the result.  ``tests/allocation/
 test_index.py`` enforces bit-identical outcomes against the reference
-implementation.
+scan kept in ``tests/oracles/allocation.py``.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ _EMPTY = True
 
 
 class PlacementEngine:
-    """Incrementally indexed replacement for the reference placement scan.
+    """The placement engine every allocation replay runs on.
 
     Maintains one :class:`_PoolIndex` per pool view — GreenSKUs, all
     baselines combined, and (once the cluster has ever held more than one
@@ -287,7 +287,7 @@ class PlacementEngine:
         self.track_stats = track_stats
         # Work counters, always on (plain int bumps): placement queries
         # answered, place/remove reindexes, O(1) snapshot merges.  Bucket
-        # probes live on each _PoolIndex; bucket_probes() sums them.
+        # probes live on each _PoolIndex; telemetry_counters() sums them.
         self.stat_queries = 0
         self.stat_places = 0
         self.stat_removes = 0
@@ -570,16 +570,26 @@ class PlacementEngine:
             else:
                 del bucket[den]
 
-    def merge_stats(self, green_stats, baseline_stats) -> None:
-        """Fold the current aggregates into per-outcome snapshot stats."""
-        self.stat_snapshot_merges += 1
-        green_stats.merge_aggregate(self.green_agg)
-        baseline_stats.merge_aggregate(self.base_agg)
+    def has_green(self) -> bool:
+        """Whether the engine holds any GreenSKU server."""
+        return self.green_count > 0
 
-    def bucket_probes(self) -> int:
-        """Total buckets/shape groups examined across every pool view."""
-        return (
-            self.green.probes
-            + self.base_all.probes
-            + sum(view.probes for view in self.base_by_gen.values())
-        )
+    def snapshot(self, outcome) -> None:
+        """Fold the current aggregates into an outcome's snapshot stats."""
+        self.stat_snapshot_merges += 1
+        outcome.green_stats.merge_aggregate(self.green_agg)
+        outcome.baseline_stats.merge_aggregate(self.base_agg)
+
+    def telemetry_counters(self) -> Dict[str, int]:
+        """Cumulative work counters (the replay loop folds deltas)."""
+        return {
+            "engine.queries": self.stat_queries,
+            "engine.bucket_probes": (
+                self.green.probes
+                + self.base_all.probes
+                + sum(view.probes for view in self.base_by_gen.values())
+            ),
+            "engine.places": self.stat_places,
+            "engine.removes": self.stat_removes,
+            "engine.snapshot_merges": self.stat_snapshot_merges,
+        }

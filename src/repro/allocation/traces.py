@@ -23,27 +23,22 @@ A trace's applications are assigned the paper's way: sample a class from
 the fleet core-hour shares (Table III), then uniformly choose an
 application within the class.
 
-Two generator backends produce the **bit-identical** VM stream:
-
-- ``vectorized`` (default): block RNG draws — the full size column in
-  one ``random(2n)`` block, ``choice`` calls replaced by one uniform
-  plus a cumulative-weight search (exactly what ``Generator.choice``
-  does internally), scalar loops only where a stream's draw count is
-  data-dependent (diurnal thinning, ziggurat exponentials, rejection
-  beta/integers) — assembled into columnar arrays.
-- ``reference``: the original one-VM-at-a-time loop, kept as the
-  equivalence oracle for tests and golden digests.
-
-Both consume identical draws from identical streams, so traces, digests
-and every downstream experiment outcome match bit for bit; select with
-``REPRO_TRACE_GENERATOR`` or the ``method=`` argument.
+The generator draws in blocks — the full size column in one
+``random(2n)`` block, ``choice`` calls replaced by one uniform plus a
+cumulative-weight search (exactly what ``Generator.choice`` does
+internally), scalar loops only where a stream's draw count is
+data-dependent (diurnal thinning, ziggurat exponentials, rejection
+beta/integers) — and assembles columnar arrays.  The original
+one-VM-at-a-time loop, whose draw schedule defines the trace content,
+lives in ``tests/oracles/traces.py``; the tests and golden digests hold
+the two to the bit-identical VM stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
+import numbers
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -62,28 +57,11 @@ from ..perf.apps import (
 from .columnar import ColumnarTrace
 from .vm import VmRequest
 
-#: Generator backends and the env var selecting the process default.
-TRACE_GENERATORS = ("vectorized", "reference")
-GENERATOR_ENV = "REPRO_TRACE_GENERATOR"
-
 #: Full-node VMs request their generation's whole server shape
 #: (Gen1/2: 64 cores; Gen3: 80 cores at 9.6 GB/core); indexed by
 #: generation number (slot 0 unused).
 _FULL_NODE_CORES = np.array([0, 64, 64, 80], dtype=np.int64)
 _FULL_NODE_GB_PER_CORE = np.array([0.0, 6.0, 8.0, 9.6], dtype=np.float64)
-_FULL_NODE_SHAPES = {1: (64, 6.0), 2: (64, 8.0), 3: (80, 9.6)}
-
-
-def resolve_generator(method: Optional[str] = None) -> str:
-    """The generator backend: explicit arg > env var > vectorized."""
-    if method is None:
-        method = os.environ.get(GENERATOR_ENV) or "vectorized"
-    if method not in TRACE_GENERATORS:
-        raise ConfigError(
-            f"unknown trace generator {method!r}; "
-            f"choose from {TRACE_GENERATORS}"
-        )
-    return method
 
 
 @dataclass(frozen=True)
@@ -125,6 +103,19 @@ class TraceParams:
     mem_touch_beta: float = 2.25
 
     def __post_init__(self) -> None:
+        # Equal params must have one repr (store and cache keys hash it):
+        # hold every float-annotated field as float, so ``3`` and ``3.0``
+        # days are the same params.
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "float" and isinstance(value, numbers.Real):
+                object.__setattr__(self, spec.name, float(value))
+            elif spec.type.startswith("Tuple[float") and all(
+                isinstance(v, numbers.Real) for v in value
+            ):
+                object.__setattr__(
+                    self, spec.name, tuple(float(v) for v in value)
+                )
         if self.duration_days <= 0 or self.mean_concurrent_vms <= 0:
             raise ConfigError("duration and population must be > 0")
         for weights, values, label in (
@@ -208,7 +199,7 @@ class _ParamTables:
 
     __slots__ = (
         "core_cdf", "core_values", "mem_cdf", "mem_values",
-        "gen_cdf", "gen_mix",
+        "gen_cdf",
     )
 
     def __init__(self, params: TraceParams) -> None:
@@ -218,11 +209,7 @@ class _ParamTables:
         self.mem_values = np.asarray(
             params.memory_per_core_gb, dtype=np.float64
         )
-        #: The probability array handed to ``choice`` by the reference
-        #: loop — prebuilt once instead of ``list(params.generation_mix)``
-        #: per VM; ``choice`` sees the same length and values either way.
-        self.gen_mix = np.asarray(params.generation_mix, dtype=np.float64)
-        self.gen_cdf = _choice_cdf(self.gen_mix)
+        self.gen_cdf = _choice_cdf(params.generation_mix)
 
 
 @lru_cache(maxsize=128)
@@ -273,13 +260,6 @@ def _app_tables() -> _AppTables:
     if _APP_TABLES is None:
         _APP_TABLES = _AppTables()
     return _APP_TABLES
-
-
-def _assign_app(rng: np.random.Generator) -> str:
-    """Sample an application the paper's way: class share, then uniform."""
-    apps = _app_tables()
-    members = apps.members[rng.choice(apps.n_classes, p=apps.shares)]
-    return members[rng.integers(len(members))]
 
 
 class VmTrace:
@@ -428,30 +408,18 @@ def generate_trace(
     seed: int,
     params: Optional[TraceParams] = None,
     name: Optional[str] = None,
-    method: Optional[str] = None,
 ) -> VmTrace:
     """Generate one synthetic VM trace.
 
-    Identical ``(seed, params)`` always produce the identical trace —
-    independent of ``method`` (both backends replay the same per-stream
-    draw schedule; see the module docstring).
+    Identical ``(seed, params)`` always produce the identical trace.
     """
     params = params or TraceParams()
-    method = resolve_generator(method)
-    trace_name = name or f"trace-{seed}"
     with telemetry.timer("trace.generate"):
-        if method == "reference":
-            trace = VmTrace(
-                name=trace_name,
-                params=params,
-                vms=_generate_vms_reference(seed, params),
-            )
-        else:
-            trace = VmTrace(
-                name=trace_name,
-                params=params,
-                columns=_generate_columns(seed, params),
-            )
+        trace = VmTrace(
+            name=name or f"trace-{seed}",
+            params=params,
+            columns=_generate_columns(seed, params),
+        )
     tel = telemetry.active()
     if tel is not None:
         tel.count_many(
@@ -460,141 +428,11 @@ def generate_trace(
     return trace
 
 
-def _generate_vms_reference(
-    seed: int, params: TraceParams
-) -> Tuple[VmRequest, ...]:
-    """The scalar reference generator: one VM, one draw at a time.
-
-    This is the equivalence oracle for the vectorized backend — its
-    draw schedule defines the trace content and must not change.
-    """
-    rngs = RngFactory(seed).child("vm-trace")
-    arr_rng = rngs.stream("arrivals")
-    size_rng = rngs.stream("sizes")
-    life_rng = rngs.stream("lifetimes")
-    meta_rng = rngs.stream("metadata")
-    tables = _params_tables(params)
-
-    duration_hours = params.duration_days * 24.0
-    base_rate = params.arrival_rate_per_hour
-    vms: List[VmRequest] = []
-    vm_id = 0
-
-    # Seed the steady-state population present at t=0.  At steady state a
-    # running VM is long-lived with probability proportional to lifetime
-    # (length-biasing), and exponential residual lifetimes are memoryless,
-    # so residuals draw from the same distributions.
-    initial_count = int(life_rng.poisson(params.mean_concurrent_vms))
-    p_long_present = (
-        params.long_lived_fraction
-        * params.long_lifetime_hours
-        / params.mean_lifetime_hours
-    )
-    for _ in range(initial_count):
-        cores = int(
-            params.core_sizes[
-                size_rng.choice(
-                    len(params.core_sizes), p=params.core_size_weights
-                )
-            ]
-        )
-        gb_per_core = params.memory_per_core_gb[
-            size_rng.choice(
-                len(params.memory_per_core_gb),
-                p=params.memory_per_core_weights,
-            )
-        ]
-        if life_rng.random() < p_long_present:
-            lifetime = life_rng.exponential(params.long_lifetime_hours)
-        else:
-            lifetime = life_rng.exponential(params.short_lifetime_hours)
-        vms.append(
-            VmRequest(
-                vm_id=vm_id,
-                arrival_hours=0.0,
-                lifetime_hours=max(lifetime, 0.05),
-                cores=cores,
-                memory_gb=cores * gb_per_core,
-                generation=int(
-                    1 + meta_rng.choice(3, p=tables.gen_mix)
-                ),
-                app_name=_assign_app(meta_rng),
-                max_memory_fraction=float(
-                    meta_rng.beta(
-                        params.mem_touch_alpha, params.mem_touch_beta
-                    )
-                ),
-                full_node=False,
-            )
-        )
-        vm_id += 1
-
-    t = 0.0
-    while True:
-        # Thinning for the diurnal profile: propose at the peak rate,
-        # accept with the instantaneous relative intensity.
-        peak_rate = base_rate * (1.0 + params.diurnal_amplitude)
-        t += arr_rng.exponential(1.0 / peak_rate)
-        if t >= duration_hours:
-            break
-        intensity = 1.0 + params.diurnal_amplitude * math.sin(
-            2.0 * math.pi * t / 24.0
-        )
-        if arr_rng.random() > intensity / (1.0 + params.diurnal_amplitude):
-            continue
-
-        cores = int(
-            params.core_sizes[
-                size_rng.choice(
-                    len(params.core_sizes), p=params.core_size_weights
-                )
-            ]
-        )
-        gb_per_core = params.memory_per_core_gb[
-            size_rng.choice(
-                len(params.memory_per_core_gb),
-                p=params.memory_per_core_weights,
-            )
-        ]
-        generation = int(
-            1 + meta_rng.choice(3, p=tables.gen_mix)
-        )
-        full_node = bool(meta_rng.random() < params.full_node_fraction)
-        if full_node:
-            # Long-living full-node VMs request their generation's whole
-            # server shape and hold it for weeks.
-            cores, gb_per_core = _FULL_NODE_SHAPES[generation]
-            lifetime = life_rng.exponential(params.full_node_lifetime_hours)
-        elif life_rng.random() < params.long_lived_fraction:
-            lifetime = life_rng.exponential(params.long_lifetime_hours)
-        else:
-            lifetime = life_rng.exponential(params.short_lifetime_hours)
-        lifetime = max(lifetime, 0.05)
-
-        vms.append(
-            VmRequest(
-                vm_id=vm_id,
-                arrival_hours=t,
-                lifetime_hours=lifetime,
-                cores=cores,
-                memory_gb=cores * gb_per_core,
-                generation=generation,
-                app_name=_assign_app(meta_rng),
-                max_memory_fraction=float(
-                    meta_rng.beta(params.mem_touch_alpha, params.mem_touch_beta)
-                ),
-                full_node=full_node,
-            )
-        )
-        vm_id += 1
-    return tuple(vms)
-
-
 def _generate_columns(seed: int, params: TraceParams) -> ColumnarTrace:
-    """Block-drawn trace generation, bit-identical to the reference loop.
+    """Block-drawn trace generation, bit-identical to the scalar loop.
 
-    Each of the four RNG streams is consumed in exactly the reference's
-    per-stream order; only *cross-stream* interleaving is reorganized
+    Each of the four RNG streams is consumed in exactly the scalar
+    loop's per-stream order (``tests/oracles/traces.py``); only *cross-stream* interleaving is reorganized
     (streams are independent, so that changes nothing):
 
     - ``sizes``: exactly two uniforms per VM, replayed as one
@@ -751,17 +589,10 @@ def _generate_columns(seed: int, params: TraceParams) -> ColumnarTrace:
     )
 
 
-class _SuiteGenerateTask:
-    """Picklable per-spec trace generation for ``parallel_map``."""
-
-    def __init__(self, method: Optional[str]) -> None:
-        self.method = method
-
-    def __call__(self, spec: Tuple[int, TraceParams, str]) -> VmTrace:
-        seed, params, name = spec
-        return generate_trace(
-            seed=seed, params=params, name=name, method=self.method
-        )
+def _generate_spec(spec: Tuple[int, TraceParams, str]) -> VmTrace:
+    """Generate one suite trace from its spec (a ``parallel_map`` task)."""
+    seed, params, name = spec
+    return generate_trace(seed=seed, params=params, name=name)
 
 
 def suite_specs(
@@ -798,7 +629,6 @@ def production_trace_suite(
     params: Optional[TraceParams] = None,
     jobs: Optional[int] = None,
     store: Optional[object] = None,
-    method: Optional[str] = None,
 ) -> List[VmTrace]:
     """The stand-in for the paper's 35 production traces.
 
@@ -822,15 +652,14 @@ def production_trace_suite(
             results[i] = store.get(seed, trace_params, name)
     missing = [i for i, trace in enumerate(results) if trace is None]
     if missing:
-        task = _SuiteGenerateTask(method)
         if jobs is not None and jobs != 1 and len(missing) > 1:
             from ..core.runner import parallel_map
 
             fresh = parallel_map(
-                task, [specs[i] for i in missing], jobs=jobs
+                _generate_spec, [specs[i] for i in missing], jobs=jobs
             )
         else:
-            fresh = [task(specs[i]) for i in missing]
+            fresh = [_generate_spec(specs[i]) for i in missing]
         for i, trace in zip(missing, fresh):
             results[i] = trace
             if store is not None:

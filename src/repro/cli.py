@@ -27,9 +27,6 @@ counters, timers, and phase spans (see ``docs/observability.md``);
 dispatch backend for sim-mode experiments (default: the
 ``REPRO_QUEUEING`` env var, else the vectorized path; ``reference`` is
 the scalar oracle, bit-identical but slower);
-``--alloc-engine {indexed,reference,soa}`` selects the placement
-backend for allocation replays (default: the ``REPRO_ALLOC_ENGINE``
-env var, else indexed; all backends are bit-identical in outcome);
 ``--trace-backend {synthetic,azure}`` selects where trace-suite
 experiments get their workload: the synthetic generator (default) or
 ingested Azure vmtable traces (``REPRO_AZURE_TRACE_DIR``, falling back
@@ -55,7 +52,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .allocation.cluster import ENGINE_ENV, ENGINES
 from .allocation.ingest import (
     BACKEND_ENV,
     INGEST_CORRUPT_ERRORS,
@@ -668,14 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
              "REPRO_QUEUEING env var, else vectorized)",
     )
     parser.add_argument(
-        "--alloc-engine", default=None, choices=ENGINES,
-        help="placement backend for allocation replays: 'indexed' "
-             "(default), the scalar 'reference' oracle, or the "
-             "fleet-scale 'soa' arrays (default: the "
-             "REPRO_ALLOC_ENGINE env var, else indexed; all backends "
-             "are bit-identical in outcome)",
-    )
-    parser.add_argument(
         "--trace-backend", default=None, choices=TRACE_BACKENDS,
         help="workload source for trace-suite experiments: the "
              "'synthetic' generator (default) or ingested 'azure' "
@@ -953,21 +941,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_engine = os.environ.get(ENGINE_ENV)
     saved_backend = os.environ.get(BACKEND_ENV)
     try:
         runner.set_default_jobs(args.jobs)
         runner.set_cache_enabled(args.cache)
         queueing.set_default_backend(args.queueing)
-        if args.alloc_engine is not None:
-            # The engine resolution order is argument > env > default;
-            # experiments call simulate() without an engine argument, so
-            # the env var is the process-wide selection point (and it
-            # inherits into the worker processes a fleet fan-out spawns).
-            os.environ[ENGINE_ENV] = args.alloc_engine
         if args.trace_backend is not None:
-            # Same selection pattern as the engine: experiments resolve
-            # the backend at suite-build time via the env var.
+            # Experiments resolve the backend at suite-build time via the
+            # env var (which also inherits into worker processes).
             os.environ[BACKEND_ENV] = args.trace_backend
         resilience.set_active_policy(_build_policy(args))
         if args.provenance is not None:
@@ -987,10 +968,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         runner.set_default_jobs(None)
         runner.set_cache_enabled(None)
         queueing.set_default_backend(None)
-        if saved_engine is None:
-            os.environ.pop(ENGINE_ENV, None)
-        else:
-            os.environ[ENGINE_ENV] = saved_engine
         if saved_backend is None:
             os.environ.pop(BACKEND_ENV, None)
         else:

@@ -159,20 +159,6 @@ class ClusterSizing:
         )
 
 
-def _peak_vms(trace: VmTrace) -> int:
-    """The most VMs a replay of ``trace`` holds placed at once.
-
-    A replay releases the departures due by each arrival before placing
-    it, the half-open occupancy the event sweep counts, as long as the
-    rows come in arrival order; for any other order the VM count bounds
-    it instead.
-    """
-    columns = trace.columns
-    if np.any(np.diff(columns.arrival_hours) < 0):
-        return columns.n
-    return columns.peak_concurrent_vms()
-
-
 class _HighWater:
     """High-water replays of one trace against an upper-bound pool.
 
@@ -204,7 +190,9 @@ class _HighWater:
         self._adoption = adoption
         self._companion = companion
         self._companions = 0
-        self.bound = min(_peak_vms(trace), MAX_SERVERS)
+        # A replay releases the departures due by each arrival before
+        # placing it: the half-open occupancy the event sweep counts.
+        self.bound = min(trace.columns.peak_concurrent_vms(), MAX_SERVERS)
         self._engine = PlacementEngine(
             Server(sid, sku) for sid in range(self.bound)
         )
@@ -325,6 +313,7 @@ def right_size(
     Raises:
         SizingError: No count up to :data:`MAX_SERVERS` hosts the trace;
             the message names the first VM rejected.
+        ConfigError: The trace is not sorted by arrival time.
     """
     if not trace.vm_count:
         return 0

@@ -14,8 +14,7 @@ named :class:`~repro.core.rng.RngFactory` streams, so every backend sees
 the bit-identical request stream.
 
 Two dispatch backends produce **bit-identical** :class:`SimResult` /
-:class:`SimGrid` statistics (mirroring the trace pipeline's
-``REPRO_TRACE_GENERATOR`` contract):
+:class:`SimGrid` statistics:
 
 - ``vectorized`` (default): :func:`simulate_fcfs_batch` runs a whole
   (app × load × platform × cores) grid in lockstep — one Python loop

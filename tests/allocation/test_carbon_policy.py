@@ -1,15 +1,13 @@
-"""Carbon-aware placement: policy resolution, tiering, engine equivalence."""
+"""Carbon-aware placement: policy resolution, tiering, oracle equivalence."""
 
 import pytest
 
 from repro.allocation.cluster import (
     CARBON_PLACEMENT_POLICIES,
     ClusterSpec,
-    ENGINES,
     PlacementPolicy,
     adopt_everything,
     outcome_digest,
-    replay_columnar,
     resolve_placement,
     simulate,
 )
@@ -17,6 +15,7 @@ from repro.allocation.traces import TraceParams, generate_trace
 from repro.carbon.grid import CarbonAccountant, carbon_aware_policy, diurnal_signal
 from repro.core.errors import ConfigError
 from repro.hardware.sku import baseline_gen2, baseline_gen3, greensku_full
+from tests.oracles import allocation as oracle
 
 PARAMS = TraceParams(duration_days=2.0, mean_concurrent_vms=150)
 
@@ -33,16 +32,10 @@ def _homogeneous_cluster():
     return ClusterSpec.of((baseline_gen3(), 16), (greensku_full(), 6))
 
 
-def _run(cluster, engine, placement=None, accountant=None, chunk=None):
-    trace = generate_trace(7, PARAMS)
-    if chunk is None:
-        return simulate(
-            trace, cluster, adoption=adopt_everything, engine=engine,
-            placement=placement, accountant=accountant,
-        )
-    return replay_columnar(
-        trace, cluster, adopt_everything, engine=engine,
-        chunk_events=chunk, placement=placement, accountant=accountant,
+def _run(cluster, replay=simulate, **kwargs):
+    """Replay trace 7 with ``replay``: production ``simulate`` or the oracle."""
+    return replay(
+        generate_trace(7, PARAMS), cluster, adoption=adopt_everything, **kwargs
     )
 
 
@@ -74,23 +67,26 @@ class TestResolution:
 
 class TestEquivalence:
     def test_carbon_aware_identical_across_engines_and_chunkings(self):
-        policy = carbon_aware_policy(diurnal_signal())
-        digests = set()
-        for engine in ENGINES:
-            for chunk in (None, 64, 4096):
-                outcome = _run(
-                    _divergent_cluster(), engine,
-                    placement=carbon_aware_policy(diurnal_signal()),
-                    chunk=chunk,
-                )
-                digests.add(outcome_digest(outcome))
-        assert len(digests) == 1, digests
-        assert policy.name == "carbon_aware"
+        """The production replay at any chunk size equals the oracle."""
+        golden = outcome_digest(
+            _run(
+                _divergent_cluster(),
+                oracle.simulate,
+                placement=carbon_aware_policy(diurnal_signal()),
+            )
+        )
+        for chunk in (1, 64, 4096):
+            outcome = _run(
+                _divergent_cluster(),
+                placement=carbon_aware_policy(diurnal_signal()),
+                chunk_events=chunk,
+            )
+            assert outcome_digest(outcome) == golden, chunk
 
     def test_aware_diverges_from_blind_on_two_generations(self):
-        blind = _run(_divergent_cluster(), "reference")
+        blind = _run(_divergent_cluster())
         aware = _run(
-            _divergent_cluster(), "reference",
+            _divergent_cluster(),
             placement=carbon_aware_policy(diurnal_signal()),
         )
         assert outcome_digest(blind) != outcome_digest(aware)
@@ -98,17 +94,17 @@ class TestEquivalence:
     def test_homogeneous_tiers_reduce_to_blind(self):
         # One baseline generation -> a single carbon tier per pool, so
         # the tiered backend must reproduce blind placement exactly.
-        blind = _run(_homogeneous_cluster(), "reference")
+        blind = _run(_homogeneous_cluster())
         aware = _run(
-            _homogeneous_cluster(), "reference",
+            _homogeneous_cluster(),
             placement=carbon_aware_policy(diurnal_signal()),
         )
         assert outcome_digest(blind) == outcome_digest(aware)
 
     def test_accountant_never_changes_the_outcome(self):
-        bare = _run(_divergent_cluster(), "indexed")
+        bare = _run(_divergent_cluster())
         accounted = _run(
-            _divergent_cluster(), "indexed",
+            _divergent_cluster(),
             accountant=CarbonAccountant(diurnal_signal()),
         )
         assert outcome_digest(bare) == outcome_digest(accounted)
@@ -116,17 +112,21 @@ class TestEquivalence:
 
 class TestAccounting:
     def test_operational_kg_engine_invariant(self):
-        kgs = set()
-        for engine in ENGINES:
-            for chunk in (None, 64):
-                outcome = _run(
-                    _divergent_cluster(), engine,
-                    placement=carbon_aware_policy(diurnal_signal()),
-                    accountant=CarbonAccountant(diurnal_signal()),
-                    chunk=chunk,
-                )
-                kgs.add(outcome.operational.total_kg)
-        assert len(kgs) == 1, kgs
+        """The oracle and every chunking integrate the same exact kg."""
+        golden = _run(
+            _divergent_cluster(),
+            oracle.simulate,
+            placement=carbon_aware_policy(diurnal_signal()),
+            accountant=CarbonAccountant(diurnal_signal()),
+        ).operational.total_kg
+        for chunk in (1, 64, 4096):
+            outcome = _run(
+                _divergent_cluster(),
+                placement=carbon_aware_policy(diurnal_signal()),
+                accountant=CarbonAccountant(diurnal_signal()),
+                chunk_events=chunk,
+            )
+            assert outcome.operational.total_kg == golden, chunk
 
     def test_aware_saves_operational_carbon_here(self):
         results = {}
@@ -135,7 +135,7 @@ class TestAccounting:
             ("aware", carbon_aware_policy(diurnal_signal())),
         ):
             outcome = _run(
-                _divergent_cluster(), "soa",
+                _divergent_cluster(),
                 placement=placement,
                 accountant=CarbonAccountant(diurnal_signal()),
             )
@@ -147,5 +147,5 @@ class TestAccounting:
         assert results["aware"].total_kg < results["blind"].total_kg
 
     def test_outcome_without_accountant_has_no_report(self):
-        outcome = _run(_divergent_cluster(), "reference")
+        outcome = _run(_divergent_cluster())
         assert outcome.operational is None

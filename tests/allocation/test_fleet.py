@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.allocation.cluster import (
-    ClusterSpec,
-    adopt_everything,
-    outcome_digest,
-    simulate,
-)
+from repro.allocation.cluster import ClusterSpec, adopt_everything, outcome_digest
 from repro.allocation.fleet import (
     ClusterTask,
     FleetOutcome,
@@ -25,6 +20,7 @@ from repro.core.resilience import (
     activated,
 )
 from repro.hardware.sku import baseline_gen3, greensku_full
+from tests.oracles import allocation as oracle
 
 PARAMS = TraceParams(duration_days=1.5, mean_concurrent_vms=80)
 
@@ -82,11 +78,11 @@ class TestFleetSpec:
 
 class TestFleetAggregation:
     def test_matches_per_cluster_simulate(self):
-        """Fleet aggregates == exact sums of standalone cluster runs."""
+        """Fleet aggregates == exact sums of standalone oracle replays."""
         spec = _spec()
         fleet = simulate_fleet(spec, adopt_everything, snapshot_hours=4.0)
         singles = [
-            simulate(
+            oracle.simulate(
                 generate_trace(t.seed, t.params, name=t.name),
                 t.cluster,
                 adopt_everything,
@@ -123,16 +119,6 @@ class TestFleetAggregation:
             serial.green_stats.canonical()
             == parallel.green_stats.canonical()
         )
-
-    def test_engine_invariant_digest(self):
-        spec = _spec(3)
-        digests = {
-            engine: simulate_fleet(
-                spec, adopt_everything, snapshot_hours=4.0, engine=engine
-            ).digest()
-            for engine in ("reference", "indexed", "soa")
-        }
-        assert len(set(digests.values())) == 1, digests
 
     def test_reconcile_detects_tampering(self):
         fleet = simulate_fleet(_spec(2), adopt_everything)
@@ -207,17 +193,17 @@ class TestFleetResilience:
             == clean.baseline_stats.canonical()
         )
 
-    def test_journal_survives_engine_switch(self, tmp_path):
-        """Engine is excluded from the key: a soa journal resumes under
-        the reference backend without recomputing a single shard."""
+    def test_journal_survives_chunking_switch(self, tmp_path):
+        """Chunk size is excluded from the key: a journal written at one
+        chunk size resumes at another without recomputing a shard."""
         spec = _spec(3)
         journal = CheckpointJournal(tmp_path / "journal")
         with activated(ResiliencePolicy(journal=journal)):
-            first = simulate_fleet(spec, adopt_everything, engine="soa")
+            first = simulate_fleet(spec, adopt_everything, chunk_events=64)
         with telemetry.capture() as tel:
             with activated(ResiliencePolicy(journal=journal)):
                 second = simulate_fleet(
-                    spec, adopt_everything, engine="reference"
+                    spec, adopt_everything, chunk_events=4096
                 )
         assert tel.counters["resilience.resumed"] == 3
         assert "resilience.checkpointed" not in tel.counters

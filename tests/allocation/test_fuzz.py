@@ -152,9 +152,7 @@ class TestTelemetryCounterGroundTruth:
         )
         spec = ClusterSpec.of((baseline_gen3(), servers))
         with telemetry.capture() as tel:
-            outcome = simulate(
-                trace, spec, snapshot_hours=6.0, engine="indexed"
-            )
+            outcome = simulate(trace, spec, snapshot_hours=6.0)
         c = tel.counters
 
         # Ground truth from the trace + the outcome's rejected list.
@@ -212,7 +210,6 @@ class TestTelemetryCounterGroundTruth:
                 spec,
                 adoption=adopt_everything,
                 snapshot_hours=6.0,
-                engine="indexed",
             )
         c = tel.counters
         assert c["alloc.green_placements"] == outcome.green_placements

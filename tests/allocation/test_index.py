@@ -1,12 +1,16 @@
-"""Indexed placement engine: equivalence with the reference implementation.
+"""Production replay vs the reference oracle, and the engine itself.
 
 The contract under test is *bit-identical behavior*: for any trace,
-cluster, policy, and adoption mix, the indexed engine must pick the same
-server as the reference scan for every single VM and produce an equal
-``SimOutcome`` — including the exact snapshot statistics.  Two layers:
+cluster, placement heuristic, and adoption mix, the production replay
+(the indexed engine driven by the streaming loop) must pick the same
+server as the reference scan of ``tests/oracles/allocation.py`` for
+every single VM and produce an equal ``SimOutcome`` — including the
+exact snapshot statistics.  Two layers:
 
-- whole-replay equivalence over generated traces (seeds x policies x
-  baseline-only / mixed / multi-generation clusters),
+- whole-replay equivalence over generated traces: seeds x heuristics x
+  baseline-only / mixed / multi-generation clusters, each at every
+  chunk size and under blind and carbon-aware placement (with the
+  accountant's operational kg), plus rejections,
 - adversarial churn on the engine itself: randomized place/remove
   sequences (full-node dedication, servers emptying and refilling,
   memory-tight requests) where every ``choose`` is cross-checked against
@@ -19,17 +23,18 @@ import pytest
 
 from repro.allocation.cluster import (
     ClusterSpec,
+    SimOutcome,
     adopt_everything,
     adopt_nothing,
     outcome_digest,
     replay_on_engine,
-    resolve_engine,
     simulate,
 )
 from repro.allocation.index import PlacementEngine
 from repro.allocation.scheduler import PLACEMENT_POLICIES, BestFitScheduler, Server
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
+from repro.carbon.grid import CarbonAccountant, carbon_aware_policy, diurnal_signal
 from repro.core import telemetry
 from repro.core.errors import ConfigError, SimulationError
 from repro.core.rng import RngFactory
@@ -41,6 +46,7 @@ from repro.hardware.sku import (
     greensku_efficient,
     greensku_full,
 )
+from tests.oracles import allocation as oracle
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -53,42 +59,62 @@ CHURN_PARAMS = TraceParams(
     full_node_fraction=0.01,
 )
 
+#: Chunk sizes of the streaming loop the contract is stated over:
+#: degenerate (every event its own chunk), interior, and whole-trace.
+CHUNKS = (1, 64, 10**9)
 
-def both_outcomes(trace, spec, adoption, policy, snapshot_hours=3.0):
-    kwargs = dict(
-        adoption=adoption,
-        snapshot_hours=snapshot_hours,
-        scheduler=BestFitScheduler(policy),
-    )
-    reference = simulate(trace, spec, engine="reference", **kwargs)
-    indexed = simulate(trace, spec, engine="indexed", **kwargs)
-    return reference, indexed
+
+def assert_matches_oracle(
+    trace, spec, adoption, policy, snapshot_hours=3.0
+) -> SimOutcome:
+    """Production equals the oracle at every chunk size, blind and aware.
+
+    Both placements replay with a carbon accountant, whose exact
+    operational kg must agree too.  Returns the blind oracle outcome.
+    """
+    signal = diurnal_signal()
+    outcomes = []
+    for placement in (None, carbon_aware_policy(signal)):
+        kwargs = dict(
+            adoption=adoption,
+            snapshot_hours=snapshot_hours,
+            scheduler=BestFitScheduler(policy),
+            placement=placement,
+        )
+        expected = oracle.simulate(
+            trace, spec, accountant=CarbonAccountant(signal), **kwargs
+        )
+        for chunk in CHUNKS:
+            got = simulate(
+                trace,
+                spec,
+                accountant=CarbonAccountant(signal),
+                chunk_events=chunk,
+                **kwargs,
+            )
+            assert got == expected, (placement, chunk)
+            assert outcome_digest(got) == outcome_digest(expected)
+            assert got.operational.total_kg == expected.operational.total_kg
+        outcomes.append(expected)
+    return outcomes[0]
 
 
 class TestReplayEquivalence:
-    """Bit-identical SimOutcome across seeds, policies, and clusters."""
+    """Bit-identical SimOutcome across seeds, heuristics, and clusters."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     def test_baseline_only(self, seed, policy):
         trace = generate_trace(seed=seed, params=CHURN_PARAMS)
         spec = ClusterSpec.of((baseline_gen3(), 26))
-        reference, indexed = both_outcomes(
-            trace, spec, adopt_nothing, policy
-        )
-        assert reference == indexed
-        assert outcome_digest(reference) == outcome_digest(indexed)
+        assert_matches_oracle(trace, spec, adopt_nothing, policy)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     def test_mixed_cluster(self, seed, policy):
         trace = generate_trace(seed=seed, params=CHURN_PARAMS)
         spec = ClusterSpec.of((baseline_gen3(), 16), (greensku_full(), 10))
-        reference, indexed = both_outcomes(
-            trace, spec, adopt_everything, policy
-        )
-        assert reference == indexed
-        assert outcome_digest(reference) == outcome_digest(indexed)
+        assert_matches_oracle(trace, spec, adopt_everything, policy)
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
@@ -106,20 +132,14 @@ class TestReplayEquivalence:
             (baseline_gen3(), 10),
             (greensku_cxl(), 8),
         )
-        reference, indexed = both_outcomes(trace, spec, adoption, policy)
-        assert reference == indexed
-        assert outcome_digest(reference) == outcome_digest(indexed)
+        assert_matches_oracle(trace, spec, adoption, policy)
 
     def test_tight_capacity_rejections_match(self):
         # Undersized cluster: the rejected-VM lists must agree exactly.
         trace = generate_trace(seed=9, params=CHURN_PARAMS)
         spec = ClusterSpec.of((baseline_gen3(), 6))
-        reference, indexed = both_outcomes(
-            trace, spec, adopt_nothing, "best-fit"
-        )
-        assert reference.rejected_vms == indexed.rejected_vms
-        assert not reference.feasible
-        assert reference == indexed
+        outcome = assert_matches_oracle(trace, spec, adopt_nothing, "best-fit")
+        assert not outcome.feasible
 
     def test_scaled_adoption_equivalence(self):
         trace = generate_trace(seed=6, params=CHURN_PARAMS)
@@ -128,22 +148,22 @@ class TestReplayEquivalence:
             return 1.4 if len(app_name) % 2 else None
 
         spec = ClusterSpec.of((baseline_gen3(), 18), (greensku_efficient(), 8))
-        reference, indexed = both_outcomes(trace, spec, adoption, "best-fit")
-        assert reference == indexed
+        assert_matches_oracle(trace, spec, adoption, "best-fit")
 
     def test_snapshot_stats_exact_fields(self):
         # Equality must hold on the exact internal sums, not just means.
         trace = generate_trace(seed=2, params=CHURN_PARAMS)
         spec = ClusterSpec.of((baseline_gen3(), 16), (greensku_full(), 10))
-        reference, indexed = both_outcomes(
-            trace, spec, adopt_everything, "best-fit", snapshot_hours=1.5
-        )
+        kwargs = dict(adoption=adopt_everything, snapshot_hours=1.5)
+        reference = oracle.simulate(trace, spec, **kwargs)
+        production = simulate(trace, spec, **kwargs)
         for attr in ("baseline_stats", "green_stats"):
             ref_stats = getattr(reference, attr)
-            idx_stats = getattr(indexed, attr)
-            assert ref_stats.samples == idx_stats.samples
-            assert ref_stats._cum == idx_stats._cum
-            assert ref_stats.canonical() == idx_stats.canonical()
+            prod_stats = getattr(production, attr)
+            assert ref_stats.samples == prod_stats.samples
+            assert ref_stats._cum == prod_stats._cum
+            assert ref_stats.canonical() == prod_stats.canonical()
+        assert production.green_stats.samples > 0
 
 
 class TestTelemetryDifferential:
@@ -151,22 +171,17 @@ class TestTelemetryDifferential:
 
     The instrumentation layer's core guarantee: bit-identical
     ``SimOutcome`` (including the exact snapshot sums behind the
-    digest), identical sizing results, and untouched RNG streams —
-    for both the reference and the indexed engine.
+    digest), identical sizing results, and untouched RNG streams.
     """
 
-    ENGINES = ("reference", "indexed")
-
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_outcome_bit_identical(self, engine, seed):
+    def test_outcome_bit_identical(self, seed):
         trace = generate_trace(seed=seed, params=CHURN_PARAMS)
         spec = ClusterSpec.of((baseline_gen3(), 16), (greensku_full(), 10))
         kwargs = dict(
             adoption=adopt_everything,
             snapshot_hours=3.0,
             scheduler=BestFitScheduler("best-fit"),
-            engine=engine,
         )
         plain = simulate(trace, spec, **kwargs)
         with telemetry.capture() as tel:
@@ -179,8 +194,7 @@ class TestTelemetryDifferential:
         assert tel.counters["alloc.placements"] == plain.placed_vms
         assert tel.timers["alloc.replay"].count == 1
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_right_size_identical(self, engine, monkeypatch):
+    def test_right_size_identical(self):
         from repro.gsf.sizing import right_size
 
         trace = generate_trace(
@@ -188,8 +202,6 @@ class TestTelemetryDifferential:
             params=TraceParams(duration_days=2, mean_concurrent_vms=60),
         )
         plain = right_size(trace, baseline_gen3())
-        # Sizing replays on the indexed engine whatever the selector says.
-        monkeypatch.setenv("REPRO_ALLOC_ENGINE", engine)
         with telemetry.capture() as tel:
             instrumented = right_size(trace, baseline_gen3())
         assert plain == instrumented
@@ -213,7 +225,6 @@ class TestTelemetryDifferential:
             simulate(
                 generate_trace(seed=3, params=CHURN_PARAMS),
                 ClusterSpec.of((baseline_gen3(), 20)),
-                engine="indexed",
             )
             second = rngs.stream("b").random(32).tolist()
             return first, second
@@ -237,37 +248,17 @@ class TestTelemetryDifferential:
         assert tel.counters["queueing.runs"] == 1
         assert tel.counters["queueing.events_simulated"] == 4500
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_counters_deterministic_across_repeats(self, engine):
+    def test_counters_deterministic_across_repeats(self):
         # Design rule 3: identical workload -> identical counters.
         trace = generate_trace(seed=2, params=CHURN_PARAMS)
         spec = ClusterSpec.of((baseline_gen3(), 16), (greensku_full(), 10))
 
         def run():
             with telemetry.capture() as tel:
-                simulate(
-                    trace, spec, adoption=adopt_everything, engine=engine
-                )
+                simulate(trace, spec, adoption=adopt_everything)
             return tel.counters
 
         assert run() == run()
-
-
-class TestEngineSelection:
-    def test_resolve_engine_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ALLOC_ENGINE", raising=False)
-        assert resolve_engine() == "indexed"
-        assert resolve_engine("reference") == "reference"
-
-    def test_resolve_engine_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOC_ENGINE", "reference")
-        assert resolve_engine() == "reference"
-        # Explicit argument wins over the environment.
-        assert resolve_engine("indexed") == "indexed"
-
-    def test_resolve_engine_rejects_unknown(self):
-        with pytest.raises(ConfigError):
-            resolve_engine("quantum")
 
 
 def make_vm(vm_id, cores, memory_gb, generation=3, full_node=False):
@@ -435,6 +426,63 @@ class TestAdversarialChurn:
             engine.remove_server(0)
 
 
+class TestPlacementRules:
+    """The engine rejects what ``Server`` rejects and never misroutes."""
+
+    def _engine(self):
+        return PlacementEngine(
+            ClusterSpec.of(
+                (baseline_gen3(), 3), (greensku_full(), 2)
+            ).build_servers()
+        )
+
+    def test_duplicate_vm_rejected(self):
+        engine = self._engine()
+        vm = make_vm(1, 2, 8.0)
+        server = engine.choose_baseline(vm, vm.cores, vm.memory_gb)
+        engine.place(server, vm, vm.cores, vm.memory_gb)
+        with pytest.raises(SimulationError, match="already on server"):
+            engine.place(server, vm, vm.cores, vm.memory_gb)
+
+    def test_overfull_placement_rejected(self):
+        engine = self._engine()
+        vm = make_vm(1, 10_000, 8.0)
+        with pytest.raises(SimulationError, match="does not fit"):
+            engine.place(engine.servers[0], vm, vm.cores, vm.memory_gb)
+
+    def test_remove_unknown_vm_rejected(self):
+        engine = self._engine()
+        with pytest.raises(SimulationError, match="not on server"):
+            engine.remove(engine.servers[0], 42)
+
+    def test_nonpositive_request_rejected(self):
+        engine = self._engine()
+        with pytest.raises(ConfigError, match="positive"):
+            engine.choose_baseline(make_vm(1, 2, 8.0), 0, 8.0)
+        with pytest.raises(ConfigError, match="positive"):
+            engine.choose_green(make_vm(1, 2, 8.0), 2, 0.0)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigError, match="unknown placement policy"):
+            PlacementEngine(policy="random")
+
+    def test_full_node_never_green(self):
+        engine = self._engine()
+        vm = make_vm(1, 80, 768.0, full_node=True)
+        assert engine.choose_green(vm, vm.cores, vm.memory_gb) is None
+
+    def test_telemetry_counters(self):
+        engine = self._engine()
+        vm = make_vm(1, 2, 8.0)
+        server = engine.choose_baseline(vm, vm.cores, vm.memory_gb)
+        engine.place(server, vm, vm.cores, vm.memory_gb)
+        engine.remove(server, vm.vm_id)
+        counters = engine.telemetry_counters()
+        assert counters["engine.queries"] == 1
+        assert counters["engine.places"] == 1
+        assert counters["engine.removes"] == 1
+
+
 class TestProbeReuse:
     """replay_on_engine + add/remove deltas equals fresh simulate calls."""
 
@@ -477,3 +525,47 @@ class TestProbeReuse:
         assert server.free_memory_gb == server.total_memory_gb
         assert server.free_cores == server.total_cores
         assert server.is_empty and not server.dedicated
+
+    def test_reset_reproduces_exactly(self):
+        trace = generate_trace(
+            4, TraceParams(duration_days=2, mean_concurrent_vms=120)
+        )
+        spec = ClusterSpec.of((baseline_gen3(), 10), (greensku_full(), 6))
+        engine = PlacementEngine(spec.build_servers(), track_stats=True)
+        first = replay_on_engine(
+            trace, spec, engine, adopt_everything, snapshot_hours=5.0
+        )
+        engine.reset()
+        again = replay_on_engine(
+            trace, spec, engine, adopt_everything, snapshot_hours=5.0
+        )
+        assert first.green_stats.samples > 0
+        assert outcome_digest(first) == outcome_digest(again)
+        assert outcome_digest(first) == outcome_digest(
+            simulate(trace, spec, adopt_everything, snapshot_hours=5.0)
+        )
+
+    def test_empty_server_dust_excluded_from_snapshots(self):
+        """Place/remove cycles must not leak float dust into snapshots.
+
+        Repeated add/subtract of unlike floats leaves tiny nonzero
+        residue on a now-empty server; the reference snapshot walk skips
+        empty servers, so the engine's aggregates must drop them too.
+        """
+        engine = PlacementEngine(
+            ClusterSpec.of((baseline_gen3(), 4)).build_servers(),
+            track_stats=True,
+        )
+        vm_id = 0
+        for round_ in range(8):
+            placed = []
+            for k in range(3):
+                vm = make_vm(vm_id, 1, 0.1 + 0.7 * k + round_)
+                server = engine.choose_baseline(vm, vm.cores, vm.memory_gb)
+                engine.place(server, vm, vm.cores, vm.memory_gb)
+                placed.append((server, vm.vm_id))
+                vm_id += 1
+            for server, placed_id in placed:
+                engine.remove(server, placed_id)
+        assert engine.base_agg.count == 0
+        assert all(not bucket for bucket in engine.base_agg.sums.values())

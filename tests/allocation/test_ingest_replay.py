@@ -1,9 +1,9 @@
-"""Cross-engine replay of the bundled ingested trace.
+"""Replay of the bundled ingested trace against the reference oracle.
 
-The acceptance bar of the ingestion tentpole: the real-trace sample must
-replay **bit-identically** across every placement engine, every chunking
-regime, and both store load paths — and both the trace digest and the
-replay outcome digest are pinned as goldens (mirrored in
+The real-trace sample must replay **bit-identically** on the reference
+oracle, at every chunk size of the production replay, and from both
+store load paths — and both the trace digest and the replay outcome
+digest are pinned as goldens (mirrored in
 ``benchmarks/golden_ingest_digests.json``, which CI enforces).
 """
 
@@ -14,16 +14,15 @@ import pytest
 
 from repro.allocation.cluster import (
     ClusterSpec,
-    ENGINES,
     adopt_everything,
     adopt_nothing,
     outcome_digest,
-    replay_columnar,
     simulate,
 )
 from repro.allocation.ingest import bundled_sample_path, ingest_azure_vm_trace
 from repro.allocation.store import TraceStore
 from repro.hardware.sku import baseline_gen2, baseline_gen3, greensku_full
+from tests.oracles import allocation as oracle
 
 #: Content digest of the ingested bundled sample (regenerate with
 #: ``python tests/data/azure/make_sample.py`` + ``repro trace ingest
@@ -32,7 +31,7 @@ GOLDEN_TRACE_DIGEST = (
     "7d66f1bacfa845b0ccd7efbce8f2ed282e7d9bb97b541a3d38f2bdf05c785763"
 )
 
-#: Outcome digest of the reference replay below.
+#: Outcome digest of the replay below (oracle and production alike).
 GOLDEN_OUTCOME_DIGEST = (
     "ce00b36d9c3439620ce3f38afafbf7d4d28fd727b7ad6f6882efba4786029d7c"
 )
@@ -59,15 +58,12 @@ class TestGoldenDigests:
         assert sample_trace.digest() == GOLDEN_TRACE_DIGEST
 
     def test_outcome_digest_pinned(self, sample_trace):
-        outcome = simulate(
-            sample_trace,
-            _cluster(),
-            adopt_everything,
-            snapshot_hours=6.0,
-            engine="reference",
-        )
-        assert not outcome.rejected_vms
-        assert outcome_digest(outcome) == GOLDEN_OUTCOME_DIGEST
+        for replay in (oracle.simulate, simulate):
+            outcome = replay(
+                sample_trace, _cluster(), adopt_everything, snapshot_hours=6.0
+            )
+            assert not outcome.rejected_vms
+            assert outcome_digest(outcome) == GOLDEN_OUTCOME_DIGEST
 
     def test_goldens_file_in_sync(self, sample_trace):
         """The bench/CI goldens file pins the same values as this test."""
@@ -82,37 +78,29 @@ class TestGoldenDigests:
 
 
 class TestCrossEngineReplay:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_engines_and_chunks_bit_identical(
-        self, sample_trace, engine, chunk
-    ):
-        outcome = replay_columnar(
+    def test_chunks_bit_identical(self, sample_trace, chunk):
+        outcome = simulate(
             sample_trace,
             _cluster(),
             adopt_everything,
             snapshot_hours=6.0,
-            engine=engine,
             chunk_events=chunk,
         )
         assert outcome_digest(outcome) == GOLDEN_OUTCOME_DIGEST
 
     def test_rejections_identical_across_engines(self, sample_trace):
         tiny = ClusterSpec.of((baseline_gen3(), 3), (greensku_full(), 1))
-        golden = simulate(
-            sample_trace, tiny, adopt_nothing, snapshot_hours=6.0,
-            engine="reference",
+        golden = oracle.simulate(
+            sample_trace, tiny, adopt_nothing, snapshot_hours=6.0
         )
         assert golden.rejected_vms, "tiny cluster must reject VMs"
-        for engine in ENGINES:
-            for chunk in CHUNKS:
-                outcome = replay_columnar(
-                    sample_trace, tiny, adopt_nothing, snapshot_hours=6.0,
-                    engine=engine, chunk_events=chunk,
-                )
-                assert outcome_digest(outcome) == outcome_digest(golden), (
-                    engine, chunk,
-                )
+        for chunk in CHUNKS:
+            outcome = simulate(
+                sample_trace, tiny, adopt_nothing, snapshot_hours=6.0,
+                chunk_events=chunk,
+            )
+            assert outcome_digest(outcome) == outcome_digest(golden), chunk
 
 
 class TestStorePathsReplayIdentically:
@@ -124,7 +112,7 @@ class TestStorePathsReplayIdentically:
         mapped, _ = ingest_azure_vm_trace(path, store=store, mmap=True)
         digests = set()
         for trace in (sample_trace, eager, mapped):
-            outcome = replay_columnar(
+            outcome = simulate(
                 trace, _cluster(), adopt_everything, snapshot_hours=6.0
             )
             digests.add(outcome_digest(outcome))

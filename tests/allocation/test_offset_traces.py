@@ -12,19 +12,19 @@ import pytest
 
 from repro.allocation.cluster import (
     ClusterSpec,
-    ENGINES,
     adopt_everything,
     outcome_digest,
-    replay_columnar,
     simulate,
 )
 from repro.allocation.columnar import ColumnarTrace
 from repro.allocation.lifetimes import stranded_capacity_fraction
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.hardware.sku import baseline_gen2, baseline_gen3, greensku_full
+from tests.oracles import allocation as oracle
 
 PARAMS = TraceParams(duration_days=2.0, mean_concurrent_vms=120)
 SHIFTS = (5.5, 100.0, 24.0 * 365)
+CHUNKS = (1, 64, 10**9)
 
 
 def _cluster():
@@ -84,36 +84,36 @@ class TestWindowProperties:
 class TestTimeShiftInvariance:
     @pytest.mark.parametrize("offset", SHIFTS)
     def test_simulate_row_path(self, base_trace, offset):
+        """The oracle's row loop anchors its window at the first arrival."""
         golden = outcome_digest(
-            simulate(
-                base_trace, _cluster(), adopt_everything,
-                snapshot_hours=5.0, engine="reference",
+            oracle.simulate(
+                base_trace, _cluster(), adopt_everything, snapshot_hours=5.0
             )
         )
         shifted = outcome_digest(
-            simulate(
+            oracle.simulate(
                 _shifted(base_trace, offset), _cluster(), adopt_everything,
-                snapshot_hours=5.0, engine="reference",
+                snapshot_hours=5.0,
             )
         )
         assert shifted == golden
 
     @pytest.mark.parametrize("offset", SHIFTS)
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_replay_columnar_every_engine(self, base_trace, offset, engine):
+    def test_simulate_every_chunking(self, base_trace, offset):
+        """A shifted production replay equals the unshifted oracle."""
         golden = outcome_digest(
-            replay_columnar(
-                base_trace, _cluster(), adopt_everything,
-                snapshot_hours=5.0, engine=engine, chunk_events=64,
+            oracle.simulate(
+                base_trace, _cluster(), adopt_everything, snapshot_hours=5.0
             )
         )
-        shifted = outcome_digest(
-            replay_columnar(
-                _shifted(base_trace, offset), _cluster(), adopt_everything,
-                snapshot_hours=5.0, engine=engine, chunk_events=64,
+        for chunk in CHUNKS:
+            shifted = outcome_digest(
+                simulate(
+                    _shifted(base_trace, offset), _cluster(),
+                    adopt_everything, snapshot_hours=5.0, chunk_events=chunk,
+                )
             )
-        )
-        assert shifted == golden
+            assert shifted == golden, chunk
 
     @pytest.mark.parametrize("offset", SHIFTS)
     def test_peak_concurrent_cores_invariant(self, base_trace, offset):

@@ -1,14 +1,12 @@
-"""Streaming columnar replay: chunked-vs-row equivalence, golden digests."""
+"""Streaming replay: chunk sizes vs the row-loop oracle, API checks."""
 
 import pytest
 
 from repro.allocation.cluster import (
     ClusterSpec,
-    ENGINES,
     adopt_everything,
     adopt_nothing,
     outcome_digest,
-    replay_columnar,
     simulate,
 )
 from repro.allocation.columnar import ColumnarTrace
@@ -16,6 +14,7 @@ from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.core import telemetry
 from repro.core.errors import ConfigError
 from repro.hardware.sku import baseline_gen2, baseline_gen3, greensku_full
+from tests.oracles import allocation as oracle
 
 PARAMS = TraceParams(duration_days=2.0, mean_concurrent_vms=120)
 
@@ -41,52 +40,44 @@ def _tiny_cluster():
 class TestChunkedVsRowEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_golden_digest_across_engines_and_chunks(self, seed):
-        """Row-based reference digest == every engine × chunk size."""
+        """Oracle scan + row-loop digest == production at every chunk size."""
         trace = generate_trace(seed, PARAMS)
         cluster = _cluster()
         golden = outcome_digest(
-            simulate(
-                trace,
-                cluster,
-                adopt_everything,
-                snapshot_hours=5.0,
-                engine="reference",
+            oracle.simulate(
+                trace, cluster, adopt_everything, snapshot_hours=5.0
             )
         )
-        for engine in ENGINES:
-            for chunk in CHUNKS:
-                digest = outcome_digest(
-                    replay_columnar(
-                        trace,
-                        cluster,
-                        adopt_everything,
-                        snapshot_hours=5.0,
-                        engine=engine,
-                        chunk_events=chunk,
-                    )
+        for chunk in CHUNKS:
+            digest = outcome_digest(
+                simulate(
+                    trace,
+                    cluster,
+                    adopt_everything,
+                    snapshot_hours=5.0,
+                    chunk_events=chunk,
                 )
-                assert digest == golden, (seed, engine, chunk)
+            )
+            assert digest == golden, (seed, chunk)
 
     def test_rejections_equivalent(self):
         trace = generate_trace(9, PARAMS)
         cluster = _tiny_cluster()
-        golden = simulate(
-            trace, cluster, adopt_nothing, snapshot_hours=5.0,
-            engine="reference",
+        golden = oracle.simulate(
+            trace, cluster, adopt_nothing, snapshot_hours=5.0
         )
         assert golden.rejected_vms, "fixture must actually reject VMs"
-        for engine in ENGINES:
-            for chunk in CHUNKS:
-                outcome = replay_columnar(
-                    trace, cluster, adopt_nothing, snapshot_hours=5.0,
-                    engine=engine, chunk_events=chunk,
-                )
-                assert outcome_digest(outcome) == outcome_digest(golden)
+        for chunk in CHUNKS:
+            outcome = simulate(
+                trace, cluster, adopt_nothing, snapshot_hours=5.0,
+                chunk_events=chunk,
+            )
+            assert outcome_digest(outcome) == outcome_digest(golden)
 
     def test_rows_never_materialized(self):
         trace = generate_trace(1, PARAMS)
         assert trace._rows is None
-        replay_columnar(trace, _cluster(), adopt_everything)
+        simulate(trace, _cluster(), adopt_everything)
         assert trace._rows is None
 
 
@@ -108,23 +99,21 @@ class TestReplayColumnarApi:
         )
         bad = VmTrace(name="shuffled", params=PARAMS, columns=shuffled)
         with pytest.raises(ConfigError, match="sorted by arrival"):
-            replay_columnar(bad, _cluster())
+            simulate(bad, _cluster())
 
     def test_bad_snapshot_interval_rejected(self):
         trace = generate_trace(1, PARAMS)
         with pytest.raises(ConfigError, match="snapshot interval"):
-            replay_columnar(trace, _cluster(), snapshot_hours=0)
+            simulate(trace, _cluster(), snapshot_hours=0)
 
-    def test_unknown_engine_rejected(self):
+    def test_bad_chunk_size_rejected(self):
         trace = generate_trace(1, PARAMS)
-        with pytest.raises(ConfigError, match="unknown allocation engine"):
-            replay_columnar(trace, _cluster(), engine="gpu")
+        with pytest.raises(ConfigError, match="chunk_events"):
+            simulate(trace, _cluster(), chunk_events=0)
 
     def test_telemetry_counters(self):
         trace = generate_trace(1, PARAMS)
         with telemetry.capture() as tel:
-            replay_columnar(
-                trace, _cluster(), adopt_everything, chunk_events=64
-            )
-        assert tel.counters["alloc.columnar_replays"] == 1
+            simulate(trace, _cluster(), adopt_everything, chunk_events=64)
+        assert tel.counters["alloc.replays"] == 1
         assert tel.counters["alloc.event_chunks"] >= 2

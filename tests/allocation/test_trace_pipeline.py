@@ -1,9 +1,9 @@
 """Vectorized trace pipeline: generator equivalence and columnar views.
 
-The contract under test: the block-drawing ``vectorized`` backend emits
-the bit-identical VM stream as the scalar ``reference`` loop, for every
-seed and parameter variant, and the columnar/row representations of a
-trace convert both ways without loss.
+The contract under test: the block-drawing generator emits the
+bit-identical VM stream as the scalar loop of ``tests/oracles/traces.py``,
+for every seed and parameter variant, and the columnar/row
+representations of a trace convert both ways without loss.
 """
 
 import math
@@ -13,17 +13,11 @@ import numpy as np
 import pytest
 
 from repro.allocation.columnar import ColumnarTrace
-from repro.allocation.traces import (
-    GENERATOR_ENV,
-    TraceParams,
-    VmTrace,
-    _params_tables,
-    generate_trace,
-    resolve_generator,
-)
+from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
 from repro.core.errors import ConfigError
 from repro.gsf.sizing import _split_trace
+from tests.oracles import traces as oracle
 
 SEEDS = (1, 3, 5, 7, 11)
 
@@ -52,44 +46,32 @@ class TestGeneratorEquivalence:
                                                f"v{p.mean_concurrent_vms}"
     )
     def test_bit_identical_vm_stream(self, seed, params):
-        reference = generate_trace(seed, params, method="reference")
-        vectorized = generate_trace(seed, params, method="vectorized")
+        reference = oracle.generate_trace(seed, params)
+        vectorized = generate_trace(seed, params)
         assert vectorized.digest() == reference.digest()
         assert vectorized.vms == reference.vms
 
     def test_full_node_vms_present_in_heavy_variant(self):
         """The equivalence must actually cover the full-node branch."""
-        trace = generate_trace(3, PARAM_VARIANTS[2], method="vectorized")
+        trace = generate_trace(3, PARAM_VARIANTS[2])
         assert bool(trace.columns.full_node.any())
-
-    def test_default_method_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(GENERATOR_ENV, raising=False)
-        assert resolve_generator() == "vectorized"
-        assert resolve_generator("reference") == "reference"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(GENERATOR_ENV, "reference")
-        assert resolve_generator() == "reference"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
-            generate_trace(1, TraceParams(duration_days=1), method="magic")
 
 
 class TestGenerationMixTable:
     def test_identical_rng_draws(self):
-        """The hoisted generation-mix table changes no RNG draw.
+        """The hoisted generation-mix array changes no RNG draw.
 
         Replays the pre-hoist per-VM pattern (``list(params.generation_mix)``
-        rebuilt on every call) against the prebuilt array on identical
-        generators: same values, same post-draw state.
+        rebuilt on every call) against the prebuilt array the scalar
+        oracle hands ``choice``, on identical generators: same values,
+        same post-draw state.
         """
         params = TraceParams()
-        tables = _params_tables(params)
+        gen_mix = np.asarray(params.generation_mix, dtype=np.float64)
         rng_new = np.random.default_rng(1234)
         rng_old = np.random.default_rng(1234)
         new = [
-            int(1 + rng_new.choice(3, p=tables.gen_mix)) for _ in range(500)
+            int(1 + rng_new.choice(3, p=gen_mix)) for _ in range(500)
         ]
         old = [
             int(1 + rng_old.choice(3, p=list(params.generation_mix)))

@@ -99,6 +99,18 @@ class TestStore:
         assert k != store.key(6, PARAMS)
         assert k != store.key(5, TraceParams(duration_days=3))
 
+    def test_key_ignores_int_vs_float_spelling(self, store):
+        # The CLI parses ``--days 3`` as 3.0; a script passes 3.  Equal
+        # params must share one entry.
+        assert store.key(1, TraceParams(duration_days=3)) == store.key(
+            1, TraceParams(duration_days=3.0)
+        )
+        assert store.key(
+            1, TraceParams(generation_mix=(0, 0, 1), full_node_fraction=0)
+        ) == store.key(
+            1, TraceParams(generation_mix=(0.0, 0.0, 1.0), full_node_fraction=0.0)
+        )
+
     def test_suite_hits_skip_generation(self, store):
         first = production_trace_suite(
             count=2, params=SUITE_PARAMS, store=store

@@ -8,13 +8,13 @@ import pytest
 from repro.allocation.traces import (
     TraceParams,
     VmTrace,
-    _assign_app,
     generate_trace,
     production_trace_suite,
 )
 from repro.allocation.vm import VmRequest
 from repro.core.errors import ConfigError
 from repro.perf.apps import APP_BY_NAME, FLEET_CORE_HOUR_SHARE, apps_in_class
+from tests.oracles.traces import _assign_app
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
 from repro.analysis.ablations import ADOPTION_RULES, adoption_policy
 from repro.core import telemetry
-from repro.core.errors import SizingError
+from repro.core.errors import ConfigError, SizingError
 from repro.gsf import sizing as sizing_module
 from repro.gsf.framework import Gsf
 from repro.gsf.sizing import (
@@ -23,9 +23,10 @@ from repro.gsf.sizing import (
     size_mixed_cluster,
 )
 from repro.hardware.sku import all_greenskus, baseline_gen3, greensku_full
+from tests.oracles import allocation as allocation_oracle
 from tests.oracles import sizing as oracle
 
-#: Small enough for the reference-engine oracle searches.
+#: Small enough for the oracle searches on the reference scan.
 ORACLE_PARAMS = TraceParams(duration_days=2, mean_concurrent_vms=40)
 
 
@@ -218,9 +219,9 @@ random_vms = st.lists(
 
 
 class TestHighWaterProperty:
-    @given(vms=random_vms, shuffled=st.booleans())
+    @given(vms=random_vms)
     @settings(deadline=None, max_examples=60)
-    def test_feasible_exactly_from_right_size(self, vms, shuffled):
+    def test_feasible_exactly_from_right_size(self, vms):
         rows, now = [], 0.0
         for i, (gap, lifetime, cores, memory, full) in enumerate(vms):
             now += gap
@@ -236,18 +237,49 @@ class TestHighWaterProperty:
                     full_node=full,
                 )
             )
-        if shuffled:
-            # The row replay takes rows in the order given.
-            rows.reverse()
         trace = trace_of(rows)
         need = right_size(trace, baseline_gen3())
         for n in range(1, need + 3):
-            outcome = simulate(
-                trace,
-                ClusterSpec.of((baseline_gen3(), n)),
-                engine="reference",
+            outcome = allocation_oracle.simulate(
+                trace, ClusterSpec.of((baseline_gen3(), n))
             )
             assert outcome.feasible == (n >= need), n
+
+
+class TestUnsortedTraceRejected:
+    """Every replay needs arrival order; an unsorted trace fails loudly."""
+
+    def unsorted(self):
+        rows = [
+            VmRequest(
+                vm_id=i,
+                arrival_hours=float(5 - i),
+                lifetime_hours=24.0,
+                cores=8,
+                memory_gb=32.0,
+                generation=3,
+                app_name="Redis",
+            )
+            for i in range(5)
+        ]
+        return trace_of(rows)
+
+    def test_simulate(self):
+        with pytest.raises(ConfigError, match="sorted by arrival"):
+            simulate(self.unsorted(), ClusterSpec.of((baseline_gen3(), 2)))
+
+    def test_right_size(self):
+        with pytest.raises(ConfigError, match="sorted by arrival"):
+            right_size(self.unsorted(), baseline_gen3())
+
+    def test_size_mixed_cluster(self):
+        with pytest.raises(ConfigError, match="sorted by arrival"):
+            size_mixed_cluster(
+                self.unsorted(),
+                baseline_gen3(),
+                greensku_full(),
+                lambda app, gen: 1.0,
+            )
 
 
 class TestMixedSizing:

@@ -3,8 +3,8 @@
 ``repro.gsf.sizing`` answers each sizing question with one high-water
 replay, which is exact only because best-fit opens the lowest-id empty
 server.  These searches assume nothing about the scheduler: they ask the
-reference-engine simulator whether each candidate configuration hosts
-the trace — an exponential bracket, a bisection and a downward
+reference replay of ``tests/oracles/allocation.py`` whether each
+candidate configuration hosts the trace — an exponential bracket, a bisection and a downward
 verification for one SKU; grow-then-trim over (baseline, GreenSKU)
 count pairs for a mixed cluster.  They are slow, so tests run them on
 small traces.
@@ -16,31 +16,21 @@ from typing import Callable, Dict, Hashable
 
 import numpy as np
 
-from repro.allocation.cluster import (
-    AdoptionPolicy,
-    ClusterSpec,
-    adopt_nothing,
-    simulate,
-)
+from repro.allocation.cluster import AdoptionPolicy, ClusterSpec, adopt_nothing
 from repro.allocation.traces import VmTrace
 from repro.core.errors import SizingError
 from repro.gsf.sizing import MAX_SERVERS, ClusterSizing
 from repro.hardware.sku import ServerSKU
+from tests.oracles.allocation import simulate
 
 
 def feasible(
     trace: VmTrace, cluster: ClusterSpec, adoption: AdoptionPolicy
 ) -> bool:
-    """Whether the reference engine hosts ``trace`` on ``cluster``."""
+    """Whether the reference replay hosts ``trace`` on ``cluster``."""
     if cluster.total_servers == 0:
         return trace.vm_count == 0
-    outcome = simulate(
-        trace,
-        cluster,
-        adoption=adoption,
-        snapshot_hours=1e9,
-        engine="reference",
-    )
+    outcome = simulate(trace, cluster, adoption=adoption, snapshot_hours=1e9)
     return outcome.feasible
 
 

@@ -169,40 +169,6 @@ class TestResilienceFlags:
         assert "fault spec" in capsys.readouterr().err
 
 
-class TestAllocEngine:
-    def test_engine_flag_selects_backend(self, capsys, monkeypatch):
-        import os
-
-        from repro.allocation.cluster import ENGINE_ENV
-
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        seen = {}
-        orig = main.__globals__["_run_command"]
-
-        def spy(args, argv):
-            seen["engine"] = os.environ.get(ENGINE_ENV)
-            return orig(args, argv)
-
-        monkeypatch.setitem(main.__globals__, "_run_command", spy)
-        assert main(["--alloc-engine", "soa", "run", "table4"]) == 0
-        assert seen["engine"] == "soa"
-        # The override is scoped to the invocation.
-        assert ENGINE_ENV not in os.environ
-
-    def test_env_restored_after_main(self, monkeypatch):
-        import os
-
-        from repro.allocation.cluster import ENGINE_ENV
-
-        monkeypatch.setenv(ENGINE_ENV, "reference")
-        assert main(["--alloc-engine", "soa", "run", "table4"]) == 0
-        assert os.environ[ENGINE_ENV] == "reference"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--alloc-engine", "gpu", "run", "table4"])
-
-
 class TestStats:
     def _manifest(self, tmp_path):
         path = tmp_path / "tel.json"
