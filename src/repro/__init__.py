@@ -21,8 +21,8 @@ Subpackages:
   parameters.
 - :mod:`repro.carbon` — the carbon model (Eq. 1-3, CO2e-per-core),
   savings tables, and Fig.-1-style breakdowns.
-- :mod:`repro.perf` — queueing models, application profiles, SLOs, and
-  scaling factors (Table III).
+- :mod:`repro.perf` — the M/M/c latency model, application profiles,
+  SLOs, and scaling factors (Table III).
 - :mod:`repro.reliability` — AFRs, Fail-In-Place, maintenance overheads.
 - :mod:`repro.allocation` — synthetic Azure-like VM traces and the
   best-fit allocation simulator.

@@ -23,10 +23,6 @@ cores); ``--cache`` / ``--no-cache`` toggle the opt-in on-disk result
 cache (default: the ``REPRO_CACHE`` env var, else off);
 ``--telemetry PATH`` instruments the run and writes a JSON manifest of
 counters, timers, and phase spans (see ``docs/observability.md``);
-``--queueing {vectorized,reference}`` selects the queueing grid
-dispatch backend for sim-mode experiments (default: the
-``REPRO_QUEUEING`` env var, else the vectorized path; ``reference`` is
-the scalar oracle, bit-identical but slower);
 ``--trace-backend {synthetic,azure}`` selects where trace-suite
 experiments get their workload: the synthetic generator (default) or
 ingested Azure vmtable traces (``REPRO_AZURE_TRACE_DIR``, falling back
@@ -75,7 +71,6 @@ from .experiments.registry import EXPERIMENTS, get_experiment
 from .gsf.framework import Gsf
 from .hardware.datacenter import DataCenterConfig
 from .hardware.sku import paper_skus
-from .perf import queueing
 
 
 def _model(args: argparse.Namespace) -> CarbonModel:
@@ -658,12 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(counters, timers, phase spans) to PATH",
     )
     parser.add_argument(
-        "--queueing", default=None, choices=queueing.QUEUEING_BACKENDS,
-        help="queueing grid dispatch backend: 'vectorized' (default) "
-             "or the scalar 'reference' oracle (default: the "
-             "REPRO_QUEUEING env var, else vectorized)",
-    )
-    parser.add_argument(
         "--trace-backend", default=None, choices=TRACE_BACKENDS,
         help="workload source for trace-suite experiments: the "
              "'synthetic' generator (default) or ingested 'azure' "
@@ -945,7 +934,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         runner.set_default_jobs(args.jobs)
         runner.set_cache_enabled(args.cache)
-        queueing.set_default_backend(args.queueing)
         if args.trace_backend is not None:
             # Experiments resolve the backend at suite-build time via the
             # env var (which also inherits into worker processes).
@@ -967,7 +955,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         runner.set_default_jobs(None)
         runner.set_cache_enabled(None)
-        queueing.set_default_backend(None)
         if saved_backend is None:
             os.environ.pop(BACKEND_ENV, None)
         else:

@@ -13,10 +13,13 @@ a first-class outcome:
   is bit-identical to an uninterrupted one.
 - :class:`RetryPolicy` — bounded retry with exponential backoff and an
   optional per-task timeout.  Task exceptions and timeouts consume
-  attempts; worker deaths (``BrokenProcessPool``) cannot be attributed,
-  so in-flight tasks requeue without being charged (bounded, so a
-  persistent worker-killer still degrades) and the pool is recycled so
-  one bad task cannot take the suite down.
+  attempts.  A worker death (``BrokenProcessPool``) cannot be
+  attributed while several tasks share the pool, so each casualty
+  requeues uncharged and then reruns alone; a breakage during a solo
+  run has one possible culprit and is charged to it, so a persistent
+  worker-killer degrades while its bystanders complete.  The pool is
+  recycled after every breakage so one bad task cannot take the suite
+  down.
 - **graceful degradation** — a task that exhausts its attempts becomes
   a structured :class:`TaskFailure`, recorded in the journal and in the
   telemetry manifest.  With ``on_failure="raise"`` (the default) the
@@ -398,16 +401,18 @@ class _Pending:
     ``attempt`` counts executions started (it feeds fault plans and the
     failure record); ``charged`` counts only the failures attributable
     to the task itself, which is what exhausts the retry budget.  A pool
-    breakage destroys executions without a known culprit, so it advances
-    ``attempt`` and ``pool_breaks`` but charges nobody.  ``not_before``
-    defers a backed-off resubmission without sleeping the scheduler.
+    breakage with several tasks in flight has no known culprit, so it
+    advances ``attempt`` but charges nobody; it sets ``solo`` instead,
+    and a solo task only runs with nothing else in flight, so its next
+    breakage is its own.  ``not_before`` defers a backed-off
+    resubmission without sleeping the scheduler.
     """
 
     index: int
     item: Any
     attempt: int = 0
     charged: int = 0
-    pool_breaks: int = 0
+    solo: bool = False
     not_before: float = 0.0
     last_error: Optional[BaseException] = None
 
@@ -468,7 +473,9 @@ def _run_parallel(
     submission — measures execution, not time spent queued behind busy
     workers.  Backed-off retries carry a per-task not-before time
     instead of sleeping the scheduler thread, so one retry's backoff
-    never stalls the collection of everyone else's results.
+    never stalls the collection of everyone else's results.  Casualties
+    of a pool breakage rerun solo (see :class:`_Pending`), so a breakage
+    is only ever charged to the one task that was running.
     """
     retry = policy.retry
     tel = telemetry.active()
@@ -502,22 +509,25 @@ def _run_parallel(
         queue.append(task)
 
     def requeue_after_break(task: _Pending, exc: BaseException) -> None:
-        """Requeue a task whose pool died under it, charging nobody.
+        """Handle a task whose pool died under it.
 
-        The culprit of a ``BrokenProcessPool`` cannot be attributed, so
-        no in-flight task's retry budget is consumed — but ``attempt``
-        still advances (these executions really started and were
-        destroyed), which keeps deterministic fault plans moving.  A
-        task in flight for ``retry.attempts`` breakages degrades anyway,
-        so a task that hard-kills its worker every time is bounded
-        instead of recycling the pool forever.
+        A solo task ran with nothing else in flight, so it killed its
+        worker: charge it like any other failure.  Otherwise the culprit
+        of the ``BrokenProcessPool`` cannot be attributed, so nobody's
+        retry budget is consumed — ``attempt`` still advances (the
+        execution really started and was destroyed), which keeps
+        deterministic fault plans moving — and the task reruns solo.
+        Each task is an uncharged casualty at most once, so a task that
+        hard-kills its worker every time degrades after its own
+        ``retry.attempts`` solo runs, and a bystander never shares the
+        pool with it again.
         """
+        if task.solo:
+            fail_or_requeue(task, exc)
+            return
         task.last_error = exc
         task.attempt += 1
-        task.pool_breaks += 1
-        if task.pool_breaks >= retry.attempts:
-            fail(task, exc)
-            return
+        task.solo = True
         queue.append(task)
 
     def recycle_pool(old: ProcessPoolExecutor) -> ProcessPoolExecutor:
@@ -534,22 +544,39 @@ def _run_parallel(
     try:
         while queue or inflight:
             now = time.monotonic()
+            # A solo task runs with nothing else in flight.
+            solo_running = any(t.solo for t, _ in inflight.values())
             i = 0
-            while len(inflight) < workers and i < len(queue):
-                if queue[i].not_before > now:
+            while (
+                not solo_running and len(inflight) < workers and i < len(queue)
+            ):
+                if queue[i].not_before > now or (queue[i].solo and inflight):
                     i += 1
                     continue
                 task = queue.pop(i)
-                future = pool.submit(
-                    _ResilientTask(fn, policy.faults, task.index, task.attempt),
-                    task.item,
-                )
+                try:
+                    future = pool.submit(
+                        _ResilientTask(
+                            fn, policy.faults, task.index, task.attempt
+                        ),
+                        task.item,
+                    )
+                except BrokenProcessPool:
+                    # The pool broke after the last wait.  The tasks in
+                    # flight report it on the next one; a worker lost
+                    # while idle leaves nobody to, so recycle it here.
+                    queue.insert(i, task)
+                    if inflight:
+                        break
+                    pool = recycle_pool(pool)
+                    continue
                 deadline = (
                     time.monotonic() + retry.timeout_s
                     if retry.timeout_s is not None
                     else None
                 )
                 inflight[future] = (task, deadline)
+                solo_running = task.solo
             if not inflight:
                 # Everything runnable is backing off.  Sleep (injectable)
                 # until the earliest not-before, then force it runnable so
@@ -559,9 +586,10 @@ def _run_parallel(
                 soonest.not_before = 0.0
                 continue
             wake_times = [d for _, d in inflight.values() if d is not None]
-            if len(inflight) < workers:
-                # A free slot is waiting on a backoff window.
-                wake_times.extend(t.not_before for t in queue)
+            if len(inflight) < workers and not solo_running:
+                # A free slot is waiting on a backoff window (a solo task
+                # waits for the tasks in flight instead).
+                wake_times.extend(t.not_before for t in queue if not t.solo)
             wait_s = (
                 max(0.0, min(wake_times) - time.monotonic())
                 if wake_times

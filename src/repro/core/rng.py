@@ -1,7 +1,7 @@
 """Deterministic random-number streams for reproducible simulations.
 
-Every stochastic component (VM trace generation, queueing simulation,
-failure traces) draws from a named stream derived from a single root seed.
+Every stochastic component (VM trace generation, failure traces) draws
+from a named stream derived from a single root seed.
 Deriving streams by name means adding a new consumer never perturbs the
 draws seen by existing consumers, which keeps regression baselines stable.
 """

@@ -1,8 +1,8 @@
 """Deterministic, zero-dependency instrumentation for the simulation stack.
 
 Every hot path in the reproduction — the experiment runner, the indexed
-placement engine, the sizing searches, the queueing simulator — can
-answer "where did the time and work go?" through this module.  Three
+placement engine, the sizing searches — can answer "where did the time
+and work go?" through this module.  Three
 primitives:
 
 - **counters** — monotone integers (``alloc.placements``,

@@ -55,12 +55,10 @@ class Fig7Panel:
 def run_panel(
     app: ApplicationProfile,
     generation: int = 3,
-    method: str = "analytic",
-    backend: Optional[str] = None,
 ) -> Fig7Panel:
     """Build one Fig. 7 panel: the whole panel is one batched grid call."""
-    slo = derive_slo(app, generation, method=method)
-    result = scaling_factor(app, generation, method=method)
+    slo = derive_slo(app, generation)
+    result = scaling_factor(app, generation)
     # Show curves up to the minimum core count approaching the baseline's
     # peak (all candidates when the SLO is never met).
     if result.cores is not None:
@@ -82,10 +80,7 @@ def run_panel(
         )
         for cores in counts
     ]
-    curves = latency_curves(
-        app, specs, load_fractions=LOAD_FRACTIONS, method=method,
-        backend=backend,
-    )
+    curves = latency_curves(app, specs, load_fractions=LOAD_FRACTIONS)
     return Fig7Panel(
         app_name=app.name,
         slo=slo,
@@ -98,14 +93,9 @@ def run_panel(
 def run(
     app_names: Sequence[str] = FIG7_APPS,
     generation: int = 3,
-    method: str = "analytic",
-    backend: Optional[str] = None,
 ) -> List[Fig7Panel]:
     """All Fig. 7 panels."""
-    return [
-        run_panel(get_app(name), generation, method, backend=backend)
-        for name in app_names
-    ]
+    return [run_panel(get_app(name), generation) for name in app_names]
 
 
 def render(panels: Sequence[Fig7Panel]) -> str:

@@ -11,7 +11,7 @@ loses ~11% of peak throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.tables import render_csv
 from ..perf.apps import get_app
@@ -53,13 +53,11 @@ class Fig8Panel:
         return self.cxl_curve.max_load_meeting(self.slo.latency_ms)
 
 
-def run_panel(app_name: str, generation: int = 3,
-              method: str = "analytic",
-              backend: Optional[str] = None) -> Fig8Panel:
+def run_panel(app_name: str, generation: int = 3) -> Fig8Panel:
     """Build one Fig. 8 panel (both curves in one batched grid call)."""
     app = get_app(app_name)
-    slo = derive_slo(app, generation, method=method)
-    result = scaling_factor(app, generation, method=method)
+    slo = derive_slo(app, generation)
+    result = scaling_factor(app, generation)
     cores = result.cores if result.cores is not None else 12
     efficient, cxl = latency_curves(
         app,
@@ -79,8 +77,6 @@ def run_panel(app_name: str, generation: int = 3,
             ),
         ],
         load_fractions=LOAD_FRACTIONS,
-        method=method,
-        backend=backend,
     )
     return Fig8Panel(
         app_name=app.name,
@@ -93,14 +89,10 @@ def run_panel(app_name: str, generation: int = 3,
     )
 
 
-def run(app_names: Sequence[str] = FIG8_APPS, generation: int = 3,
-        method: str = "analytic",
-        backend: Optional[str] = None) -> List[Fig8Panel]:
+def run(app_names: Sequence[str] = FIG8_APPS,
+        generation: int = 3) -> List[Fig8Panel]:
     """All Fig. 8 panels."""
-    return [
-        run_panel(name, generation, method=method, backend=backend)
-        for name in app_names
-    ]
+    return [run_panel(name, generation) for name in app_names]
 
 
 def render(panels: Sequence[Fig8Panel]) -> str:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.tables import render_table
 from ..perf.apps import FLEET_CORE_HOUR_SHARE, get_app
@@ -60,14 +60,10 @@ class Table3Result:
         return 3 * len(PAPER_TABLE3) - len(self.mismatches())
 
 
-def run(
-    method: str = "analytic", backend: Optional[str] = None
-) -> Table3Result:
+def run() -> Table3Result:
     """Compute Table III (one batched grid; see ``scaling_table``)."""
     apps = [get_app(name) for name in PAPER_TABLE3]
-    return Table3Result(
-        table=scaling_table(apps, method=method, backend=backend)
-    )
+    return Table3Result(table=scaling_table(apps))
 
 
 def render(result: Table3Result) -> str:

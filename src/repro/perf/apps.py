@@ -68,8 +68,6 @@ class ApplicationProfile:
         latency_critical: True for applications with a tail-latency SLO;
             False for throughput-only DevOps builds.
         base_service_ms: Mean per-request service time on one Gen3 core.
-        service_cv: Service-time coefficient of variation (1.0 =
-            exponential; the M/M/c analytic model is then exact).
         speed: Per-core speed on each platform, normalized to gen3 = 1.0.
         cxl_slowdown: Multiplicative service-time inflation measured when
             the application runs on GreenSKU-CXL (reused DDR4 via CXL at
@@ -85,7 +83,6 @@ class ApplicationProfile:
     production: bool = False
     latency_critical: bool = True
     base_service_ms: float = 1.0
-    service_cv: float = 1.0
     speed: Mapping[str, float] = field(default_factory=dict)
     cxl_slowdown: float = 1.0
     cxl_tolerant: bool = False

@@ -11,29 +11,23 @@ The paper's methodology (Section VI):
   metric (the paper reports the GreenSKU's median low-load latency 16%
   above Gen3).
 
-Curves can be produced by the exact analytic M/M/c model (default; fast
-and deterministic) or the discrete-event simulator (for non-exponential
-service or validation).  Grid-shaped work — load sweeps, multi-curve
+Every latency comes from the exact analytic M/M/c model
+(:mod:`repro.perf.mmc`).  Grid-shaped work — load sweeps, multi-curve
 panels, (app × generation) SLO tables — goes through the batched
-:func:`tail_latencies` evaluator, which feeds whole parameter arrays to
-the vectorized queueing substrate in one call; per-point simulation
-seeds derive from the load fraction (not the sweep index), so inserting
-a load point never reshuffles the RNG of its neighbours.
+:func:`tail_latencies` evaluator, which inverts whole parameter arrays
+in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.errors import ConfigError
-from ..core.rng import RngFactory
 from .apps import ApplicationProfile, platform_for_generation
 from .mmc import response_percentile_ms
-from .queueing import simulate_fcfs, simulate_fcfs_batch
 
 #: The paper sets the SLO at the tail latency reached at 90% of peak load.
 SLO_LOAD_FRACTION = 0.9
@@ -58,20 +52,20 @@ def _validated_quantile(quantile: float) -> float:
     return q
 
 
-def _point_seeds(seed: int, load_fractions: Sequence[float]) -> np.ndarray:
-    """Per-sweep-point sim seeds derived from the load fraction.
+def _check_points(service_ms, cores, load_qps) -> None:
+    """Reject queue parameters the M/M/c model cannot evaluate.
 
-    Hashing the fraction (not the sweep index) means adding or removing a
-    load point leaves every other point's RNG stream untouched.
+    Every point needs a finite load > 0 QPS, a finite mean service time
+    > 0 ms and at least one core; scalars and arrays are both accepted.
     """
-    factory = RngFactory(seed)
-    return np.array(
-        [
-            factory.child(f"load-fraction:{float(f)!r}").seed
-            for f in load_fractions
-        ],
-        dtype=np.int64,
-    )
+    for name, values in (
+        ("load (QPS)", load_qps), ("mean service time (ms)", service_ms)
+    ):
+        values = np.asarray(values, dtype=np.float64)
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ConfigError(f"{name} must be finite and > 0 at every point")
+    if np.any(np.asarray(cores) < 1):
+        raise ConfigError("need at least 1 core at every point")
 
 
 @dataclass(frozen=True)
@@ -120,101 +114,53 @@ def tail_latency_ms(
     load_qps: float,
     cxl: bool = False,
     quantile: float = TAIL_QUANTILE,
-    method: str = "analytic",
-    seed: int = 0,
 ) -> float:
     """Tail latency of ``app`` on (platform, cores) at ``load_qps``.
 
-    Returns ``inf`` when the load saturates the configuration.  Both
-    methods honor arbitrary ``quantile`` values in (0, 1); anything else
-    raises :class:`~repro.core.errors.ConfigError`.
-
-    Args:
-        method: ``"analytic"`` (exact M/M/c, default) or ``"sim"``
-            (discrete-event M/G/c with the app's service-time CV).
+    Returns ``inf`` when the load saturates the configuration.  Any
+    ``quantile`` in (0, 1) is honored.  A quantile outside (0, 1), a
+    non-finite or non-positive load, and fewer than one core raise
+    :class:`~repro.core.errors.ConfigError`.
     """
-    if load_qps <= 0:
-        raise ConfigError("load must be > 0 QPS")
-    q = _validated_quantile(quantile)
     service_ms = app.service_ms_on(platform, cxl=cxl)
-    mu_per_core = 1000.0 / service_ms
-    if load_qps >= cores * mu_per_core:
-        return math.inf
-    if method == "analytic":
-        return response_percentile_ms(q, load_qps, mu_per_core, cores)
-    if method == "sim":
-        result = simulate_fcfs(
-            load_qps, cores, service_ms, cv=app.service_cv, seed=seed,
-            quantiles=(q,),
-        )
-        return result.quantiles_ms[0]
-    raise ConfigError(f"unknown method {method!r}; use 'analytic' or 'sim'")
+    _check_points(service_ms, cores, load_qps)
+    q = _validated_quantile(quantile)
+    return response_percentile_ms(q, load_qps, 1000.0 / service_ms, cores)
 
 
 def tail_latencies(
-    service_ms,
-    cores,
-    load_qps,
-    cv=1.0,
-    quantile: float = TAIL_QUANTILE,
-    method: str = "analytic",
-    seeds=0,
-    backend: Optional[str] = None,
+    service_ms, cores, load_qps, quantile: float = TAIL_QUANTILE
 ) -> np.ndarray:
     """Batched tail latency over broadcast parameter arrays.
 
     The grid-shaped core of :func:`tail_latency_ms`: every argument may
     be a scalar or an array (numpy broadcasting applies), and the whole
-    grid evaluates in one call to the vectorized substrate — the array
-    M/M/c inversion for ``method="analytic"``, one
-    :func:`~repro.perf.queueing.simulate_fcfs_batch` over the stable
-    points for ``method="sim"``.  Saturated points report ``inf``.
+    grid evaluates in one array M/M/c inversion.  Saturated points
+    report ``inf``.
 
     Args:
-        service_ms: Mean service time per point, milliseconds.
-        cores: Serving cores per point.
-        load_qps: Offered load per point (must be > 0 everywhere).
-        cv: Service-time CV per point (sim method only).
+        service_ms: Mean service time per point, milliseconds (finite,
+            > 0).
+        cores: Serving cores per point (>= 1).
+        load_qps: Offered load per point (finite, > 0).
         quantile: Latency quantile in (0, 1).
-        seeds: Sim seed per point (sim method only).
-        method: ``"analytic"`` or ``"sim"``.
-        backend: Queueing dispatch backend for the sim grid
-            (``"vectorized"`` | ``"reference"``; default resolved from
-            ``REPRO_QUEUEING``).
+
+    Raises:
+        ConfigError: On any point outside those ranges, or a quantile
+            outside (0, 1).
     """
     q = _validated_quantile(quantile)
-    svc, cores_a, load, cv_a, seed_a = np.broadcast_arrays(
+    svc, cores_a, load = np.broadcast_arrays(
         np.asarray(service_ms, dtype=np.float64),
         np.asarray(cores, dtype=np.int64),
         np.asarray(load_qps, dtype=np.float64),
-        np.asarray(cv, dtype=np.float64),
-        np.asarray(seeds, dtype=np.int64),
     )
-    if (load <= 0).any():
-        raise ConfigError("load must be > 0 QPS at every grid point")
+    _check_points(svc, cores_a, load)
     shape = load.shape
-    svc, cores_a, load, cv_a, seed_a = (
-        np.ravel(a) for a in (svc, cores_a, load, cv_a, seed_a)
+    svc, cores_a, load = (np.ravel(a) for a in (svc, cores_a, load))
+    return response_percentile_ms(q, load, 1000.0 / svc, cores_a).reshape(
+        shape
     )
-    mu = 1000.0 / svc
-    if method == "analytic":
-        return response_percentile_ms(q, load, mu, cores_a).reshape(shape)
-    if method == "sim":
-        out = np.full(load.shape, math.inf)
-        stable = load < cores_a * mu
-        if stable.any():
-            grid = simulate_fcfs_batch(
-                load[stable],
-                cores_a[stable],
-                svc[stable],
-                cv=cv_a[stable],
-                seeds=seed_a[stable],
-                quantiles=(q,),
-                method=backend,
-            )
-            out[stable] = grid.quantiles_ms[:, 0]
-        return out.reshape(shape)
-    raise ConfigError(f"unknown method {method!r}; use 'analytic' or 'sim'")
 
 
 def latency_curve(
@@ -225,9 +171,6 @@ def latency_curve(
     load_fractions: Optional[Sequence[float]] = None,
     reference_peak_qps: Optional[float] = None,
     label: Optional[str] = None,
-    method: str = "analytic",
-    seed: int = 0,
-    backend: Optional[str] = None,
 ) -> LatencyCurve:
     """Sweep offered load and record tail latency (one batched call).
 
@@ -239,7 +182,6 @@ def latency_curve(
             all configurations over the *baseline's* load axis; ``None``
             (the default) uses this configuration's own peak, and
             non-positive values raise ``ConfigError``.
-        backend: Queueing dispatch backend for ``method="sim"``.
     """
     if load_fractions is None:
         load_fractions = tuple(np.arange(0.1, 1.0, 0.05))
@@ -257,10 +199,6 @@ def latency_curve(
         app.service_ms_on(platform, cxl=cxl),
         cores,
         np.asarray(qps_points),
-        cv=app.service_cv,
-        method=method,
-        seeds=_point_seeds(seed, load_fractions),
-        backend=backend,
     )
     return LatencyCurve(
         label=label or f"{app.name} on {platform} ({cores} cores)",
@@ -295,21 +233,20 @@ def latency_curves(
     app: ApplicationProfile,
     specs: Sequence[CurveSpec],
     load_fractions: Optional[Sequence[float]] = None,
-    method: str = "analytic",
-    seed: int = 0,
-    backend: Optional[str] = None,
 ) -> List[LatencyCurve]:
     """Evaluate a whole panel of latency curves in one batched call.
 
     Point-for-point identical to calling :func:`latency_curve` per spec;
     a Fig. 7 panel (baseline + three candidate counts × 18 load points)
-    becomes a single grid evaluation.
+    becomes a single grid evaluation.  No specs give no curves.
     """
+    specs = list(specs)
+    if not specs:
+        return []
     if load_fractions is None:
         load_fractions = tuple(np.arange(0.1, 1.0, 0.05))
     n_points = len(load_fractions)
-    point_seeds = _point_seeds(seed, load_fractions)
-    svc_cols, cores_cols, qps_cols, cv_cols = [], [], [], []
+    svc_cols, cores_cols, qps_cols = [], [], []
     peaks, labels = [], []
     for spec in specs:
         own_peak = peak_qps(app, spec.platform, spec.cores, cxl=spec.cxl)
@@ -327,7 +264,6 @@ def latency_curves(
             np.full(n_points, app.service_ms_on(spec.platform, cxl=spec.cxl))
         )
         cores_cols.append(np.full(n_points, spec.cores, dtype=np.int64))
-        cv_cols.append(np.full(n_points, app.service_cv))
         peaks.append(own_peak)
         labels.append(
             spec.label
@@ -337,10 +273,6 @@ def latency_curves(
         np.concatenate(svc_cols),
         np.concatenate(cores_cols),
         np.concatenate([np.asarray(c) for c in qps_cols]),
-        cv=np.concatenate(cv_cols),
-        method=method,
-        seeds=np.tile(point_seeds, len(list(specs))),
-        backend=backend,
     )
     curves = []
     for j, spec in enumerate(specs):
@@ -380,15 +312,12 @@ def derive_slo(
     app: ApplicationProfile,
     generation: int,
     baseline_cores: int = 8,
-    method: str = "analytic",
 ) -> Slo:
     """The paper's SLO: baseline p95 at 90% of the baseline's peak load."""
     platform = platform_for_generation(generation)
     base_peak = peak_qps(app, platform, baseline_cores)
     slo_load = SLO_LOAD_FRACTION * base_peak
-    latency = tail_latency_ms(
-        app, platform, baseline_cores, slo_load, method=method
-    )
+    latency = tail_latency_ms(app, platform, baseline_cores, slo_load)
     return Slo(
         app_name=app.name,
         generation=generation,
@@ -402,8 +331,6 @@ def derive_slos(
     apps: Sequence[ApplicationProfile],
     generations: Sequence[int],
     baseline_cores: int = 8,
-    method: str = "analytic",
-    backend: Optional[str] = None,
 ) -> Dict[Tuple[str, int], Slo]:
     """Batched :func:`derive_slo` over a whole (app × generation) grid.
 
@@ -427,9 +354,6 @@ def derive_slos(
         np.array([e[4] for e in entries]),
         baseline_cores,
         np.array([e[3] for e in entries]),
-        cv=np.array([e[0].service_cv for e in entries]),
-        method=method,
-        backend=backend,
     )
     return {
         (app.name, gen): Slo(
@@ -451,12 +375,9 @@ def meets_slo(
     cores: int,
     platform: str = "bergamo",
     cxl: bool = False,
-    method: str = "analytic",
 ) -> bool:
     """Whether (platform, cores) meets the SLO at the SLO's load."""
-    latency = tail_latency_ms(
-        app, platform, cores, slo.load_qps, cxl=cxl, method=method
-    )
+    latency = tail_latency_ms(app, platform, cores, slo.load_qps, cxl=cxl)
     # Tiny relative tolerance: an app with identical per-core speed on both
     # platforms meets its own SLO exactly.
     return latency <= slo.latency_ms * (1.0 + 1e-9)
@@ -467,11 +388,10 @@ def low_load_latency_ms(
     platform: str,
     cores: int,
     cxl: bool = False,
-    method: str = "analytic",
 ) -> float:
     """Tail latency at the paper's "low load" (30% of own peak)."""
     load = LOW_LOAD_FRACTION * peak_qps(app, platform, cores, cxl=cxl)
-    return tail_latency_ms(app, platform, cores, load, cxl=cxl, method=method)
+    return tail_latency_ms(app, platform, cores, load, cxl=cxl)
 
 
 def low_load_comparison(

@@ -1,9 +1,10 @@
 """Analytic M/M/c queueing model (Erlang C) with response-time percentiles.
 
-The scaling-factor search (Table III) needs thousands of latency
-evaluations; the analytic model answers each in microseconds and is exact
-for exponential service.  The discrete-event simulator in
-:mod:`repro.perf.queueing` cross-validates it (see the test suite).
+This is the reproduction's one latency model: every SLO, scaling factor
+(Table III) and latency curve (Figs. 7 and 8) comes from it.  It answers
+each evaluation in microseconds and is exact for exponential service.
+The test suite cross-validates it against a discrete-event FCFS
+simulator (``tests/oracles/queueing.py``).
 
 For an M/M/c queue with arrival rate ``lam`` and per-core service rate
 ``mu`` (both per second):

@@ -98,7 +98,6 @@ def scaling_factor(
     generation: int,
     platform: str = "bergamo",
     cxl: bool = False,
-    method: str = "analytic",
 ) -> ScalingResult:
     """Scaling factor of ``app`` on the GreenSKU vs an 8-core baseline VM.
 
@@ -107,7 +106,6 @@ def scaling_factor(
         generation: Baseline generation (1, 2, or 3).
         platform: GreenSKU CPU platform (``"bergamo"``).
         cxl: Evaluate with CXL-backed memory (GreenSKU-CXL/Full).
-        method: Latency model, ``"analytic"`` or ``"sim"``.
     """
     if generation not in (1, 2, 3):
         raise ConfigError(f"generation must be 1, 2 or 3, got {generation}")
@@ -124,19 +122,16 @@ def scaling_factor(
         )
         return ScalingResult(app.name, generation, factor, cores)
 
-    slo = derive_slo(app, generation, BASELINE_CORES, method=method)
+    slo = derive_slo(app, generation, BASELINE_CORES)
     # One batched feasibility probe over the whole candidate grid (the
     # same evaluation scaling_table uses) instead of one meets_slo call
-    # per candidate.  Sims are per-point seeded, so evaluating every
-    # candidate rather than stopping at the first hit changes nothing;
-    # the bound matches meets_slo's tolerance, so decisions are
-    # identical to the per-point loop (the regression test pins this).
+    # per candidate.  The bound matches meets_slo's tolerance, so
+    # decisions are identical to the per-point loop (the regression
+    # test pins this).
     latencies = tail_latencies(
         app.service_ms_on(platform, cxl=cxl),
         np.array(CANDIDATE_CORES, dtype=np.int64),
         slo.load_qps,
-        cv=app.service_cv,
-        method=method,
     )
     bound = slo.latency_ms * (1.0 + 1e-9)
     for cores, latency in zip(CANDIDATE_CORES, latencies):
@@ -155,22 +150,14 @@ def scaling_table(
     apps: Optional[Sequence[ApplicationProfile]] = None,
     generations: Sequence[int] = (1, 2, 3),
     cxl: bool = False,
-    method: str = "analytic",
-    backend: Optional[str] = None,
 ) -> Dict[str, Dict[int, ScalingResult]]:
     """Table III: scaling factors for every app against every generation.
 
     Batched: all latency-critical cells share one :func:`derive_slos`
     call and one (cell × candidate-cores) :func:`tail_latencies` grid,
     so the whole table costs two vectorized evaluations instead of one
-    latency inversion (or simulation) per candidate.  Cell outcomes
-    match per-cell :func:`scaling_factor` calls — sims are per-point
-    seeded, so evaluating the full candidate grid instead of stopping
-    at the first hit changes nothing.
-
-    Args:
-        backend: Queueing dispatch backend for ``method="sim"`` grids
-            (``"vectorized"`` | ``"reference"``).
+    latency inversion per candidate.  Cell outcomes match per-cell
+    :func:`scaling_factor` calls.
     """
     apps = list(apps) if apps is not None else table3_apps()
     generations = list(generations)
@@ -183,16 +170,11 @@ def scaling_table(
         if app.latency_critical:
             continue
         for gen in generations:
-            table[app.name][gen] = scaling_factor(
-                app, gen, cxl=cxl, method=method
-            )
+            table[app.name][gen] = scaling_factor(app, gen, cxl=cxl)
 
     lc_apps = [app for app in apps if app.latency_critical]
     if lc_apps and generations:
-        slos = derive_slos(
-            lc_apps, generations, BASELINE_CORES, method=method,
-            backend=backend,
-        )
+        slos = derive_slos(lc_apps, generations, BASELINE_CORES)
         cells = [
             (app, gen, slos[(app.name, gen)])
             for app in lc_apps
@@ -205,9 +187,6 @@ def scaling_table(
             )[:, None],
             candidates[None, :],
             np.array([slo.load_qps for _, _, slo in cells])[:, None],
-            cv=np.array([app.service_cv for app, _, _ in cells])[:, None],
-            method=method,
-            backend=backend,
         )
         for (app, gen, slo), row in zip(cells, latencies):
             # Same tolerance as meets_slo: equal-speed apps meet their

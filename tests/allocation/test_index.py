@@ -234,20 +234,6 @@ class TestTelemetryDifferential:
             instrumented = draws()
         assert plain == instrumented
 
-    def test_queueing_result_identical(self):
-        from repro.perf.queueing import simulate_fcfs
-
-        kwargs = dict(
-            offered_qps=800.0, cores=4, mean_service_ms=2.0,
-            requests=4000, warmup=500, seed=5,
-        )
-        plain = simulate_fcfs(**kwargs)
-        with telemetry.capture() as tel:
-            instrumented = simulate_fcfs(**kwargs)
-        assert plain == instrumented
-        assert tel.counters["queueing.runs"] == 1
-        assert tel.counters["queueing.events_simulated"] == 4500
-
     def test_counters_deterministic_across_repeats(self):
         # Design rule 3: identical workload -> identical counters.
         trace = generate_trace(seed=2, params=CHURN_PARAMS)

@@ -3,6 +3,7 @@
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -39,6 +40,24 @@ def slow_square(x):
 
 def key_of(x):
     return f"key-{x}"
+
+
+class SubmitAfterBreakPool(ProcessPoolExecutor):
+    """A pool whose third submission waits until the pool has broken.
+
+    This pins the window between collecting a result and the next
+    submission, during which a worker can die unobserved.
+    """
+
+    submissions = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        type(self).submissions += 1
+        if type(self).submissions == 3:
+            deadline = time.monotonic() + 10.0
+            while not self._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return super().submit(fn, *args, **kwargs)
 
 
 class TestRetryPolicy:
@@ -358,9 +377,10 @@ class TestResilientMapParallel:
         self,
     ):
         # Task 0 hard-kills its worker on every attempt.  The culprit of
-        # a broken pool cannot be attributed, so nobody's retry budget
-        # is charged — but the killer is bounded by its breakage count
-        # and degrades, while every innocent bystander completes.
+        # a broken pool shared by several tasks cannot be attributed, so
+        # nobody's retry budget is charged; the casualties rerun solo,
+        # where the killer's breakages are its own.  It degrades, while
+        # every innocent bystander completes.
         policy = ResiliencePolicy(
             retry=fast_retry(max_retries=1),
             faults=FaultPlan(
@@ -376,6 +396,51 @@ class TestResilientMapParallel:
         assert (out[1], out[2], out[3]) == (4, 9, 16)
         assert tel.counters["resilience.pool_restarts"] >= 2
         assert tel.counters["resilience.failures"] == 1
+
+    def test_slow_bystander_of_a_worker_killer_completes(self):
+        # Task 1 is slow, so it is still running whenever task 0 kills
+        # its worker.  It must rerun apart from the killer and complete,
+        # not degrade with it.
+        policy = ResiliencePolicy(
+            retry=fast_retry(max_retries=1),
+            faults=FaultPlan(
+                kill_indices=(0,), kill_attempts=99, kill_mode="hard",
+                latency_s=0.3, latency_indices=(1,),
+            ),
+            on_failure="record",
+        )
+        out = resilient_map(
+            square, [1, 2, 3, 4], key_fn=key_of, jobs=2, policy=policy
+        )
+        assert (out[1], out[2], out[3]) == (4, 9, 16)
+        assert isinstance(out[0], TaskFailure)
+        assert out[0].attempts == 3
+        assert out[0].error_type == "BrokenProcessPool"
+
+    def test_pool_that_broke_before_a_submission_is_recycled(
+        self, monkeypatch
+    ):
+        # Task 1 completes while task 0 is still alive; task 0 then
+        # kills its worker before task 2 is submitted, so the submission
+        # itself raises BrokenProcessPool.  The scheduler must collect
+        # the breakage from the task in flight, not crash.
+        monkeypatch.setattr(SubmitAfterBreakPool, "submissions", 0)
+        monkeypatch.setattr(
+            resilience, "ProcessPoolExecutor", SubmitAfterBreakPool
+        )
+        policy = ResiliencePolicy(
+            retry=fast_retry(max_retries=1),
+            faults=FaultPlan(
+                kill_indices=(0,), kill_attempts=99, kill_mode="hard",
+                latency_s=0.2, latency_indices=(0,),
+            ),
+            on_failure="record",
+        )
+        out = resilient_map(
+            square, [1, 2, 3, 4], key_fn=key_of, jobs=2, policy=policy
+        )
+        assert (out[1], out[2], out[3]) == (4, 9, 16)
+        assert isinstance(out[0], TaskFailure)
 
     def test_parallel_backoff_defers_instead_of_blocking(self):
         sleeps = []

@@ -1,5 +1,6 @@
 """Latency-curve and SLO tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.perf.latency import (
     tail_latencies,
     tail_latency_ms,
 )
-from repro.perf.queueing import simulate_fcfs
+from tests.oracles.queueing import tail_ms
 
 
 class TestPeak:
@@ -58,12 +59,8 @@ class TestTailLatency:
         app = get_app("Nginx")
         peak = peak_qps(app, "gen3", 8)
         analytic = tail_latency_ms(app, "gen3", 8, 0.7 * peak)
-        sim = tail_latency_ms(app, "gen3", 8, 0.7 * peak, method="sim")
+        sim = tail_ms(0.7 * peak, 8, app.service_ms_on("gen3"))
         assert sim == pytest.approx(analytic, rel=0.15)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
-            tail_latency_ms(get_app("Redis"), "gen3", 8, 100, method="magic")
 
     def test_zero_load_rejected(self):
         with pytest.raises(ConfigError):
@@ -71,39 +68,44 @@ class TestTailLatency:
 
 
 class TestQuantileSemantics:
-    """Regression: the sim path crashed with KeyError off {.5,.95,.99}."""
-
-    def test_sim_honors_arbitrary_quantile(self):
-        app = get_app("Nginx")
-        load = 0.7 * peak_qps(app, "gen3", 8)
-        p90 = tail_latency_ms(app, "gen3", 8, load, quantile=0.9,
-                              method="sim")
-        p50 = tail_latency_ms(app, "gen3", 8, load, quantile=0.5,
-                              method="sim")
-        p95 = tail_latency_ms(app, "gen3", 8, load, quantile=0.95,
-                              method="sim")
-        assert p50 < p90 < p95
-
-    def test_sim_standard_quantile_unchanged(self):
-        # The quantile path must reproduce the precomputed p95 exactly.
-        app = get_app("Nginx")
-        load = 0.7 * peak_qps(app, "gen3", 8)
-        via_quantile = tail_latency_ms(
-            app, "gen3", 8, load, quantile=0.95, method="sim", seed=3
-        )
-        direct = simulate_fcfs(
-            load, 8, app.service_ms_on("gen3"), cv=app.service_cv, seed=3
-        )
-        assert via_quantile == direct.p95_ms
-
-    @pytest.mark.parametrize("method", ["analytic", "sim"])
     @pytest.mark.parametrize("quantile", [0.0, 1.0, -0.2, 1.7, float("nan")])
-    def test_invalid_quantile_raises_config_error(self, method, quantile):
+    def test_invalid_quantile_raises_config_error(self, quantile):
         app = get_app("Redis")
         with pytest.raises(ConfigError):
-            tail_latency_ms(
-                app, "gen3", 8, 100.0, quantile=quantile, method=method
-            )
+            tail_latency_ms(app, "gen3", 8, 100.0, quantile=quantile)
+
+
+class TestInputValidation:
+    """Regression: bad loads, service times and core counts returned
+    ``nan``, ``inf`` or a near-zero latency instead of raising."""
+
+    @pytest.mark.parametrize("load", [float("nan"), float("inf")])
+    def test_non_finite_load_rejected(self, load):
+        with pytest.raises(ConfigError):
+            tail_latency_ms(get_app("Nginx"), "gen3", 8, load)
+        with pytest.raises(ConfigError):
+            tail_latencies(2.0, 4, np.array([100.0, load]))
+
+    @pytest.mark.parametrize("service_ms", [0.0, float("nan"), float("inf")])
+    def test_bad_service_time_rejected(self, service_ms):
+        with pytest.raises(ConfigError):
+            tail_latencies(service_ms, 4, 100.0)
+
+    def test_non_finite_profile_service_time_rejected(self):
+        app = dataclasses.replace(
+            get_app("Nginx"), base_service_ms=float("nan")
+        )
+        with pytest.raises(ConfigError):
+            tail_latency_ms(app, "gen3", 8, 100.0)
+
+    def test_zero_cores_rejected(self):
+        with pytest.raises(ConfigError):
+            tail_latencies(2.0, 0, 100.0)
+        with pytest.raises(ConfigError):
+            tail_latency_ms(get_app("Nginx"), "gen3", 0, 100.0)
+
+    def test_empty_panel_has_no_curves(self):
+        assert latency_curves(get_app("Nginx"), []) == []
 
 
 class TestTailLatencies:
@@ -120,28 +122,10 @@ class TestTailLatencies:
                 tail_latency_ms(app, "gen3", 8, float(load)), rel=1e-9
             )
 
-    def test_sim_matches_scalar_bitwise(self):
-        app = get_app("Moses")
-        service_ms = app.service_ms_on("bergamo")
-        peak = peak_qps(app, "bergamo", 4)
-        loads = np.array([0.4, 0.8]) * peak
-        batched = tail_latencies(
-            service_ms, 4, loads, cv=app.service_cv, method="sim",
-            seeds=np.array([5, 6]),
-        )
-        for load, seed, got in zip(loads, (5, 6), batched):
-            assert got == tail_latency_ms(
-                app, "bergamo", 4, float(load), method="sim", seed=seed
-            )
-
     def test_saturated_points_are_inf(self):
         out = tail_latencies(2.0, 2, np.array([500.0, 5000.0]))
         assert np.isfinite(out[0])
         assert math.isinf(out[1])
-        sim = tail_latencies(
-            2.0, 2, np.array([500.0, 5000.0]), method="sim"
-        )
-        assert math.isinf(sim[1])
 
     def test_shape_preserved(self):
         out = tail_latencies(2.0, np.array([[2, 4], [8, 16]]), 500.0)
@@ -150,10 +134,6 @@ class TestTailLatencies:
     def test_invalid_load_rejected(self):
         with pytest.raises(ConfigError):
             tail_latencies(2.0, 4, np.array([100.0, 0.0]))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
-            tail_latencies(2.0, 4, 100.0, method="magic")
 
 
 class TestReferencePeak:
@@ -182,22 +162,6 @@ class TestReferencePeak:
         assert curve.qps[0] == pytest.approx(0.5 * curve.peak_qps)
 
 
-class TestSeedDerivation:
-    """Regression: per-point seeds came from the sweep index, so adding
-    a load point reshuffled every later point's RNG."""
-
-    def test_inserting_point_leaves_others_unchanged(self):
-        app = get_app("Nginx")
-        sparse = latency_curve(
-            app, "gen3", 8, load_fractions=(0.3, 0.9), method="sim"
-        )
-        dense = latency_curve(
-            app, "gen3", 8, load_fractions=(0.3, 0.6, 0.9), method="sim"
-        )
-        assert sparse.p95_ms[0] == dense.p95_ms[0]
-        assert sparse.p95_ms[1] == dense.p95_ms[2]
-
-
 class TestBatchedCurvesAndSlos:
     def test_latency_curves_match_per_curve_calls(self):
         app = get_app("Xapian")
@@ -207,34 +171,28 @@ class TestBatchedCurvesAndSlos:
             CurveSpec("bergamo", 10, reference_peak_qps=base_peak,
                       label="green"),
         ]
-        for method in ("analytic", "sim"):
-            panel = latency_curves(
-                app, specs, load_fractions=(0.3, 0.7), method=method
+        panel = latency_curves(app, specs, load_fractions=(0.3, 0.7))
+        for spec, curve in zip(specs, panel):
+            single = latency_curve(
+                app, spec.platform, spec.cores, cxl=spec.cxl,
+                load_fractions=(0.3, 0.7),
+                reference_peak_qps=spec.reference_peak_qps,
+                label=spec.label,
             )
-            for spec, curve in zip(specs, panel):
-                single = latency_curve(
-                    app, spec.platform, spec.cores, cxl=spec.cxl,
-                    load_fractions=(0.3, 0.7),
-                    reference_peak_qps=spec.reference_peak_qps,
-                    label=spec.label, method=method,
-                )
-                assert curve == single
+            assert curve == single
 
     def test_derive_slos_matches_derive_slo(self):
         apps = [get_app("Xapian"), get_app("Nginx")]
-        for method, tolerance in (("analytic", 1e-12), ("sim", 0.0)):
-            slos = derive_slos(apps, (1, 3), method=method)
-            assert set(slos) == {
-                (a.name, g) for a in apps for g in (1, 3)
-            }
-            for app in apps:
-                for gen in (1, 3):
-                    single = derive_slo(app, gen, method=method)
-                    batched = slos[(app.name, gen)]
-                    assert batched.load_qps == single.load_qps
-                    assert batched.latency_ms == pytest.approx(
-                        single.latency_ms, rel=tolerance, abs=0.0
-                    )
+        slos = derive_slos(apps, (1, 3))
+        assert set(slos) == {(a.name, g) for a in apps for g in (1, 3)}
+        for app in apps:
+            for gen in (1, 3):
+                single = derive_slo(app, gen)
+                batched = slos[(app.name, gen)]
+                assert batched.load_qps == single.load_qps
+                assert batched.latency_ms == pytest.approx(
+                    single.latency_ms, rel=1e-12, abs=0.0
+                )
 
 
 class TestSlo:

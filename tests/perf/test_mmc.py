@@ -1,4 +1,4 @@
-"""Analytic M/M/c model tests, cross-validated against the simulator."""
+"""Analytic M/M/c model tests, cross-validated against the DES oracle."""
 
 import math
 
@@ -15,7 +15,7 @@ from repro.perf.mmc import (
     response_percentile_ms,
     response_tail_probability,
 )
-from repro.perf.queueing import simulate_fcfs
+from tests.oracles.queueing import simulate_fcfs
 
 
 class TestErlangC:
@@ -211,7 +211,7 @@ class TestMonotonicity:
 
 
 class TestSimCrossValidation:
-    """DES vs analytic at cv=1 across the quantile range (ISSUE 6)."""
+    """DES vs analytic at cv=1 across the quantile range."""
 
     @pytest.mark.parametrize(
         "quantile,tolerance",

@@ -1,4 +1,7 @@
-"""Discrete-event queueing simulator tests."""
+"""Tests of the discrete-event queueing oracle (``tests/oracles/queueing``)."""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,11 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
-from repro.perf.queueing import (
-    load_points,
+from repro.perf.apps import get_app
+from tests.oracles.queueing import (
+    grid_digest,
     sample_service_times,
-    saturation_qps,
     simulate_fcfs,
+)
+
+GOLDEN_PATH = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "golden_queueing_digests.json"
 )
 
 
@@ -39,23 +48,6 @@ class TestServiceSampling:
         rng = np.random.default_rng(0)
         with pytest.raises(SimulationError):
             sample_service_times(rng, 10, 1.0, cv=-1)
-
-
-class TestSaturation:
-    def test_saturation_qps(self):
-        assert saturation_qps(8, 1.0) == 8000.0
-        assert saturation_qps(10, 5.0) == 2000.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(SimulationError):
-            saturation_qps(0, 1.0)
-        with pytest.raises(SimulationError):
-            saturation_qps(4, 0.0)
-
-    def test_load_points_default(self):
-        points = load_points(8, 1.0)
-        assert len(points) == 9
-        assert points[0] == pytest.approx(800.0)
 
 
 class TestSimulation:
@@ -156,7 +148,7 @@ class TestDispatchEquivalence:
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_matches_reference_loop(self, cores):
-        qps = 0.7 * saturation_qps(cores, 1.0)
+        qps = 0.7 * (cores * 1000.0)
         result = simulate_fcfs(
             qps, cores, 1.0, requests=4000, warmup=500, seed=3
         )
@@ -167,3 +159,36 @@ class TestDispatchEquivalence:
             result.p99_ms,
             result.mean_ms,
         ) == ref
+
+
+class TestGoldenGrid:
+    """The committed simulator digests, rebuilt from per-point runs."""
+
+    #: (app, cores, load fraction) profiles spanning single/multi-core
+    #: and short/long service times, crossed with the CVs below.
+    PROFILES = (
+        ("Xapian", 8, 0.7),
+        ("Nginx", 4, 0.5),
+        ("Moses", 2, 0.8),
+        ("Img-DNN", 1, 0.6),
+    )
+    CVS = (1.0, 2.0)
+    SEEDS = (0, 1, 2, 3, 4)
+
+    def test_matches_golden_digests(self):
+        digests = {}
+        for name, cores, fraction in self.PROFILES:
+            service_ms = get_app(name).service_ms_on("gen3")
+            qps = fraction * (cores * 1000.0 / service_ms)
+            for cv in self.CVS:
+                digests[f"{name.lower()}-c{cores}-cv{cv:g}"] = grid_digest(
+                    [qps] * len(self.SEEDS),
+                    cores,
+                    service_ms,
+                    cv=cv,
+                    seeds=list(self.SEEDS),
+                    requests=4000,
+                    warmup=500,
+                    quantiles=(0.9, 0.99),
+                )
+        assert digests == json.loads(GOLDEN_PATH.read_text())

@@ -119,24 +119,21 @@ class TestBatchedProbeRegression:
     """The batched feasibility probe inside scaling_factor must make the
     same decisions as the historical per-candidate meets_slo loop."""
 
-    @pytest.mark.parametrize("method", ["analytic", "sim"])
     @pytest.mark.parametrize("cxl", [False, True])
-    def test_matches_per_point_meets_slo(self, method, cxl):
+    def test_matches_per_point_meets_slo(self, cxl):
         from repro.perf.latency import derive_slo, meets_slo
         from repro.perf.scaling import BASELINE_CORES
 
         lc_apps = [a for a in table3_apps() if a.latency_critical]
         for app in lc_apps:
             for gen in (1, 2, 3):
-                slo = derive_slo(app, gen, BASELINE_CORES, method=method)
+                slo = derive_slo(app, gen, BASELINE_CORES)
                 expected = math.inf
                 for cores in CANDIDATE_CORES:
-                    if meets_slo(
-                        app, slo, cores, cxl=cxl, method=method
-                    ):
+                    if meets_slo(app, slo, cores, cxl=cxl):
                         expected = cores / BASELINE_CORES
                         break
-                got = scaling_factor(app, gen, cxl=cxl, method=method)
+                got = scaling_factor(app, gen, cxl=cxl)
                 assert got.factor == expected, (app.name, gen)
                 assert got.slo == slo
 

@@ -1,44 +1,32 @@
-"""Simulation-mode latency paths (non-exponential service, Fig. 7 via DES)."""
+"""The analytic latency model against the discrete-event oracle.
 
-import dataclasses
+The simulator in ``tests/oracles/queueing.py`` derives SLOs and Table
+III factors from simulated tails; where the analytic model's answer is
+far from a grid threshold, both must agree.
+"""
+
 import math
 
 import pytest
 
 from repro.perf.apps import get_app
-from repro.perf.latency import derive_slo, latency_curve, meets_slo
 from repro.perf.scaling import scaling_factor
+from tests.oracles import queueing
 
 
 class TestSimCurves:
-    def test_sim_curve_shape(self):
-        app = get_app("Nginx")
-        curve = latency_curve(
-            app, "gen3", 8, load_fractions=(0.3, 0.6, 0.9), method="sim"
-        )
-        assert curve.p95_ms[0] < curve.p95_ms[-1]
-
-    def test_sim_curve_deterministic(self):
-        app = get_app("Nginx")
-        a = latency_curve(app, "gen3", 8, load_fractions=(0.5,), method="sim")
-        b = latency_curve(app, "gen3", 8, load_fractions=(0.5,), method="sim")
-        assert a.p95_ms == b.p95_ms
-
     def test_heavy_tailed_service_raises_tail(self):
         """A service-time CV of 2 (lognormal) produces a heavier p95 than
         the exponential at the same mean and load."""
         app = get_app("Nginx")
-        heavy = dataclasses.replace(app, service_cv=2.0)
+        service_ms = app.service_ms_on("gen3")
         load = 0.7 * 8 / (app.base_service_ms / 1000.0)
-        from repro.perf.latency import tail_latency_ms
-
-        exp_tail = tail_latency_ms(app, "gen3", 8, load, method="sim")
-        heavy_tail = tail_latency_ms(heavy, "gen3", 8, load, method="sim")
+        exp_tail = queueing.tail_ms(load, 8, service_ms)
+        heavy_tail = queueing.tail_ms(load, 8, service_ms, cv=2.0)
         assert heavy_tail > exp_tail
 
     def test_sim_slo_derivation(self):
-        app = get_app("Xapian")
-        slo = derive_slo(app, 3, method="sim")
+        slo = queueing.scaling_factor(get_app("Xapian"), 3).slo
         assert slo.latency_ms > 0
         assert slo.load_qps == pytest.approx(
             0.9 * slo.baseline_peak_qps
@@ -52,8 +40,8 @@ class TestSimScaling:
         cases far from the grid thresholds (Redis: equal speed -> 1;
         Silo: collapsed speed -> >1.5)."""
         app = get_app(app_name)
-        analytic = scaling_factor(app, 3, method="analytic").factor
-        sim = scaling_factor(app, 3, method="sim").factor
+        analytic = scaling_factor(app, 3).factor
+        sim = queueing.scaling_factor(app, 3).factor
         assert sim == analytic or (
             math.isinf(sim) and math.isinf(analytic)
         )
@@ -61,6 +49,5 @@ class TestSimScaling:
     def test_sim_factor_near_boundary_adjacent(self):
         """Xapian's 1.5 sits near the SLO boundary: the DES may land on
         the same factor or the adjacent outcome, never below 1.5."""
-        app = get_app("Xapian")
-        sim = scaling_factor(app, 3, method="sim").factor
+        sim = queueing.scaling_factor(get_app("Xapian"), 3).factor
         assert sim == 1.5 or math.isinf(sim)

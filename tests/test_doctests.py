@@ -12,7 +12,6 @@ import repro.core.tables
 import repro.core.units
 import repro.hardware.embodied
 import repro.perf.pond
-import repro.perf.queueing
 import repro.reliability.afr
 import repro.reliability.maintenance
 
@@ -25,7 +24,6 @@ MODULES = [
     repro.core.units,
     repro.hardware.embodied,
     repro.perf.pond,
-    repro.perf.queueing,
     repro.reliability.afr,
     repro.reliability.maintenance,
 ]
