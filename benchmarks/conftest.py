@@ -72,11 +72,6 @@ def execution_stats():
     ad-hoc runner/sizing print lines in the bench log.
     """
     from repro.core import telemetry
-    from repro.core.runner import reset_runner_stats
-    from repro.gsf.sizing import reset_sizing_stats
-
-    reset_runner_stats()
-    reset_sizing_stats()
 
     with telemetry.capture() as tel:
 

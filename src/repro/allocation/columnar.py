@@ -331,10 +331,10 @@ def _check_column_dtypes(arrays: Dict[str, np.ndarray]) -> None:
 
     ``ColumnarTrace.__init__`` casts to the schema dtypes, so a drifted
     entry (say ``float32`` cores from a foreign writer) would otherwise
-    be silently re-cast — and an un-castable dtype (structured, object)
-    would raise a bare ``TypeError`` that the store does not treat as
-    corruption.  An explicit ``ConfigError`` here makes both cases
-    quarantine as a corrupt entry instead of crashing or lying.
+    be silently re-cast, and an un-castable dtype (structured, object)
+    would fail with a bare ``TypeError``.  An explicit ``ConfigError``
+    here names the drift, and the store quarantines the entry as
+    corrupt instead of loading a re-cast value.
     """
     for name, dtype in COLUMN_DTYPES:
         stored = arrays[name].dtype

@@ -10,29 +10,25 @@ The store is opt-in, like the result cache: enable it explicitly with a
 ``TraceStore`` argument, via ``REPRO_TRACE_STORE=1``, or implicitly
 whenever the result cache itself is on (``--cache`` / ``REPRO_CACHE``).
 
-Corrupt entries — truncated ``.npz`` files, schema drift, content-digest
-mismatches (bit rot inside a structurally valid zip), torn writes from
-a crashed concurrent writer — are **quarantined**: the damaged file is
-moved to ``<directory>/quarantine/`` (preserving the evidence), the
-``trace.store_quarantined`` telemetry counter ticks, and the lookup
-reports a miss so the trace regenerates and a clean entry is rewritten.
-Nothing is ever silently overwritten in place, and a lookup never
-raises on bad bytes.  Writes are atomic (per-PID temp file + rename),
-so readers only ever observe complete entries.
+The store is a :class:`repro.core.store.Store` with the ``.npz`` codec
+(:func:`save_columns_npz` / :func:`load_columns_npz`): an entry that
+fails to load for any reason — truncation, schema drift, a
+content-digest mismatch (bit rot inside a structurally valid zip) — is
+quarantined (``trace.store_quarantined``) and read as a miss, so the
+trace regenerates.  ``mmap=True`` lookups skip the content digest by
+design.
 """
 
 from __future__ import annotations
 
 import os
-import zipfile
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 from ..core import telemetry
-from ..core.errors import ConfigError
-from ..core.ioutil import atomic_writer
 from ..core.runner import cache_enabled, content_key, default_cache_dir
+from ..core.store import MISSING, Store
 from .columnar import ColumnarTrace, load_columns_npz, save_columns_npz
 
 #: Env vars: force the store on/off, and relocate it.
@@ -42,16 +38,6 @@ STORE_DIR_ENV = "REPRO_TRACE_STORE_DIR"
 #: Part of every entry key; bump when the generator's draw schedule (or
 #: the npz layout) changes so stale entries miss instead of lying.
 STORE_VERSION = "trace-store-v1"
-
-#: Errors that mean "this entry is unusable" (treated as a miss).
-_CORRUPT_ENTRY_ERRORS = (
-    OSError,
-    ValueError,
-    KeyError,
-    EOFError,
-    ConfigError,
-    zipfile.BadZipFile,
-)
 
 
 def store_enabled() -> bool:
@@ -74,14 +60,20 @@ def default_store_dir() -> Path:
     return default_cache_dir() / "traces"
 
 
-@dataclass
-class TraceStore:
+class TraceStore(Store):
     """Content-keyed ``.npz`` store of generated columnar traces."""
 
-    directory: Path = field(default_factory=default_store_dir)
-    hits: int = 0
-    misses: int = 0
-    quarantined: int = 0
+    suffix = ".npz"
+    counter_names = {
+        "hits": "trace.store_hits",
+        "misses": "trace.store_misses",
+        "quarantined": "trace.store_quarantined",
+    }
+
+    def __init__(self, directory: Optional[Path] = None) -> None:
+        super().__init__(
+            directory if directory is not None else default_store_dir()
+        )
 
     def key(self, seed: int, params: object) -> str:
         """The entry key: a content hash of the generation inputs."""
@@ -89,22 +81,7 @@ class TraceStore:
 
     def path(self, seed: int, params: object) -> Path:
         """Where the ``.npz`` entry for ``(seed, params)`` lives."""
-        return Path(self.directory) / f"{self.key(seed, params)}.npz"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where corrupt entries are moved for post-mortem inspection."""
-        return Path(self.directory) / "quarantine"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside; never delete or overwrite it."""
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            path.replace(self.quarantine_dir / f"{path.name}.quarantined")
-        except OSError:
-            return  # a concurrent reader already quarantined it
-        self.quarantined += 1
-        telemetry.count("trace.store_quarantined")
+        return self.entry_path(self.key(seed, params))
 
     def get(
         self, seed: int, params: object, name: str, mmap: bool = False
@@ -132,30 +109,18 @@ class TraceStore:
         ``trace.store_hits`` plus either ``trace.store_hits_mmap`` or
         ``trace.store_hits_eager``.
         """
-        path = self.path(seed, params)
-        if path.exists():
-            try:
-                columns = load_columns_npz(path, mmap=mmap)
-            except _CORRUPT_ENTRY_ERRORS:
-                # Unusable entry: quarantine the evidence, report a
-                # miss, let regeneration write a fresh entry.
-                self._quarantine(path)
-            else:
-                self.hits += 1
-                telemetry.count("trace.store_hits")
-                telemetry.count(
-                    "trace.store_hits_mmap"
-                    if mmap
-                    else "trace.store_hits_eager"
-                )
-                return columns
-        self.misses += 1
-        telemetry.count("trace.store_misses")
-        return None
+        columns = self.read(
+            self.key(seed, params), partial(load_columns_npz, mmap=mmap)
+        )
+        if columns is MISSING:
+            return None
+        telemetry.count(
+            "trace.store_hits_mmap" if mmap else "trace.store_hits_eager"
+        )
+        return columns
 
     def put(self, seed: int, params: object, columns: ColumnarTrace) -> Path:
         """Write one entry atomically (per-PID tmp file + rename)."""
-        path = self.path(seed, params)
-        with atomic_writer(path) as tmp:
-            save_columns_npz(columns, tmp)
-        return path
+        return self.write(
+            self.key(seed, params), partial(save_columns_npz, columns)
+        )

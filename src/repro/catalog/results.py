@@ -12,9 +12,9 @@ the stale entry simply stops being found and garbage collection
 Entries are gzip-compressed canonical JSON written with ``mtime=0`` so
 identical payloads produce identical *bytes* — the reconciliation in
 ``repro.catalog.sweep`` and the bit-identity tests compare files
-directly.  Writes are atomic (temp + rename); unreadable entries are
-quarantined, never silently overwritten — the same corruption posture as
-the trace store and the disk cache.
+directly.  The catalog is a :class:`repro.core.store.Store`: writes
+are atomic, and an entry that fails to decode for any reason (gzip's
+CRC32 is its digest) is quarantined and read as a miss.
 
 Telemetry (off by default): ``catalog.hits`` / ``catalog.misses`` /
 ``catalog.writes`` / ``catalog.unchanged`` / ``catalog.evicted`` /
@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..core import telemetry
-from ..core.ioutil import atomic_writer
 from ..core.runner import content_key, default_cache_dir
+from ..core.store import MISSING, Store
 
 #: Entry document schema; bump on breaking layout changes.
 CATALOG_SCHEMA = "repro-catalog/1"
@@ -72,6 +72,14 @@ def payload_digest(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def _read_entry(path: Path) -> Dict[str, Any]:
+    """Decode one entry file; raises on anything but an entry document."""
+    document = json.loads(gzip.decompress(path.read_bytes()).decode("utf-8"))
+    if not isinstance(document, dict) or "payload" not in document:
+        raise ValueError("not a catalog entry document")
+    return document
+
+
 def closure_key(inputs: Mapping[str, str]) -> str:
     """The catalog address of an output: a hash over its input closure.
 
@@ -84,7 +92,7 @@ def closure_key(inputs: Mapping[str, str]) -> str:
     )
 
 
-class ResultsCatalog:
+class ResultsCatalog(Store):
     """On-disk catalog of compressed, closure-keyed experiment outputs.
 
     One ``<key>.json.gz`` file per entry, each a canonical-JSON document
@@ -94,36 +102,20 @@ class ResultsCatalog:
     quarantined under ``<directory>/quarantine/`` and read as misses.
     """
 
+    suffix = ".json.gz"
+    counter_names = {
+        "hits": "catalog.hits",
+        "misses": "catalog.misses",
+        "writes": "catalog.writes",
+        "quarantined": "catalog.quarantined",
+    }
+
     def __init__(self, directory: Optional[Path] = None) -> None:
-        self.directory = Path(
+        super().__init__(
             directory if directory is not None else default_catalog_dir()
         )
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
         self.unchanged = 0
         self.evicted = 0
-        self.quarantined = 0
-
-    # -- paths -----------------------------------------------------------------
-
-    def entry_path(self, key: str) -> Path:
-        """Where the compressed entry for ``key`` lives."""
-        return self.directory / f"{key}.json.gz"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where corrupt entries are moved for post-mortem inspection."""
-        return self.directory / "quarantine"
-
-    def _quarantine(self, path: Path) -> None:
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            path.replace(self.quarantine_dir / f"{path.name}.quarantined")
-        except OSError:
-            return  # a concurrent reader already moved it
-        self.quarantined += 1
-        telemetry.count("catalog.quarantined")
 
     # -- entries ---------------------------------------------------------------
 
@@ -146,25 +138,8 @@ class ResultsCatalog:
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The decoded entry document for ``key``, or ``None`` on a miss."""
-        path = self.entry_path(key)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-            document = json.loads(gzip.decompress(raw).decode("utf-8"))
-            if not isinstance(document, dict) or "payload" not in document:
-                raise ValueError("not a catalog entry document")
-        except FileNotFoundError:
-            self.misses += 1
-            telemetry.count("catalog.misses")
-            return None
-        except (OSError, ValueError, EOFError):
-            self._quarantine(path)
-            self.misses += 1
-            telemetry.count("catalog.misses")
-            return None
-        self.hits += 1
-        telemetry.count("catalog.hits")
-        return document
+        document = self.read(key, _read_entry)
+        return None if document is MISSING else document
 
     def get_payload(self, key: str) -> Optional[Any]:
         """Just the payload of the entry for ``key`` (``None`` on a miss)."""
@@ -187,12 +162,7 @@ class ResultsCatalog:
                     return path
         except OSError:
             pass
-        with atomic_writer(path) as tmp:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-        self.writes += 1
-        telemetry.count("catalog.writes")
-        return path
+        return self.write(key, lambda tmp: tmp.write_bytes(data))
 
     def keys(self) -> List[str]:
         """Every stored entry key, sorted."""
@@ -201,9 +171,9 @@ class ResultsCatalog:
         except OSError:
             return []
         return sorted(
-            p.name[: -len(".json.gz")]
+            p.name[: -len(self.suffix)]
             for p in names
-            if p.name.endswith(".json.gz")
+            if p.name.endswith(self.suffix)
         )
 
     def gc(self, live_keys: Iterable[str]) -> int:

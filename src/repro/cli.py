@@ -269,23 +269,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _quarantine_source(path) -> str:
-    """Move an unusable source file into a sibling ``quarantine/`` dir."""
-    import pathlib
-    import shutil
-
-    path = pathlib.Path(path)
-    target_dir = path.parent / "quarantine"
-    target_dir.mkdir(exist_ok=True)
-    target = target_dir / path.name
-    counter = 1
-    while target.exists():
-        target = target_dir / f"{path.name}.{counter}"
-        counter += 1
-    shutil.move(str(path), str(target))
-    return str(target)
-
-
 def cmd_trace_ingest(args: argparse.Namespace) -> int:
     """Ingest real Azure vmtable CSVs; quarantine unusable files.
 
@@ -299,6 +282,7 @@ def cmd_trace_ingest(args: argparse.Namespace) -> int:
     import pathlib
 
     from .core.ioutil import atomic_write_text
+    from .core.store import quarantine
     from .core.tables import render_table
 
     store = None
@@ -318,8 +302,13 @@ def cmd_trace_ingest(args: argparse.Namespace) -> int:
                 rebase_time=args.rebase,
             )
         except INGEST_CORRUPT_ERRORS as exc:
-            if path.exists():
-                moved = _quarantine_source(path)
+            # The source keeps its name; later copies get .1, .2, ...
+            moved = (
+                quarantine(path, path.parent / "quarantine", suffix="")
+                if path.exists()
+                else None
+            )
+            if moved is not None:
                 print(
                     f"error: {path}: {exc} -> quarantined to {moved}",
                     file=sys.stderr,

@@ -21,14 +21,11 @@ from .resilience import (
 from .rng import DEFAULT_SEED, RngFactory, derive_seed, stream
 from .runner import (
     DiskCache,
-    RunnerStats,
     cache_enabled,
     cached_map,
     content_key,
     parallel_map,
-    reset_runner_stats,
     resolve_jobs,
-    runner_stats,
     set_cache_enabled,
     set_default_jobs,
 )
@@ -76,14 +73,11 @@ __all__ = [
     "derive_seed",
     "stream",
     "DiskCache",
-    "RunnerStats",
     "cache_enabled",
     "cached_map",
     "content_key",
     "parallel_map",
-    "reset_runner_stats",
     "resolve_jobs",
-    "runner_stats",
     "set_cache_enabled",
     "set_default_jobs",
     "render_csv",

@@ -1,14 +1,15 @@
 """Atomic file I/O for run artifacts.
 
 Every artifact the system persists — telemetry manifests, checkpoint
-journals, ``.npz`` trace entries, disk-cache pickles, rendered benchmark
-outputs — goes through a write-to-temp + ``os.replace`` dance so a
-crashed or killed writer can never leave a half-written file under the
-final name.  Readers then only ever see either the previous complete
-version or the new complete version; "partially written" manifests
-simply cannot exist, and a corrupt file is *evidence of corruption*
-(bit rot, a torn copy) rather than an expected race, which is what lets
-the store layers quarantine instead of silently regenerating.
+journals, ``.npz`` trace entries, disk-cache pickles, catalog entries,
+rendered benchmark outputs — goes through a write-to-temp +
+``os.replace`` dance so a crashed or killed writer can never leave a
+half-written file under the final name.  Readers then only ever see
+either the previous complete version or the new complete version;
+"partially written" manifests simply cannot exist, and a corrupt file is
+*evidence of corruption* (bit rot, a torn copy) rather than an expected
+race, which is what lets :mod:`repro.core.store` quarantine it instead
+of silently regenerating.
 
 The temp name carries the writer's PID so concurrent writers of the same
 artifact never collide on the scratch file either: last rename wins,

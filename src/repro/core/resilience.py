@@ -6,11 +6,12 @@ seed threw away a whole 35-trace run.  This layer makes partial failure
 a first-class outcome:
 
 - :class:`CheckpointJournal` — a content-hash-keyed on-disk journal of
-  per-task results (the same hashing scheme as the trace store and the
-  PR 1 disk cache).  A rerun against the same journal — the CLI's
-  ``--resume`` — loads every completed task and executes only the rest;
-  because every task is a pure function of its item, the resumed suite
-  is bit-identical to an uninterrupted one.
+  per-task results: the same :class:`repro.core.store.PickleStore` as
+  the disk cache, plus a ``journal.json`` failures sidecar.  A rerun
+  against the same journal — the CLI's ``--resume`` — loads every
+  completed task and executes only the rest; because every task is a
+  pure function of its item, the resumed suite is bit-identical to an
+  uninterrupted one.
 - :class:`RetryPolicy` — bounded retry with exponential backoff and an
   optional per-task timeout.  Task exceptions and timeouts consume
   attempts.  A worker death (``BrokenProcessPool``) cannot be
@@ -45,7 +46,6 @@ and nowhere else.  See ``docs/resilience.md``.
 
 from __future__ import annotations
 
-import pickle
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -72,7 +72,8 @@ from typing import (
 from . import runner, telemetry
 from .errors import ConfigError, SimulationError
 from .faults import FaultPlan
-from .ioutil import atomic_write_text, atomic_writer
+from .ioutil import atomic_write_text
+from .store import PickleStore
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -176,84 +177,31 @@ class TaskFailure:
 # -- checkpoint journal --------------------------------------------------------
 
 
-class CheckpointJournal:
+class CheckpointJournal(PickleStore):
     """Content-keyed on-disk journal of completed task results.
 
-    Entries are one pickle per task, named by the task's content key
-    (``runner.content_key`` over the work item — the same scheme the
-    trace store and disk cache use), written atomically.  A sidecar
-    ``journal.json`` records the schema and any :class:`TaskFailure`\\ s
-    so a resumed run knows what degraded previously.  Corrupt entries
-    are quarantined under ``<directory>/quarantine/`` — never silently
-    rewritten in place — and count as misses.
+    Entries are the disk cache's pickle store: one pickle per task,
+    named by the task's content key (``runner.content_key`` over the
+    work item); a corrupt entry quarantines and reruns as a miss.  A
+    sidecar ``journal.json`` records the schema and any
+    :class:`TaskFailure`\\ s so a resumed run knows what degraded
+    previously.
     """
 
+    counter_names = {
+        "writes": "resilience.checkpointed",
+        "quarantined": "resilience.journal_quarantined",
+    }
+
     def __init__(self, directory: Optional[Path] = None) -> None:
-        self.directory = Path(
+        super().__init__(
             directory if directory is not None else default_journal_dir()
         )
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.quarantined = 0
-
-    # -- paths -----------------------------------------------------------------
-
-    def entry_path(self, key: str) -> Path:
-        """Where the pickled result for ``key`` lives."""
-        return self.directory / f"{key}.pkl"
 
     @property
     def meta_path(self) -> Path:
         """The ``journal.json`` sidecar (schema + recorded failures)."""
         return self.directory / "journal.json"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        """Where corrupt entries are moved for post-mortem inspection."""
-        return self.directory / "quarantine"
-
-    # -- entries ---------------------------------------------------------------
-
-    def get(self, key: str) -> object:
-        """The journaled result for ``key``, or ``runner.MISSING``.
-
-        An unreadable entry is quarantined (moved aside with its
-        original name plus a ``.quarantined`` suffix) and reported as a
-        miss, so the task reruns and the evidence survives.
-        """
-        path = self.entry_path(key)
-        try:
-            with open(path, "rb") as fh:
-                value = pickle.load(fh)
-        except FileNotFoundError:
-            self.misses += 1
-            return runner.MISSING
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ValueError):
-            self._quarantine(path)
-            self.misses += 1
-            return runner.MISSING
-        self.hits += 1
-        return value
-
-    def put(self, key: str, value: object) -> None:
-        """Checkpoint one completed task atomically."""
-        with atomic_writer(self.entry_path(key)) as tmp:
-            with open(tmp, "wb") as fh:
-                pickle.dump(value, fh)
-        self.writes += 1
-        telemetry.count("resilience.checkpointed")
-
-    def _quarantine(self, path: Path) -> None:
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        target = self.quarantine_dir / f"{path.name}.quarantined"
-        try:
-            path.replace(target)
-        except OSError:
-            return  # a concurrent reader beat us to it; nothing to move
-        self.quarantined += 1
-        telemetry.count("resilience.journal_quarantined")
 
     # -- metadata --------------------------------------------------------------
 
@@ -371,9 +319,9 @@ def activated(policy: ResiliencePolicy) -> Iterator[ResiliencePolicy]:
 class _ResilientTask:
     """Picklable task wrapper: fault injection + worker instrumentation.
 
-    Composes the runner's ``_StatsTrackedTask`` (sizing-counter deltas,
-    per-task telemetry capture) with the fault plan, which fires in the
-    executing process — so hard kills really kill the worker.
+    Composes the runner's ``_StatsTrackedTask`` (per-task telemetry
+    capture) with the fault plan, which fires in the executing process —
+    so hard kills really kill the worker.
     """
 
     def __init__(
@@ -535,9 +483,8 @@ def _run_parallel(
         telemetry.count("resilience.pool_restarts")
         return ProcessPoolExecutor(max_workers=workers)
 
-    def absorb(task: _Pending, result, deltas, drained) -> None:
+    def absorb(task: _Pending, result, drained) -> None:
         outcomes[task.index] = result
-        runner._fold_worker_stats(deltas)
         if tel is not None and drained is not None:
             tel.absorb(*drained)
 
@@ -602,14 +549,14 @@ def _run_parallel(
             for future in done:
                 task, _deadline = inflight.pop(future)
                 try:
-                    result, deltas, drained = future.result()
+                    result, drained = future.result()
                 except (BrokenProcessPool, CancelledError) as exc:
                     broken = True
                     requeue_after_break(task, exc)
                 except Exception as exc:  # noqa: BLE001 — retries bound it
                     fail_or_requeue(task, exc)
                 else:
-                    absorb(task, result, deltas, drained)
+                    absorb(task, result, drained)
             now = time.monotonic()
             expired = [
                 future
@@ -642,13 +589,13 @@ def _run_parallel(
                 # charged; breakage casualties requeue uncharged.
                 for future, (task, _deadline) in inflight.items():
                     try:
-                        result, deltas, drained = future.result(timeout=10.0)
+                        result, drained = future.result(timeout=10.0)
                     except (BrokenProcessPool, CancelledError) as exc:
                         requeue_after_break(task, exc)
                     except Exception as exc:  # noqa: BLE001
                         fail_or_requeue(task, exc)
                     else:
-                        absorb(task, result, deltas, drained)
+                        absorb(task, result, drained)
                 inflight = {}
                 pool = recycle_pool(pool)
     finally:
@@ -690,8 +637,6 @@ def resilient_map(
         [key_fn(item) for item in items] if key_fn is not None else None
     )
 
-    stats = runner.runner_stats()
-    stats.tasks += len(items)
     telemetry.count("resilience.tasks", len(items))
     tel = telemetry.active()
     if tel is not None:
@@ -725,7 +670,6 @@ def resilient_map(
                 outcomes = _run_serial(fn, pending, policy)
             else:
                 workers = min(resolved_jobs, len(pending))
-                stats.parallel_tasks += len(pending)
                 if tel is not None:
                     tel.count("runner.parallel_tasks", len(pending))
                 outcomes = _run_parallel(fn, pending, policy, workers)

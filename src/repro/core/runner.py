@@ -11,8 +11,9 @@ common execution layer:
   to the serial path (``jobs=1``) on any worker count.
 - :class:`DiskCache` — an opt-in on-disk result cache keyed by a content
   hash of the work item (trace parameters + seed content, SKU, policy),
-  so benchmark reruns skip unchanged work.  Hit/miss counters are kept
-  per cache and aggregated globally for the bench harness.
+  so benchmark reruns skip unchanged work.  It is a
+  :class:`repro.core.store.PickleStore`: digest-checked entries, corrupt
+  ones quarantined, hits and misses counted per cache and in telemetry.
 - :func:`cached_map` — the composition the experiments use: look up each
   item, fan out only the misses, store the new results.
 
@@ -27,15 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import telemetry
 from .errors import ConfigError
-from .ioutil import atomic_writer
+from .store import MISSING, PickleStore
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -122,65 +121,18 @@ def content_key(*parts: object) -> str:
     return digest.hexdigest()
 
 
-# -- statistics ----------------------------------------------------------------
-
-
-@dataclass
-class RunnerStats:
-    """Aggregated execution counters, surfaced by the bench harness."""
-
-    tasks: int = 0
-    parallel_tasks: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def merge(self, other: "RunnerStats") -> None:
-        self.tasks += other.tasks
-        self.parallel_tasks += other.parallel_tasks
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-
-    def summary(self) -> str:
-        return (
-            f"runner: {self.tasks} tasks ({self.parallel_tasks} in "
-            f"worker processes), disk cache {self.cache_hits} hits / "
-            f"{self.cache_misses} misses"
-        )
-
-
-_GLOBAL_STATS = RunnerStats()
-
-
-def runner_stats() -> RunnerStats:
-    """The process-wide counters (reset with :func:`reset_runner_stats`)."""
-    return _GLOBAL_STATS
-
-
-def reset_runner_stats() -> RunnerStats:
-    global _GLOBAL_STATS
-    _GLOBAL_STATS = RunnerStats()
-    return _GLOBAL_STATS
-
-
 # -- deterministic parallel map ------------------------------------------------
 
 
 class _StatsTrackedTask:
-    """Picklable wrapper carrying per-task instrumentation back to the parent.
+    """Picklable wrapper carrying per-task telemetry back to the parent.
 
-    Each worker snapshots its process-local ``sizing_stats()`` counters
-    around the task and returns ``(result, (simulate_delta, memo_delta),
-    drained_telemetry)``.  Sizing counters travel as deltas — not
-    absolute values — because fork-started workers inherit a copy of the
-    parent's counters, and one worker process runs many tasks.  The
-    parent folds the deltas into its own global stats so ``--jobs > 1``
-    runs report true simulate/memo-hit counts.
-
-    Telemetry instead runs each task under a *fresh* capture (shadowing
-    whatever the worker inherited via fork), so the drained counters and
-    timers are exactly this task's activity and merge associatively into
-    the parent's manifest.  Whether to capture is decided in the parent
-    at submit time, so workers never need the parent's sink.
+    Each task runs under a *fresh* capture (shadowing whatever the
+    worker inherited via fork), so the drained counters and timers are
+    exactly this task's activity and merge associatively into the
+    parent's manifest through ``Telemetry.absorb``.  Whether to capture
+    is decided in the parent at submit time, so workers never need the
+    parent's sink.  Returns ``(result, drained_telemetry)``.
     """
 
     def __init__(self, fn: Callable[[T], R]):
@@ -188,35 +140,12 @@ class _StatsTrackedTask:
         self._telemetry = telemetry.enabled()
 
     def __call__(self, item: T):
-        from ..gsf.sizing import sizing_stats  # lazy: avoids core->gsf cycle
-
-        stats = sizing_stats()
-        calls_before = stats.simulate_calls
-        hits_before = stats.memo_hits
-        drained = None
-        if self._telemetry:
-            with telemetry.capture() as tel:
-                with tel.timer("runner.task"):
-                    result = self._fn(item)
-            drained = tel.drain()
-        else:
-            result = self._fn(item)
-        stats = sizing_stats()
-        return result, (
-            stats.simulate_calls - calls_before,
-            stats.memo_hits - hits_before,
-        ), drained
-
-
-def _fold_worker_stats(deltas: Tuple[int, int]) -> None:
-    """Fold one worker task's sizing-counter deltas into this process."""
-    simulate_delta, memo_delta = deltas
-    if simulate_delta or memo_delta:
-        from ..gsf.sizing import sizing_stats  # lazy: avoids core->gsf cycle
-
-        stats = sizing_stats()
-        stats.simulate_calls += simulate_delta
-        stats.memo_hits += memo_delta
+        if not self._telemetry:
+            return self._fn(item), None
+        with telemetry.capture() as tel:
+            with tel.timer("runner.task"):
+                result = self._fn(item)
+        return result, tel.drain()
 
 
 def parallel_map(
@@ -231,13 +160,11 @@ def parallel_map(
     the serial path regardless of worker count or completion order.
     ``fn`` and the items must be picklable when ``jobs > 1``.
 
-    Sizing-probe counters (``repro.gsf.sizing.sizing_stats``) incurred
-    inside worker processes are aggregated back into this process's
-    counters, so hit/miss reporting matches the serial path.
+    Telemetry counted inside worker processes folds back into this
+    process's capture, so the counts match the serial path.
     """
     items = list(items)
     jobs = resolve_jobs(jobs)
-    _GLOBAL_STATS.tasks += len(items)
     tel = telemetry.active()
     if tel is not None:
         tel.count("runner.tasks", len(items))
@@ -250,107 +177,40 @@ def parallel_map(
                 results.append(fn(item))
         return results
     workers = min(jobs, len(items))
-    _GLOBAL_STATS.parallel_tasks += len(items)
     if tel is not None:
         tel.count("runner.parallel_tasks", len(items))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         tracked = list(pool.map(_StatsTrackedTask(fn), items))
     results: List[R] = []
-    simulate_delta = memo_delta = 0
-    for result, (calls, hits), drained in tracked:
+    for result, drained in tracked:
         results.append(result)
-        simulate_delta += calls
-        memo_delta += hits
         if tel is not None and drained is not None:
             tel.absorb(*drained)
-    _fold_worker_stats((simulate_delta, memo_delta))
     return results
 
 
 # -- on-disk result cache ------------------------------------------------------
 
 
-#: Sentinel distinguishing "no cached value" from a cached ``None``.
-MISSING = object()
-
-
-@dataclass
-class DiskCache:
+class DiskCache(PickleStore):
     """Content-addressed pickle cache for experiment results.
 
-    Entries live one-per-file under ``directory`` named by their content
-    key, written atomically (per-PID temp file + rename) so concurrent
-    writers never tear an entry.  An *absent* entry is a plain miss; an
-    entry that exists but cannot be unpickled is **quarantined** — moved
-    to ``<directory>/quarantine/`` and counted — then reported as a
-    miss, so corruption leaves evidence instead of being silently
-    overwritten.
+    One entry per content key under ``directory`` (default
+    :func:`default_cache_dir`); corrupt entries quarantine and read as
+    misses.  Telemetry: ``runner.cache_hits`` / ``.cache_misses`` /
+    ``.cache_quarantined``.
     """
 
-    directory: Path = field(default_factory=default_cache_dir)
-    hits: int = 0
-    misses: int = 0
-    quarantined: int = 0
-    evicted: int = 0
+    counter_names = {
+        "hits": "runner.cache_hits",
+        "misses": "runner.cache_misses",
+        "quarantined": "runner.cache_quarantined",
+    }
 
-    def _path(self, key: str) -> Path:
-        return Path(self.directory) / f"{key}.pkl"
-
-    def _quarantine(self, path: Path) -> None:
-        quarantine_dir = Path(self.directory) / "quarantine"
-        quarantine_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            path.replace(quarantine_dir / f"{path.name}.quarantined")
-        except OSError:
-            return  # a concurrent reader already moved it
-        self.quarantined += 1
-        telemetry.count("runner.cache_quarantined")
-
-    def get(self, key: str) -> object:
-        """Return the cached value or the :data:`MISSING` sentinel."""
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                value = pickle.load(fh)
-        except FileNotFoundError:
-            pass
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ValueError):
-            self._quarantine(path)
-        else:
-            self.hits += 1
-            _GLOBAL_STATS.cache_hits += 1
-            telemetry.count("runner.cache_hits")
-            return value
-        self.misses += 1
-        _GLOBAL_STATS.cache_misses += 1
-        telemetry.count("runner.cache_misses")
-        return MISSING
-
-    def put(self, key: str, value: object) -> None:
-        """Write one entry atomically (per-PID tmp file + rename)."""
-        with atomic_writer(self._path(key)) as tmp:
-            with open(tmp, "wb") as fh:
-                pickle.dump(value, fh)
-
-    def evict(self, keys: Sequence[str]) -> int:
-        """Delete the entries for ``keys``; return how many existed.
-
-        Used by catalog/journal garbage collection to drop results whose
-        provenance closure no longer matches any current input.  Absent
-        entries are ignored (eviction is idempotent).
-        """
-        evicted = 0
-        for key in keys:
-            try:
-                self._path(key).unlink()
-            except FileNotFoundError:
-                continue
-            evicted += 1
-        if evicted:
-            self.evicted += evicted
-            telemetry.count("runner.cache_evicted", evicted)
-        return evicted
+    def __init__(self, directory: Optional[Path] = None) -> None:
+        super().__init__(
+            directory if directory is not None else default_cache_dir()
+        )
 
 
 def cached_map(
@@ -416,15 +276,12 @@ __all__ = [
     "JOBS_ENV",
     "MISSING",
     "DiskCache",
-    "RunnerStats",
     "cache_enabled",
     "cached_map",
     "content_key",
     "default_cache_dir",
     "parallel_map",
-    "reset_runner_stats",
     "resolve_jobs",
-    "runner_stats",
     "set_cache_enabled",
     "set_default_jobs",
 ]

@@ -451,7 +451,7 @@ def validate_manifest(manifest: Any) -> List[str]:
 #: (label, hit counter, miss counter, extra counters shown when nonzero).
 _CACHE_FAMILIES = (
     ("disk cache", "runner.cache_hits", "runner.cache_misses",
-     ("runner.cache_evicted", "runner.cache_quarantined")),
+     ("runner.cache_quarantined",)),
     ("results catalog", "catalog.hits", "catalog.misses",
      ("catalog.writes", "catalog.invalidated", "catalog.evicted",
       "catalog.quarantined")),

@@ -52,73 +52,27 @@ from ..hardware.sku import ServerSKU
 MAX_SERVERS = 20_000
 
 
-@dataclass
-class SizingStats:
-    """Replay counters for the sizing searches.
-
-    ``simulate_calls`` counts replays through the allocation simulator;
-    ``memo_hits`` counts questions answered from a per-search memo
-    instead — each hit is a replay the memo saved.  A module-wide
-    aggregate (:func:`sizing_stats`) feeds the bench harness's report.
-    """
-
-    simulate_calls: int = 0
-    memo_hits: int = 0
-
-    @property
-    def probes(self) -> int:
-        return self.simulate_calls + self.memo_hits
-
-    def merge(self, other: "SizingStats") -> None:
-        self.simulate_calls += other.simulate_calls
-        self.memo_hits += other.memo_hits
-
-    def summary(self) -> str:
-        return (
-            f"sizing: {self.probes} feasibility probes, "
-            f"{self.simulate_calls} simulated, {self.memo_hits} memo hits"
-        )
-
-
-_GLOBAL_SIZING_STATS = SizingStats()
-
-
-def sizing_stats() -> SizingStats:
-    """Process-wide replay counters (reset with :func:`reset_sizing_stats`)."""
-    return _GLOBAL_SIZING_STATS
-
-
-def reset_sizing_stats() -> SizingStats:
-    global _GLOBAL_SIZING_STATS
-    _GLOBAL_SIZING_STATS = SizingStats()
-    return _GLOBAL_SIZING_STATS
-
-
-def _account(search: SizingStats, stats: Optional[SizingStats]) -> None:
-    """Add one search's counters to the module aggregate and ``stats``."""
-    _GLOBAL_SIZING_STATS.merge(search)
-    if stats is not None:
-        stats.merge(search)
-
-
 class _ReplayMemo:
     """Memoizes one search's replays by configuration key.
 
     Scoped to a single sizing search, where the trace and adoption policy
     are fixed, so the key fully determines the replay's answer.
     Guarantees no configuration is replayed twice within the search.
+    ``simulate_calls`` counts replays and ``memo_hits`` the questions
+    answered from the memo instead, for the search's telemetry.
     """
 
     def __init__(self, replay: Callable[..., object]):
         self._replay = replay
         self._seen: Dict[Hashable, object] = {}
-        self.stats = SizingStats()
+        self.simulate_calls = 0
+        self.memo_hits = 0
 
     def __call__(self, *key: Hashable):
         if key in self._seen:
-            self.stats.memo_hits += 1
+            self.memo_hits += 1
             return self._seen[key]
-        self.stats.simulate_calls += 1
+        self.simulate_calls += 1
         result = self._seen[key] = self._replay(*key)
         return result
 
@@ -298,17 +252,12 @@ def right_size(
     trace: VmTrace,
     sku: ServerSKU,
     adoption: AdoptionPolicy = adopt_nothing,
-    stats: Optional[SizingStats] = None,
 ) -> int:
     """Minimum count of ``sku`` servers hosting ``trace`` with no rejection.
 
     One replay against an upper-bound pool of ``sku`` servers: best-fit
     fills the lowest-id empty server first, so the highest index that
     replay uses, plus one, is the minimum (see the module docstring).
-
-    Args:
-        stats: When given, this search's replay counters are accumulated
-            into it (on top of the module-wide aggregate).
 
     Raises:
         SizingError: No count up to :data:`MAX_SERVERS` hosts the trace;
@@ -318,7 +267,6 @@ def right_size(
     if not trace.vm_count:
         return 0
     pool = _HighWater(trace, sku, adoption)
-    _account(SizingStats(simulate_calls=1), stats)
     tel = telemetry.active()
     if tel is not None:
         tel.count_many({"sizing.searches": 1, "sizing.simulate_calls": 1})
@@ -375,7 +323,6 @@ def size_mixed_cluster(
     oos_overhead_baseline: float = 0.0,
     oos_overhead_green: float = 0.0,
     verify: bool = True,
-    stats: Optional[SizingStats] = None,
 ) -> ClusterSizing:
     """Size both the all-baseline reference and the mixed cluster.
 
@@ -403,12 +350,11 @@ def size_mixed_cluster(
             fractions (maintenance component output).
         verify: Run the end-to-end verification + trim passes (disable
             only for unit tests of the partition sizing itself).
-        stats: When given, accumulates this sizing's replay counters.
     """
-    n_reference = right_size(trace, baseline, adopt_nothing, stats=stats)
+    n_reference = right_size(trace, baseline, adopt_nothing)
     green_trace, base_trace = _split_trace(trace, adoption)
-    n_base = right_size(base_trace, baseline, stats=stats)
-    n_green = right_size(green_trace, greensku, adoption, stats=stats)
+    n_base = right_size(base_trace, baseline)
+    n_green = right_size(green_trace, greensku, adoption)
     if verify and (n_base or n_green):
         pool = _HighWater(trace, baseline, adoption, companion=greensku)
 
@@ -447,7 +393,6 @@ def size_mixed_cluster(
                 n_green -= 1
                 trim_steps += 1
                 trimmed = True
-        _account(need.stats, stats)
         tel = telemetry.active()
         if tel is not None:
             tel.count_many(
@@ -455,8 +400,8 @@ def size_mixed_cluster(
                     "sizing.mixed_verifications": 1,
                     "sizing.grow_steps": grow_steps,
                     "sizing.trim_steps": trim_steps,
-                    "sizing.simulate_calls": need.stats.simulate_calls,
-                    "sizing.memo_hits": need.stats.memo_hits,
+                    "sizing.simulate_calls": need.simulate_calls,
+                    "sizing.memo_hits": need.memo_hits,
                 }
             )
     return ClusterSizing(
@@ -503,7 +448,6 @@ def size_generation_aware(
     greensku: ServerSKU,
     adoption: AdoptionPolicy,
     verify: bool = True,
-    stats: Optional[SizingStats] = None,
 ) -> GenerationAwareSizing:
     """Size reference and mixed clusters with per-generation pools.
 
@@ -519,7 +463,7 @@ def size_generation_aware(
         sub = trace.filter(
             trace.columns.generation == gen, name=f"{trace.name}-g{gen}"
         )
-        reference[gen] = right_size(sub, baselines[gen], stats=stats)
+        reference[gen] = right_size(sub, baselines[gen])
 
     # Mixed: non-adopters per generation + greens for adopters.
     green_trace, base_trace = _split_trace(trace, adoption)
@@ -529,8 +473,8 @@ def size_generation_aware(
             base_trace.columns.generation == gen,
             name=f"{trace.name}-rest-g{gen}",
         )
-        mixed[gen] = right_size(sub, baselines[gen], stats=stats)
-    n_green = right_size(green_trace, greensku, adoption, stats=stats)
+        mixed[gen] = right_size(sub, baselines[gen])
+    n_green = right_size(green_trace, greensku, adoption)
 
     if verify:
         # Baseline pools route by which generations are present, so the
@@ -569,7 +513,6 @@ def size_generation_aware(
                 n_green -= 1
                 trim_steps += 1
                 trimmed = True
-        _account(memo.stats, stats)
         tel = telemetry.active()
         if tel is not None:
             tel.count_many(
@@ -577,8 +520,8 @@ def size_generation_aware(
                     "sizing.mixed_verifications": 1,
                     "sizing.grow_steps": grow_steps,
                     "sizing.trim_steps": trim_steps,
-                    "sizing.simulate_calls": memo.stats.simulate_calls,
-                    "sizing.memo_hits": memo.stats.memo_hits,
+                    "sizing.simulate_calls": memo.simulate_calls,
+                    "sizing.memo_hits": memo.memo_hits,
                 }
             )
     return GenerationAwareSizing(

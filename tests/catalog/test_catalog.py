@@ -129,19 +129,6 @@ class TestStore:
         assert catalog.manifest()["entries"] == 0
 
 
-class TestDiskCacheEvict:
-    def test_evict_counts_and_deletes(self, tmp_path):
-        from repro.core.runner import MISSING, DiskCache
-
-        cache = DiskCache(tmp_path)
-        cache.put("k1", 1)
-        cache.put("k2", 2)
-        assert cache.evict(["k1", "k-absent"]) == 1
-        assert cache.evicted == 1
-        assert cache.get("k1") is MISSING
-        assert cache.get("k2") == 2
-
-
 class TestCacheEffectivenessLines:
     def test_renders_active_layers_only(self):
         from repro.core.telemetry import cache_effectiveness_lines

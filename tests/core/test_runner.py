@@ -14,9 +14,7 @@ from repro.core.runner import (
     cached_map,
     content_key,
     parallel_map,
-    reset_runner_stats,
     resolve_jobs,
-    runner_stats,
     set_cache_enabled,
     set_default_jobs,
 )
@@ -97,29 +95,13 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
 
     def test_stats_accumulate(self):
-        reset_runner_stats()
-        parallel_map(_square, [1, 2, 3], jobs=1)
-        assert runner_stats().tasks == 3
-        assert runner_stats().parallel_tasks == 0
+        from repro.core import telemetry
 
-
-class TestSizingStatsAggregation:
-    """Worker-process probe counters fold back into the parent's stats."""
-
-    def _run(self, jobs):
-        from repro.gsf.sizing import reset_sizing_stats, sizing_stats
-
-        reset_sizing_stats()
-        results = parallel_map(_size_trace, [21, 22, 23], jobs=jobs)
-        stats = sizing_stats()
-        return results, (stats.simulate_calls, stats.memo_hits)
-
-    def test_parallel_counters_match_serial(self):
-        serial_results, serial_counts = self._run(jobs=1)
-        parallel_results, parallel_counts = self._run(jobs=2)
-        assert parallel_results == serial_results
-        assert serial_counts[0] > 0  # the searches actually simulated
-        assert parallel_counts == serial_counts
+        with telemetry.capture() as tel:
+            parallel_map(_square, [1, 2, 3], jobs=1)
+            parallel_map(_square, [4, 5], jobs=1)
+        assert tel.counters["runner.tasks"] == 5
+        assert "runner.parallel_tasks" not in tel.counters
 
 
 class TestTelemetryFoldIn:

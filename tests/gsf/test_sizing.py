@@ -18,7 +18,6 @@ from repro.gsf import sizing as sizing_module
 from repro.gsf.framework import Gsf
 from repro.gsf.sizing import (
     ClusterSizing,
-    SizingStats,
     right_size,
     size_mixed_cluster,
 )
@@ -122,35 +121,31 @@ class TestSearchEfficiency:
         self, small_trace, gsf, full_sku, simulate_counter
     ):
         policy = gsf.adoption_model(full_sku).policy()
-        stats = SizingStats()
         with telemetry.capture() as tel:
-            size_mixed_cluster(
-                small_trace, baseline_gen3(), full_sku, policy, stats=stats
-            )
+            size_mixed_cluster(small_trace, baseline_gen3(), full_sku, policy)
+        counters = tel.counters
         assert max(simulate_counter.values()) == 1
-        assert stats.simulate_calls == sum(simulate_counter.values())
+        assert counters["sizing.simulate_calls"] == sum(
+            simulate_counter.values()
+        )
         # One replay for each of the three right-size searches, then one
         # per GreenSKU count the grow and trim loops visit.
-        counters = tel.counters
         visited = 2 + counters["sizing.grow_steps"] + counters[
             "sizing.trim_steps"
         ]
         assert counters["sizing.searches"] == 3
-        assert stats.simulate_calls <= 3 + visited
+        assert counters["sizing.simulate_calls"] <= 3 + visited
 
     def test_stats_accumulate_across_searches(self, small_trace):
-        stats = SizingStats()
-        right_size(small_trace, baseline_gen3(), stats=stats)
-        first = stats.simulate_calls
-        assert first > 0
-        right_size(
-            small_trace,
-            greensku_full(),
-            adoption=lambda app, gen: 1.0,
-            stats=stats,
-        )
-        assert stats.simulate_calls > first
-        assert stats.probes == stats.simulate_calls + stats.memo_hits
+        with telemetry.capture() as tel:
+            right_size(small_trace, baseline_gen3())
+            first = tel.counters["sizing.simulate_calls"]
+            assert first > 0
+            right_size(
+                small_trace, greensku_full(), adoption=lambda app, gen: 1.0
+            )
+        assert tel.counters["sizing.simulate_calls"] > first
+        assert tel.counters["sizing.searches"] == 2
 
 
 class TestCapacityLimits:
