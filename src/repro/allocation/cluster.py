@@ -55,7 +55,8 @@ from .scheduler import BestFitScheduler, Server
 from .traces import VmTrace
 
 #: An adoption policy maps (app_name, generation) to a scaling factor, or
-#: None when the application must stay on baseline SKUs.
+#: None when the application must stay on baseline SKUs.  It must be a
+#: pure function: a replay asks once per pair and reuses the answer.
 AdoptionPolicy = Callable[[str, int], Optional[float]]
 
 #: Emission-aware placement policy names (orthogonal to the scheduler's
@@ -69,6 +70,10 @@ CARBON_PLACEMENT_POLICIES = ("blind", "carbon_aware")
 #: fancy-index + ``tolist`` per chunk, small enough that a chunk's
 #: Python-scalar lists stay cache-resident.
 DEFAULT_CHUNK_EVENTS = 4096
+
+#: Marks an (app, generation) pair the replay has not asked its adoption
+#: policy about yet (``None`` is a resolved "stay on baseline").
+_UNRESOLVED = object()
 
 
 @dataclass(frozen=True)
@@ -186,11 +191,9 @@ class ClusterSpec:
     def build_servers(self) -> List[Server]:
         """Instantiate mutable server state for a simulation run."""
         servers: List[Server] = []
-        next_id = 0
         for sku, count in self.skus:
-            for _ in range(count):
-                servers.append(Server(next_id, sku))
-                next_id += 1
+            first = len(servers)
+            servers.extend(Server.pool(sku, range(first, first + count)))
         return servers
 
 
@@ -384,9 +387,11 @@ class _TieredBackend:
         self,
         tiers: List[PlacementEngine],
         owner: Dict[int, PlacementEngine],
+        track_stats: bool,
     ):
         self.tiers = tiers
         self._owner = owner  # server_id -> owning tier engine
+        self.track_stats = track_stats
         self.stat_tier_probes = 0
 
     def has_green(self) -> bool:
@@ -464,7 +469,13 @@ def _merged_events(
     VM's own placement (heap-ordered by ``(time, vm_id)`` among
     departures released together), and departures beyond the last
     arrival drain only up to the trace window ``end``.
+
+    Raises :class:`ConfigError` before any event is replayed when the
+    columns could not have come from valid rows
+    (:meth:`~repro.allocation.columnar.ColumnarTrace.validate`) or the
+    arrivals are not sorted.
     """
+    columns.validate()
     arrivals = columns.arrival_hours
     n = columns.n
     if n and np.any(np.diff(arrivals) < 0):
@@ -514,12 +525,26 @@ def _replay_events(
     counters up front and folds the deltas (plus per-replay event
     tallies kept as plain local ints) once at the end, even when a
     probe replay aborts on its first rejection (``raise_on_reject``).
+
+    The loop does only the per-placement work its caller can observe:
+
+    - The adoption policy is a pure function of ``(app, generation)``;
+      it is consulted once per pair the replay reaches, on first use,
+      and never for a full-node VM.
+    - Pond tiering runs only when ``backend.track_stats`` is on.  Its
+      ``cxl_gb`` is bookkeeping inside a placement's ``memory_gb``: no
+      feasibility check or index key reads it, only the ``cxl``
+      snapshot aggregate does, and a backend that keeps no aggregates
+      contributes nothing to any snapshot.  Skipping it there changes
+      no placement and no outcome field.
     """
     if chunk_events <= 0:
         raise ConfigError("chunk_events must be > 0")
     columns = trace.columns
     outcome = SimOutcome(cluster=cluster)
     has_green = backend.has_green()
+    tiering = backend.track_stats
+    factors: Dict[Tuple[int, int], Optional[float]] = {}
 
     tel = telemetry.active()
     if tel is not None:
@@ -586,9 +611,13 @@ def _replay_events(
                 app_name = app_names[apps[j]]
                 cores = cores_l[j]
                 memory_gb = mems[j]
-                factor = (
-                    None if full_node else adoption(app_name, generation)
-                )
+                if full_node:
+                    factor = None
+                else:
+                    pair = (apps[j], generation)
+                    factor = factors.get(pair, _UNRESOLVED)
+                    if factor is _UNRESOLVED:
+                        factor = factors[pair] = adoption(app_name, generation)
                 view.vm_id = vm_id
                 view.generation = generation
                 view.app_name = app_name
@@ -629,7 +658,8 @@ def _replay_events(
                     continue
                 cxl_gb = 0.0
                 if (
-                    placed_server.is_green
+                    tiering
+                    and placed_server.is_green
                     and placed_server.total_cxl_gb > 0
                     and not full_node
                 ):
@@ -639,9 +669,7 @@ def _replay_events(
                             app,
                             memory_gb,
                             view.max_memory_fraction,
-                            server_cxl_fraction=(
-                                placed_server.sku.cxl_fraction
-                            ),
+                            server_cxl_fraction=placed_server.cxl_fraction,
                         )
                         cxl_gb = min(plan.cxl_gb, placed_server.free_cxl_gb)
                 backend.place(
@@ -712,7 +740,7 @@ def _build_backend(
         tiers.append(tier)
         for server in keyed[key]:
             owner[server.server_id] = tier
-    return _TieredBackend(tiers, owner)
+    return _TieredBackend(tiers, owner, track_stats)
 
 
 def replay_on_engine(
@@ -729,7 +757,8 @@ def replay_on_engine(
     owns the engine, adjusts its server set between probes, and calls
     its ``reset`` before each replay.  ``cluster`` only describes the
     configuration for the outcome record; the servers actually used are
-    the engine's.
+    the engine's.  The replay plans Pond tiering only when the engine
+    keeps snapshot aggregates (``track_stats``).
     """
     if snapshot_hours <= 0:
         raise ConfigError("snapshot interval must be > 0")

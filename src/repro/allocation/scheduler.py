@@ -17,7 +17,7 @@ This module provides the mutable :class:`Server` state and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import ConfigError, SimulationError
 from ..hardware.sku import ServerSKU
@@ -31,6 +31,16 @@ from .vm import VmRequest
 MEM_EPS = 1e-9
 
 
+def _sku_shape(sku: ServerSKU) -> Tuple[int, float, float, float]:
+    """``(cores, memory GB, CXL GB, CXL fraction)`` of a SKU."""
+    return (
+        sku.cores,
+        float(sku.memory_gb),
+        float(sku.cxl_memory_gb),
+        sku.cxl_fraction,
+    )
+
+
 class Server:
     """Mutable allocation state of one physical server.
 
@@ -38,6 +48,10 @@ class Server:
         server_id: Unique id within the cluster.
         sku: The server's SKU (capacities derive from it).
         is_green: True when the SKU is a GreenSKU (``generation == 0``).
+        total_cores / total_memory_gb / total_cxl_gb / cxl_fraction: The
+            SKU's shape, equal to its ``cores``, ``memory_gb``,
+            ``cxl_memory_gb`` and ``cxl_fraction``.  :meth:`pool` derives
+            it from the parts list once for a whole pool of servers.
     """
 
     __slots__ = (
@@ -47,6 +61,7 @@ class Server:
         "total_cores",
         "total_memory_gb",
         "total_cxl_gb",
+        "cxl_fraction",
         "free_cores",
         "free_memory_gb",
         "_vms",
@@ -55,19 +70,32 @@ class Server:
         "dedicated",
     )
 
-    def __init__(self, server_id: int, sku: ServerSKU):
+    def __init__(self, server_id: int, sku: ServerSKU, _shape=None):
+        cores, memory_gb, cxl_gb, cxl_fraction = _shape or _sku_shape(sku)
         self.server_id = server_id
         self.sku = sku
         self.is_green = sku.generation == 0
-        self.total_cores = sku.cores
-        self.total_memory_gb = float(sku.memory_gb)
-        self.total_cxl_gb = float(sku.cxl_memory_gb)
-        self.free_cores = sku.cores
-        self.free_memory_gb = float(sku.memory_gb)
+        self.total_cores = cores
+        self.total_memory_gb = memory_gb
+        self.total_cxl_gb = cxl_gb
+        self.cxl_fraction = cxl_fraction
+        self.free_cores = cores
+        self.free_memory_gb = memory_gb
         self._vms: Dict[int, Tuple[int, float, float, float]] = {}
         self._touched_memory_gb = 0.0
         self._cxl_used_gb = 0.0
         self.dedicated = False  # held by a full-node VM
+
+    @classmethod
+    def pool(cls, sku: ServerSKU, ids: Iterable[int]) -> List["Server"]:
+        """Fresh servers of one SKU, one per id, in id order.
+
+        Each ``ServerSKU`` capacity property sums over the parts list on
+        every read, so the shape is derived once here and shared by the
+        whole pool.
+        """
+        shape = _sku_shape(sku)
+        return [cls(server_id, sku, shape) for server_id in ids]
 
     # -- capacity queries ---------------------------------------------------
 
@@ -144,7 +172,9 @@ class Server:
 
         ``cxl_gb`` is the share of the VM's memory the Pond tiering plan
         put on CXL-attached DDR4; it is bookkeeping within ``memory_gb``,
-        not additional capacity.
+        not additional capacity.  No feasibility check reads it; only the
+        ``cxl`` snapshot aggregate does, so replays that keep no snapshot
+        aggregates plan no tiering and pass 0.
         """
         if vm.vm_id in self._vms:
             raise SimulationError(f"VM {vm.vm_id} already on server")

@@ -147,19 +147,19 @@ class _HighWater:
         # A replay releases the departures due by each arrival before
         # placing it: the half-open occupancy the event sweep counts.
         self.bound = min(trace.columns.peak_concurrent_vms(), MAX_SERVERS)
-        self._engine = PlacementEngine(
-            Server(sid, sku) for sid in range(self.bound)
-        )
+        self._engine = PlacementEngine(Server.pool(sku, range(self.bound)))
 
     def __call__(self, companions: int = 0) -> int:
         engine = self._engine
         engine.reset()
         bound = self.bound
-        while self._companions < companions:
-            engine.add_server(
-                Server(bound + self._companions, self._companion)
-            )
-            self._companions += 1
+        if self._companions < companions:
+            for server in Server.pool(
+                self._companion,
+                range(bound + self._companions, bound + companions),
+            ):
+                engine.add_server(server)
+            self._companions = companions
         while self._companions > companions:
             self._companions -= 1
             engine.remove_server(bound + self._companions)
@@ -225,8 +225,9 @@ class _EngineProber:
             base = slot * self._STRIDE
             sku = self._skus[slot]
             if want > have:
-                for j in range(have, want):
-                    engine.add_server(Server(base + j, sku))
+                ids = range(base + have, base + want)
+                for server in Server.pool(sku, ids):
+                    engine.add_server(server)
             else:
                 for j in range(want, have):
                     engine.remove_server(base + j)
