@@ -40,8 +40,14 @@ from repro.allocation.traces import (
 from repro.core import telemetry
 from repro.core.tables import render_table
 from repro.experiments import fig9_packing
+from repro.gsf.framework import Gsf
 from repro.gsf.sizing import right_size
-from repro.hardware.sku import baseline_gen3, greensku_full
+from repro.hardware.sku import (
+    baseline_gen1,
+    baseline_gen2,
+    baseline_gen3,
+    greensku_full,
+)
 from repro.perf.apps import APPLICATIONS, get_app
 from repro.perf.autoscale import autoscale
 from repro.perf.dvfs import frequency_sweep
@@ -72,8 +78,20 @@ def _adopt_all(app_name, generation):
 
 
 def _golden_scenarios():
-    """Small fixed replays covering policies and mixed clusters."""
+    """Small fixed replays covering policies and mixed clusters.
+
+    Besides single-generation baselines and a mixed cluster at factor
+    1.0, a Gen1/Gen2/Gen3 baseline cluster routes VMs through the
+    per-generation views (two views per baseline server), and a
+    GreenSKU-Full cluster under its adoption model places scaled
+    adopters, with fungible fallback to the baselines.
+    """
     base, green = baseline_gen3(), greensku_full()
+    generations = ClusterSpec.of(
+        (baseline_gen1(), 6), (baseline_gen2(), 8), (base, 12)
+    )
+    full = ClusterSpec.of((base, 16), (green, 4))
+    full_adoption = Gsf().adoption_model(green).policy()
     scenarios = []
     for seed in (3, 5):
         trace = generate_trace(
@@ -99,6 +117,26 @@ def _golden_scenarios():
                 "best-fit",
             )
         )
+        for policy in PLACEMENT_POLICIES:
+            scenarios.append(
+                (
+                    f"seed{seed}-generations-{policy}",
+                    trace,
+                    generations,
+                    adopt_nothing,
+                    policy,
+                )
+            )
+        for policy in PLACEMENT_POLICIES:
+            scenarios.append(
+                (
+                    f"seed{seed}-greensku-full-{policy}",
+                    trace,
+                    full,
+                    full_adoption,
+                    policy,
+                )
+            )
     return scenarios
 
 

@@ -17,6 +17,13 @@ This module keeps the same decisions reachable in sublinear time:
   maintained snapshot aggregates, and applies the same ranking rules as
   :class:`~repro.allocation.scheduler.BestFitScheduler` for all three
   placement policies.
+- A placement or departure that leaves a busy server busy, almost every
+  event of a replay, moves the server within each of its views by one
+  :meth:`_PoolIndex.rekey`: a bisect-delete of the old
+  ``(free_memory_gb, server_id)`` entry and an insort of the new one.
+  The rare transitions (a server opening, emptying, parked by a
+  full-node VM, or released) take the slot path, which leaves every
+  view under the old slot and enters it under the new one.
 
 Equivalence with the reference scan is exact, not approximate: the
 feasibility predicate is evaluated in the same threshold form
@@ -82,7 +89,8 @@ class _PoolIndex:
     set iff bucket k is non-empty.  Empty servers are grouped by shape
     ``(total_cores, total_memory_gb)`` with ascending id lists.  Suffix
     minima of server ids per bucket are built lazily (only the first-fit
-    and worst-fit policies need them).
+    and worst-fit policies need them) and dropped when their bucket
+    changes.
     """
 
     __slots__ = (
@@ -94,7 +102,6 @@ class _PoolIndex:
         "shapes_by_cores",
         "probes",
         "_suffmin",
-        "_suffdirty",
     )
 
     def __init__(self) -> None:
@@ -107,7 +114,6 @@ class _PoolIndex:
         #: Buckets/shape groups examined across all queries (telemetry).
         self.probes = 0
         self._suffmin: Dict[int, List[int]] = {}
-        self._suffdirty: set = set()
 
     # -- maintenance ----------------------------------------------------------
 
@@ -119,7 +125,7 @@ class _PoolIndex:
         self.mask |= 1 << free_cores
         if free_cores > self.max_cores:
             self.max_cores = free_cores
-        self._suffdirty.add(free_cores)
+        self._suffmin.pop(free_cores, None)
 
     def remove_busy(self, free_cores: int, free_memory_gb: float, sid: int) -> None:
         bucket = self.buckets[free_cores]
@@ -127,7 +133,38 @@ class _PoolIndex:
         del bucket[i]
         if not bucket:
             self.mask &= ~(1 << free_cores)
-        self._suffdirty.add(free_cores)
+        self._suffmin.pop(free_cores, None)
+
+    def rekey(
+        self,
+        free_cores: int,
+        free_memory_gb: float,
+        new_cores: int,
+        new_memory_gb: float,
+        sid: int,
+    ) -> None:
+        """Move a busy server from its old key to its new one in one step.
+
+        ``remove_busy`` followed by ``add_busy``, inlined because it runs
+        on almost every event of a replay: bisect-delete the old
+        ``(free_memory_gb, sid)`` entry, insort the new one, and keep the
+        bucket mask and the suffix-min cache exact for both buckets.
+        """
+        buckets = self.buckets
+        bucket = buckets[free_cores]
+        del bucket[bisect_left(bucket, (free_memory_gb, sid))]
+        if not bucket:
+            self.mask &= ~(1 << free_cores)
+        while len(buckets) <= new_cores:
+            buckets.append([])
+        insort(buckets[new_cores], (new_memory_gb, sid))
+        self.mask |= 1 << new_cores
+        if new_cores > self.max_cores:
+            self.max_cores = new_cores
+        suffmin = self._suffmin
+        if suffmin:
+            suffmin.pop(free_cores, None)
+            suffmin.pop(new_cores, None)
 
     def add_empty(self, shape: Tuple[int, float], sid: int) -> None:
         ids = self.empty_ids.get(shape)
@@ -146,7 +183,8 @@ class _PoolIndex:
 
     def _suffix_min(self, free_cores: int) -> List[int]:
         """Suffix minima of server ids in bucket ``free_cores`` (lazy)."""
-        if free_cores in self._suffdirty or free_cores not in self._suffmin:
+        out = self._suffmin.get(free_cores)
+        if out is None:
             bucket = self.buckets[free_cores]
             out = [0] * len(bucket)
             best = None
@@ -155,8 +193,7 @@ class _PoolIndex:
                 best = sid if best is None or sid < best else best
                 out[i] = best
             self._suffmin[free_cores] = out
-            self._suffdirty.discard(free_cores)
-        return self._suffmin[free_cores]
+        return out
 
     # -- queries --------------------------------------------------------------
     #
@@ -375,6 +412,9 @@ class PlacementEngine:
             self._enter(server, (gen_view,), self._slot_of(server))
 
     # -- slotting -------------------------------------------------------------
+    #
+    # The slot path: membership changes, reset, and the rare place/remove
+    # transitions that change a server's slot kind (busy, empty, parked).
 
     @staticmethod
     def _slot_of(server: Server):
@@ -477,25 +517,65 @@ class PlacementEngine:
         memory_gb: float,
         cxl_gb: float = 0.0,
     ) -> None:
-        """Place a VM and reindex the server under its new free capacity."""
+        """Place a VM and re-key the server under its new free capacity.
+
+        A busy server that stays busy, the common case, moves within each
+        of its views by one :meth:`_PoolIndex.rekey`.  Opening an empty
+        server or parking one for a full-node VM takes the slot path.
+        Either way the old key is read before ``Server.place`` runs its
+        checks, so a rejected placement raises with the index untouched.
+        """
         self.stat_places += 1
-        views = self._views[server.server_id]
-        before = self._slot_of(server)
-        server.place(vm, cores, memory_gb, cxl_gb=cxl_gb)
-        self._leave(server, views, before)
-        self._enter(server, views, self._slot_of(server))
-        self._dirty.add(server.server_id)
+        sid = server.server_id
+        if server.is_empty or server.dedicated or vm.full_node:
+            views = self._views[sid]
+            before = self._slot_of(server)
+            server.place(vm, cores, memory_gb, cxl_gb=cxl_gb)
+            self._leave(server, views, before)
+            self._enter(server, views, self._slot_of(server))
+        else:
+            free_cores = server.free_cores
+            free_memory_gb = server.free_memory_gb
+            server.place(vm, cores, memory_gb, cxl_gb=cxl_gb)
+            for view in self._views[sid]:
+                view.rekey(
+                    free_cores,
+                    free_memory_gb,
+                    server.free_cores,
+                    server.free_memory_gb,
+                    sid,
+                )
+        self._dirty.add(sid)
         if self.track_stats:
             self._refresh_contrib(server)
 
     def remove(self, server: Server, vm_id: int) -> None:
-        """Remove a departed VM and reindex the server."""
+        """Remove a departed VM and re-key the server.
+
+        A busy server that keeps another VM moves by one re-key per view;
+        emptying a server or releasing a parked one takes the slot path.
+        An unknown ``vm_id`` raises with the index untouched.
+        """
         self.stat_removes += 1
-        views = self._views[server.server_id]
-        before = self._slot_of(server)
-        server.remove(vm_id)
-        self._leave(server, views, before)
-        self._enter(server, views, self._slot_of(server))
+        sid = server.server_id
+        if server.vm_count < 2 or server.dedicated:
+            views = self._views[sid]
+            before = self._slot_of(server)
+            server.remove(vm_id)
+            self._leave(server, views, before)
+            self._enter(server, views, self._slot_of(server))
+        else:
+            free_cores = server.free_cores
+            free_memory_gb = server.free_memory_gb
+            server.remove(vm_id)
+            for view in self._views[sid]:
+                view.rekey(
+                    free_cores,
+                    free_memory_gb,
+                    server.free_cores,
+                    server.free_memory_gb,
+                    sid,
+                )
         if self.track_stats:
             self._refresh_contrib(server)
 

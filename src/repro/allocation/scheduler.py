@@ -273,8 +273,17 @@ class BestFitScheduler:
         self, server: Server, cores: int, memory_gb: float
     ) -> Tuple:
         if self.policy == "best-fit":
+            if server.is_empty:
+                # Prefer non-empty (rule 2).  An empty server ranks by its
+                # SKU shape: place/remove cycles can leave float dust in
+                # its free memory, and dust must not reorder empty servers.
+                return (
+                    1,
+                    server.total_cores - cores,
+                    server.total_memory_gb - memory_gb,
+                )
             return (
-                1 if server.is_empty else 0,  # prefer non-empty (rule 2)
+                0,
                 server.free_cores - cores,  # best fit by cores (rule 1)
                 server.free_memory_gb - memory_gb,  # tie-break by memory
             )

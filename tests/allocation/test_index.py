@@ -13,8 +13,10 @@ exact snapshot statistics.  Two layers:
   accountant's operational kg), plus rejections,
 - adversarial churn on the engine itself: randomized place/remove
   sequences (full-node dedication, servers emptying and refilling,
-  memory-tight requests) where every ``choose`` is cross-checked against
-  ``BestFitScheduler.choose`` over the same servers.
+  memory-tight requests, memory sizes that leave float dust) where every
+  ``choose`` is cross-checked against ``BestFitScheduler.choose`` over
+  the same servers, and every view's index is rebuilt from the servers'
+  own state after every step.
 """
 
 import random
@@ -260,6 +262,104 @@ def make_vm(vm_id, cores, memory_gb, generation=3, full_node=False):
     )
 
 
+def assert_view_matches(view, servers):
+    """One ``_PoolIndex`` holds exactly what ``servers``' own state says.
+
+    Busy servers sit in ``buckets[free_cores]`` sorted by
+    ``(free_memory_gb, id)``, empty ones in their shape group, parked
+    (dedicated) ones nowhere.  The mask marks the non-empty buckets,
+    ``max_cores`` covers every bucket and shape, and every cached
+    suffix-min array is exact for its bucket.
+    """
+    buckets, empty = {}, {}
+    for server in servers:
+        if server.dedicated:
+            continue
+        if server.is_empty:
+            shape = (server.total_cores, server.total_memory_gb)
+            empty.setdefault(shape, []).append(server.server_id)
+        else:
+            buckets.setdefault(server.free_cores, []).append(
+                (server.free_memory_gb, server.server_id)
+            )
+    assert {k: b for k, b in enumerate(view.buckets) if b} == {
+        k: sorted(entries) for k, entries in buckets.items()
+    }
+    assert view.mask == sum(1 << k for k in buckets)
+    assert {shape: ids for shape, ids in view.empty_ids.items() if ids} == {
+        shape: sorted(ids) for shape, ids in empty.items()
+    }
+    assert view.shapes == sorted(view.empty_ids)
+    assert view.max_cores >= max(
+        [*buckets, *(shape[0] for shape in view.shapes)], default=0
+    )
+    for k, cached in view._suffmin.items():
+        ids = [sid for _free_memory_gb, sid in view.buckets[k]]
+        assert cached == [min(ids[i:]) for i in range(len(ids))]
+
+
+def assert_index_matches(engine, servers):
+    """Every view of ``engine``, per-generation ones too, matches."""
+    base = [s for s in servers if not s.is_green]
+    by_gen = {}
+    for server in base:
+        by_gen.setdefault(server.sku.generation, []).append(server)
+    assert_view_matches(engine.green, [s for s in servers if s.is_green])
+    assert_view_matches(engine.base_all, base)
+    if len(by_gen) > 1:
+        assert sorted(engine.base_by_gen) == sorted(by_gen)
+        for generation, pool in by_gen.items():
+            assert_view_matches(engine.base_by_gen[generation], pool)
+    else:
+        assert not engine.base_by_gen
+
+
+def engine_state(engine):
+    """Every view's index, the snapshot aggregates and server states.
+
+    Deep-copied, so a later mutation cannot alias the snapshot.
+    """
+    views = [engine.green, engine.base_all] + [
+        engine.base_by_gen[g] for g in sorted(engine.base_by_gen)
+    ]
+    return (
+        [
+            (
+                [list(bucket) for bucket in view.buckets],
+                view.mask,
+                view.max_cores,
+                {shape: list(ids) for shape, ids in view.empty_ids.items()},
+                list(view.shapes),
+                {k: list(v) for k, v in view.shapes_by_cores.items()},
+                {k: list(v) for k, v in view._suffmin.items()},
+            )
+            for view in views
+        ],
+        [
+            (agg.count, {m: dict(sums) for m, sums in agg.sums.items()})
+            for agg in (engine.green_agg, engine.base_agg)
+        ],
+        dict(engine._contrib),
+        set(engine._dirty),
+        [
+            (
+                s.free_cores,
+                s.free_memory_gb,
+                dict(s._vms),
+                s.dedicated,
+                s.cxl_used_gb,
+            )
+            for s in engine.servers.values()
+        ],
+    )
+
+
+#: Memory per core of the churn requests.  Powers of two never leave
+#: float dust; the non-dyadic mix leaves dust on servers that empty.
+DYADIC_GB_PER_CORE = (1.0, 2.0, 4.0, 8.0)
+DUST_GB_PER_CORE = (1.3, 2.7, 4.1, 7.3)
+
+
 class TestAdversarialChurn:
     """Randomized place/remove churn: every choice equals the reference.
 
@@ -285,8 +385,18 @@ class TestAdversarialChurn:
         return servers
 
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
-    @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_churn_choices_match_reference(self, policy, seed):
+    @pytest.mark.parametrize(
+        "seed, gb_per_core",
+        [
+            pytest.param(seed, DYADIC_GB_PER_CORE, id=str(seed))
+            for seed in (0, 1, 2)
+        ]
+        + [
+            pytest.param(seed, DUST_GB_PER_CORE, id=f"{seed}-dust")
+            for seed in (0, 1, 2)
+        ],
+    )
+    def test_churn_choices_match_reference(self, policy, seed, gb_per_core):
         rng = random.Random(seed)
         servers = self._build(rng, 20)
         base_pool = [s for s in servers if not s.is_green]
@@ -311,6 +421,7 @@ class TestAdversarialChurn:
             if action < 0.12 and live:
                 server, vm_id = live.pop(rng.randrange(len(live)))
                 engine.remove(server, vm_id)
+                assert_index_matches(engine, servers)
                 continue
             full_node = action > 0.95
             generation = rng.choice((1, 2, 3))
@@ -319,7 +430,7 @@ class TestAdversarialChurn:
                 memory_gb = float({1: 384, 2: 512, 3: 768}[generation])
             else:
                 cores = rng.choice((1, 2, 4, 8, 16, 32))
-                memory_gb = cores * rng.choice((1.0, 2.0, 4.0, 8.0))
+                memory_gb = cores * rng.choice(gb_per_core)
             vm = make_vm(
                 next_id, cores, memory_gb,
                 generation=generation, full_node=full_node,
@@ -346,15 +457,24 @@ class TestAdversarialChurn:
             if target is not None:
                 engine.place(target, vm, cores, memory_gb)
                 live.append((target, vm.vm_id))
+            assert_index_matches(engine, servers)
 
         # Drain everything: the engine must agree on an empty cluster too.
         while live:
             server, vm_id = live.pop()
             engine.remove(server, vm_id)
-        probe = make_vm(next_id, 4, 16.0)
-        assert engine.choose_baseline(probe, 4, 16.0) is scheduler.choose(
-            probe, reference_baseline_pool(3), 4, 16.0
+            assert_index_matches(engine, servers)
+        for generation in (1, 2, 3):
+            probe = make_vm(next_id, 4, 16.0, generation=generation)
+            assert engine.choose_baseline(probe, 4, 16.0) is scheduler.choose(
+                probe, reference_baseline_pool(generation), 4, 16.0
+            )
+        assert engine.choose_green(probe, 4, 16.0) is scheduler.choose(
+            probe, green_pool, 4, 16.0
         )
+        # Only the non-dyadic mix leaves emptied servers with float dust.
+        dusty = [s for s in servers if s.free_memory_gb != s.total_memory_gb]
+        assert bool(dusty) == (gb_per_core is DUST_GB_PER_CORE)
 
     def test_memory_boundary_exact(self):
         # A request matching the free memory exactly (and one epsilon
@@ -398,6 +518,23 @@ class TestAdversarialChurn:
         engine.place(spare, small, 1, 1.0)
         assert engine.choose_baseline(make_vm(3, 1, 1.0), 1, 1.0) is spare
 
+    def test_full_node_vm_on_busy_server_parks_it(self):
+        # The engine never picks a busy server for a full-node VM, but
+        # Server.place accepts one that fits: the server must leave the
+        # busy buckets for the parked slot and stay parked until empty.
+        servers = [Server(0, baseline_gen3()), Server(1, baseline_gen3())]
+        engine = PlacementEngine(servers, policy="best-fit")
+        small = make_vm(3, 1, 1.0)
+        engine.place(servers[0], make_vm(1, 4, 16.0), 4, 16.0)
+        engine.place(servers[0], make_vm(2, 8, 64.0, full_node=True), 8, 64.0)
+        for vm_id in (None, 2, 1):
+            if vm_id is not None:
+                engine.remove(servers[0], vm_id)
+            assert servers[0].dedicated == (not servers[0].is_empty)
+            assert_index_matches(engine, servers)
+            expected = servers[0] if servers[0].is_empty else servers[1]
+            assert engine.choose_baseline(small, 1, 1.0) is expected
+
     def test_duplicate_server_rejected(self):
         server = Server(0, baseline_gen3())
         engine = PlacementEngine([server])
@@ -422,6 +559,46 @@ class TestPlacementRules:
             ).build_servers()
         )
 
+    def _busy_engine(self):
+        """A snapshotting two-generation engine in every slot state.
+
+        Servers 0-1 are Gen2, 2-3 Gen3 and 4-5 GreenSKU-Full.  Server 0
+        hosts two VMs and server 4 one VM with a CXL share (busy), server
+        2 is parked by a full-node VM, and servers 1, 3 and 5 are empty.
+        First-fit queries fill the suffix-min caches.
+        """
+        engine = PlacementEngine(
+            ClusterSpec.of(
+                (baseline_gen2(), 2),
+                (baseline_gen3(), 2),
+                (greensku_full(), 2),
+            ).build_servers(),
+            policy="first-fit",
+            track_stats=True,
+        )
+        servers = engine.servers
+        engine.place(servers[0], make_vm(1, 4, 16.0, generation=2), 4, 16.0)
+        engine.place(servers[0], make_vm(2, 2, 8.0, generation=2), 2, 8.0)
+        engine.place(
+            servers[2], make_vm(3, 80, 768.0, full_node=True), 80, 768.0
+        )
+        engine.place(servers[4], make_vm(4, 8, 64.0), 8, 64.0, cxl_gb=16.0)
+        # Gen2 routes to its own view, a generation the cluster lacks to
+        # the all-baselines view.
+        for generation in (2, 1):
+            probe = make_vm(5, 1, 1.0, generation=generation)
+            engine.choose_baseline(probe, 1, 1.0)
+        assert engine.base_by_gen[2]._suffmin and engine.base_all._suffmin
+        return engine
+
+    def _assert_rejected(self, engine, match, mutate, *args, **kwargs):
+        """``mutate`` raises and leaves every view and aggregate as it was."""
+        before = engine_state(engine)
+        with pytest.raises(SimulationError, match=match):
+            mutate(*args, **kwargs)
+        assert engine_state(engine) == before
+        assert_index_matches(engine, list(engine.servers.values()))
+
     def test_duplicate_vm_rejected(self):
         engine = self._engine()
         vm = make_vm(1, 2, 8.0)
@@ -429,17 +606,59 @@ class TestPlacementRules:
         engine.place(server, vm, vm.cores, vm.memory_gb)
         with pytest.raises(SimulationError, match="already on server"):
             engine.place(server, vm, vm.cores, vm.memory_gb)
+        engine = self._busy_engine()
+        for sid, vm in (
+            (0, make_vm(1, 2, 8.0, generation=2)),
+            (4, make_vm(4, 1, 1.0)),
+        ):
+            self._assert_rejected(
+                engine, "already on server", engine.place,
+                engine.servers[sid], vm, 1, 1.0,
+            )
 
     def test_overfull_placement_rejected(self):
         engine = self._engine()
         vm = make_vm(1, 10_000, 8.0)
         with pytest.raises(SimulationError, match="does not fit"):
             engine.place(engine.servers[0], vm, vm.cores, vm.memory_gb)
+        engine = self._busy_engine()
+        # Busy, empty, parked and green servers; too many cores or too
+        # much memory; a full-node request on a busy server.
+        for sid, cores, memory_gb, full_node in (
+            (0, 60, 8.0, False),
+            (0, 2, 500.0, False),
+            (0, 64, 512.0, True),
+            (1, 65, 8.0, False),
+            (2, 1, 1.0, False),
+            (4, 2, 2000.0, False),
+            (5, 129, 8.0, False),
+        ):
+            vm = make_vm(99, cores, memory_gb, full_node=full_node)
+            self._assert_rejected(
+                engine, "does not fit", engine.place,
+                engine.servers[sid], vm, cores, memory_gb,
+            )
+
+    def test_cxl_overflow_rejected(self):
+        engine = self._busy_engine()
+        for sid in (4, 5):
+            server = engine.servers[sid]
+            cxl_gb = server.free_cxl_gb + 1.0
+            self._assert_rejected(
+                engine, "CXL pool exhausted", engine.place,
+                server, make_vm(99, 8, 300.0), 8, 300.0, cxl_gb=cxl_gb,
+            )
 
     def test_remove_unknown_vm_rejected(self):
         engine = self._engine()
         with pytest.raises(SimulationError, match="not on server"):
             engine.remove(engine.servers[0], 42)
+        engine = self._busy_engine()
+        # Two VMs, one VM, parked, and empty.
+        for sid in (0, 4, 2, 1):
+            self._assert_rejected(
+                engine, "not on server", engine.remove, engine.servers[sid], 42
+            )
 
     def test_nonpositive_request_rejected(self):
         engine = self._engine()
