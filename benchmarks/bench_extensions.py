@@ -8,6 +8,8 @@
 - the generation-aware reference accounting.
 """
 
+from statistics import median
+
 from repro.allocation.traces import TraceParams, generate_trace
 from repro.analysis.lifetime import lifetime_study
 from repro.analysis.second_gen import second_generation_study
@@ -69,31 +71,56 @@ def test_second_generation_options(benchmark, save):
     assert all(0 < inc < 0.10 for inc in increments)
 
 
+#: Trace seeds of the generation-aware comparison.  One trace is not a
+#: distribution: seed 4 alone reads a gap near zero.
+GENERATION_AWARE_SEEDS = tuple(range(1, 11))
+
+
 def test_generation_aware_accounting(benchmark, save):
     gsf = Gsf()
-    trace = generate_trace(
-        seed=4, params=TraceParams(duration_days=7, mean_concurrent_vms=400)
-    )
+    params = TraceParams(duration_days=7, mean_concurrent_vms=400)
 
     def run():
-        return (
-            gsf.evaluate_generation_aware(greensku_full(), trace),
-            gsf.evaluate(greensku_full(), trace),
-        )
+        rows = []
+        for seed in GENERATION_AWARE_SEEDS:
+            trace = generate_trace(seed=seed, params=params)
+            rows.append(
+                (
+                    seed,
+                    gsf.evaluate_generation_aware(greensku_full(), trace),
+                    gsf.evaluate(greensku_full(), trace),
+                )
+            )
+        return rows
 
-    aware, default = run_once(benchmark, run)
-    text = "\n".join(
+    rows = run_once(benchmark, run)
+    gaps = [
+        100 * (aware.cluster_savings - default.cluster_savings)
+        for _seed, aware, default in rows
+    ]
+    table = render_table(
+        ["trace seed", "generation-aware", "all-Gen3 default",
+         "gap (points)", "reference servers by generation"],
         [
-            "Generation-aware vs all-Gen3 reference accounting:",
-            f"  generation-aware cluster savings: "
-            f"{aware.cluster_savings:.1%} "
-            f"(reference {aware.sizing.reference_by_gen})",
-            f"  default (all-Gen3 reference):     "
-            f"{default.cluster_savings:.1%}",
-        ]
+            [seed, f"{aware.cluster_savings:.2%}",
+             f"{default.cluster_savings:.2%}", f"{gap:+.2f}",
+             str(aware.sizing.reference_by_gen)]
+            for (seed, aware, default), gap in zip(rows, gaps)
+        ],
+        title=(
+            "Generation-aware vs all-Gen3 reference accounting, "
+            "GreenSKU-Full cluster savings (7-day traces, 400 "
+            "mean-concurrent VMs)"
+        ),
     )
-    save("generation_aware.txt", text)
-    assert aware.cluster_savings > 0
+    summary = (
+        f"gap over seeds {GENERATION_AWARE_SEEDS[0]}-"
+        f"{GENERATION_AWARE_SEEDS[-1]}: median {median(gaps):+.2f} points, "
+        f"range {min(gaps):+.2f} to {max(gaps):+.2f}"
+    )
+    save("generation_aware.txt", table + "\n" + summary)
+    for seed, aware, _default in rows:
+        assert aware.cluster_savings > 0, seed
 
 
 def test_fleet_transition(benchmark, save):

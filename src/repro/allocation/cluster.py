@@ -20,7 +20,8 @@ Every replay runs on one placement engine and one replay loop:
 
 - the indexed :class:`~repro.allocation.index.PlacementEngine` answers
   each placement query from an incrementally maintained server index
-  and each snapshot from O(1) exact aggregate sums;
+  and each snapshot from exact aggregate sums, settled at the snapshot
+  for just the servers changed since the last one;
 - :func:`_replay_events` streams a precomputed lexsorted
   arrival/departure event stream drawn directly from
   :class:`~repro.allocation.columnar.ColumnarTrace` arrays, in
@@ -49,7 +50,7 @@ from ..core import telemetry
 from ..core.errors import CapacityError, ConfigError
 from ..hardware.sku import ServerSKU
 from ..perf.apps import APP_BY_NAME
-from ..perf.pond import plan_tiering
+from ..perf.pond import cxl_share
 from .index import METRICS, SCALE_SHIFT, KindAggregate, PlacementEngine
 from .scheduler import BestFitScheduler, Server
 from .traces import VmTrace
@@ -210,9 +211,9 @@ class SnapshotStats:
     bucketed by the (per-SKU) capacity denominator.  Integer addition is
     associative, so per-server accumulation (the reference snapshot walk
     of ``tests/oracles/allocation.py``) and pre-aggregated merges (the
-    engine's O(1) snapshots) produce bit-identical state regardless of
-    grouping.  Means divide exactly (via ``Fraction``) and round to float
-    once at the end.
+    engine's per-kind sums, merged once per snapshot) produce
+    bit-identical state regardless of grouping.  Means divide exactly
+    (via ``Fraction``) and round to float once at the end.
     """
 
     samples: int = 0
@@ -536,7 +537,10 @@ def _replay_events(
       feasibility check or index key reads it, only the ``cxl``
       snapshot aggregate does, and a backend that keeps no aggregates
       contributes nothing to any snapshot.  Skipping it there changes
-      no placement and no outcome field.
+      no placement and no outcome field.  Where it runs, the VM's CXL
+      share comes from :func:`~repro.perf.pond.cxl_share`, the split
+      :func:`~repro.perf.pond.plan_tiering` makes, without building a
+      plan.
     """
     if chunk_events <= 0:
         raise ConfigError("chunk_events must be > 0")
@@ -665,13 +669,15 @@ def _replay_events(
                 ):
                     app = APP_BY_NAME.get(app_name)
                     if app is not None:
-                        plan = plan_tiering(
-                            app,
-                            memory_gb,
-                            view.max_memory_fraction,
-                            server_cxl_fraction=placed_server.cxl_fraction,
+                        cxl_gb = min(
+                            memory_gb
+                            * cxl_share(
+                                app,
+                                view.max_memory_fraction,
+                                placed_server.cxl_fraction,
+                            ),
+                            placed_server.free_cxl_gb,
                         )
-                        cxl_gb = min(plan.cxl_gb, placed_server.free_cxl_gb)
                 backend.place(
                     placed_server, view, cores, memory_gb, cxl_gb=cxl_gb
                 )

@@ -1,4 +1,4 @@
-"""Indexed placement engine: sublinear scheduling, O(1) snapshot sums.
+"""Indexed placement engine: sublinear scheduling, exact snapshot sums.
 
 A reference allocation path scans every server per placement decision
 and walks every server per density snapshot — O(n_servers) in the two
@@ -13,10 +13,13 @@ This module keeps the same decisions reachable in sublinear time:
   bucket for the memory threshold; empty servers are consulted only when
   no busy server fits (the production prefer-non-empty rule).
 - :class:`PlacementEngine` owns one index per pool view (GreenSKUs, all
-  baselines, per-generation baselines) plus exact, incrementally
-  maintained snapshot aggregates, and applies the same ranking rules as
+  baselines, per-generation baselines) plus exact snapshot aggregates,
+  and applies the same ranking rules as
   :class:`~repro.allocation.scheduler.BestFitScheduler` for all three
-  placement policies.
+  placement policies.  A placement or departure only marks its server
+  pending; a snapshot settles each pending server's contribution once
+  and merges the per-kind sums, so the aggregate work is per snapshot
+  and per changed server, not per event.
 - A placement or departure that leaves a busy server busy, almost every
   event of a replay, moves the server within each of its views by one
   :meth:`_PoolIndex.rekey`: a bisect-delete of the old
@@ -302,6 +305,12 @@ class PlacementEngine:
     baselines combined, and (once the cluster has ever held more than one
     baseline generation) one per baseline generation — plus exact
     snapshot aggregates per server kind when ``track_stats`` is on.
+    The aggregates are settled lazily: ``place``/``remove`` record the
+    server as pending, and :meth:`aggregates` (which :meth:`snapshot`
+    reads) re-derives each pending server's contribution once.  The sums
+    are scaled integers, and a server's state does not change between
+    its last event and the settle, so the result is the same as
+    refreshing after every event.
 
     Servers can be added and removed while empty, which lets sizing
     searches reuse one engine across their replays by applying count
@@ -323,8 +332,9 @@ class PlacementEngine:
         self.policy = policy
         self.track_stats = track_stats
         # Work counters, always on (plain int bumps): placement queries
-        # answered, place/remove reindexes, O(1) snapshot merges.  Bucket
-        # probes live on each _PoolIndex; telemetry_counters() sums them.
+        # answered, place/remove reindexes, snapshot merges (each settles
+        # the servers changed since the last one).  Bucket probes live on
+        # each _PoolIndex; telemetry_counters() sums them.
         self.stat_queries = 0
         self.stat_places = 0
         self.stat_removes = 0
@@ -334,12 +344,15 @@ class PlacementEngine:
         self.base_all = _PoolIndex()
         self.base_by_gen: Dict[int, _PoolIndex] = {}
         self.green_count = 0
-        self.green_agg = KindAggregate()
-        self.base_agg = KindAggregate()
+        self._green_agg = KindAggregate()
+        self._base_agg = KindAggregate()
         self._views: Dict[int, Tuple[_PoolIndex, ...]] = {}
         self._gen_counts: Dict[int, int] = {}
         self._gen_views_active = False
+        # Settled contribution per non-empty server, and the ids whose
+        # state changed since their contribution was last settled.
         self._contrib: Dict[int, Tuple[int, int, int, int]] = {}
+        self._pending: set = set()
         self._dirty: set = set()
         for server in servers:
             self.add_server(server)
@@ -372,7 +385,7 @@ class PlacementEngine:
         if not server.is_empty:
             self._dirty.add(sid)
             if self.track_stats:
-                self._refresh_contrib(server)
+                self._pending.add(sid)
 
     def remove_server(self, server_id: int) -> Server:
         """Remove an (empty) server, e.g. when a sizing probe shrinks."""
@@ -383,6 +396,10 @@ class PlacementEngine:
             raise SimulationError(
                 f"server {server_id} still hosts VMs; cannot remove"
             )
+        if server_id in self._pending:
+            # Drop the contribution it held at the last settle.
+            self._pending.discard(server_id)
+            self._refresh_contrib(server)
         views = self._views.pop(server_id)
         self._leave(server, views, self._slot_of(server))
         del self.servers[server_id]
@@ -547,7 +564,7 @@ class PlacementEngine:
                 )
         self._dirty.add(sid)
         if self.track_stats:
-            self._refresh_contrib(server)
+            self._pending.add(sid)
 
     def remove(self, server: Server, vm_id: int) -> None:
         """Remove a departed VM and re-key the server.
@@ -577,7 +594,7 @@ class PlacementEngine:
                     sid,
                 )
         if self.track_stats:
-            self._refresh_contrib(server)
+            self._pending.add(sid)
 
     def reset(self) -> None:
         """Restore every touched server to pristine-empty, clear aggregates.
@@ -601,8 +618,9 @@ class PlacementEngine:
                 server.reset()
         self._dirty.clear()
         self._contrib.clear()
-        self.green_agg = KindAggregate()
-        self.base_agg = KindAggregate()
+        self._pending.clear()
+        self._green_agg = KindAggregate()
+        self._base_agg = KindAggregate()
 
     def touched_ids(self) -> FrozenSet[int]:
         """Ids of the servers that have hosted a VM since the last reset."""
@@ -611,9 +629,9 @@ class PlacementEngine:
     # -- snapshot aggregates --------------------------------------------------
 
     def _refresh_contrib(self, server: Server) -> None:
-        """Re-derive a server's exact snapshot contribution after a change."""
+        """Settle one server: re-derive its exact contribution, apply it."""
         sid = server.server_id
-        agg = self.green_agg if server.is_green else self.base_agg
+        agg = self._green_agg if server.is_green else self._base_agg
         old = self._contrib.pop(sid, None)
         if server.is_empty:
             new = None
@@ -654,11 +672,27 @@ class PlacementEngine:
         """Whether the engine holds any GreenSKU server."""
         return self.green_count > 0
 
+    def aggregates(self) -> Tuple[KindAggregate, KindAggregate]:
+        """The exact ``(green, baseline)`` aggregates of the current state.
+
+        Settles first: every server changed since the last settle has
+        its contribution re-derived once, however many events it saw.
+        Every read of the aggregates goes through here.
+        """
+        pending = self._pending
+        if pending:
+            servers = self.servers
+            for sid in pending:
+                self._refresh_contrib(servers[sid])
+            pending.clear()
+        return self._green_agg, self._base_agg
+
     def snapshot(self, outcome) -> None:
         """Fold the current aggregates into an outcome's snapshot stats."""
         self.stat_snapshot_merges += 1
-        outcome.green_stats.merge_aggregate(self.green_agg)
-        outcome.baseline_stats.merge_aggregate(self.base_agg)
+        green, base = self.aggregates()
+        outcome.green_stats.merge_aggregate(green)
+        outcome.baseline_stats.merge_aggregate(base)
 
     def telemetry_counters(self) -> Dict[str, int]:
         """Cumulative work counters (the replay loop folds deltas)."""

@@ -11,11 +11,12 @@ ASPLOS 2023):
   never touches;
 - the result: 98% of applications incur <5% slowdown with CXL.
 
-This module implements that tiering policy: per-VM local/CXL splits, the
-eligibility decision, and the resulting effective slowdown — the bridge
-between the application profiles' measured ``cxl_slowdown`` (the
-*unmitigated* penalty when hot memory rides on CXL, as in Fig. 8) and the
-near-zero penalty the deployed system achieves.
+This module implements that tiering policy: per-VM local/CXL splits
+(:func:`cxl_share`, the rule both the planner and the allocation replay
+read), the eligibility decision, and the resulting effective slowdown —
+the bridge between the application profiles' measured ``cxl_slowdown``
+(the *unmitigated* penalty when hot memory rides on CXL, as in Fig. 8)
+and the near-zero penalty the deployed system achieves.
 """
 
 from __future__ import annotations
@@ -100,6 +101,36 @@ def predicted_untouched_fraction(
     return max(0.0, 1.0 - max_memory_fraction - margin)
 
 
+def cxl_share(
+    app: ApplicationProfile,
+    max_memory_fraction: float,
+    server_cxl_fraction: float,
+    margin: float = DEFAULT_PREDICTION_MARGIN,
+) -> float:
+    """Share of a VM's memory Pond places on CXL.
+
+    1.0 for a CXL-tolerant application (it runs entirely CXL-backed);
+    otherwise the predicted-untouched fraction, capped by the server's
+    CXL fraction.  ``vm_memory_gb * cxl_share(...)`` is
+    :func:`plan_tiering`'s ``cxl_gb`` bit for bit: the planner takes its
+    split from here.  Unlike the planner it builds no plan and checks
+    only what :func:`predicted_untouched_fraction` checks, so the
+    allocation replay can call it on every placement.
+
+    >>> from repro.perf.apps import get_app
+    >>> cxl_share(get_app("Redis"), 0.5, 0.25)
+    1.0
+    >>> cxl_share(get_app("Moses"), 0.5, 0.25)
+    0.25
+    """
+    if app.cxl_tolerant:
+        return 1.0
+    return min(
+        predicted_untouched_fraction(max_memory_fraction, margin),
+        server_cxl_fraction,
+    )
+
+
 def plan_tiering(
     app: ApplicationProfile,
     vm_memory_gb: float,
@@ -133,23 +164,23 @@ def plan_tiering(
     if not 0 <= server_cxl_fraction <= 1:
         raise ConfigError("server CXL fraction must be in [0, 1]")
 
+    share = cxl_share(app, max_memory_fraction, server_cxl_fraction, margin)
+    cxl_gb = vm_memory_gb * share
     if app.cxl_tolerant:
         return TieringPlan(
             vm_memory_gb=vm_memory_gb,
             local_gb=0.0,
-            cxl_gb=vm_memory_gb,
+            cxl_gb=cxl_gb,
             fully_cxl_backed=True,
             effective_slowdown=1.0,
         )
 
     untouched = predicted_untouched_fraction(max_memory_fraction, margin)
-    cxl_share = min(untouched, server_cxl_fraction)
-    cxl_gb = vm_memory_gb * cxl_share
     # Untouched memory is never referenced; the residual slowdown models
     # occasional prediction misses, scaled by how aggressively the
     # predictor tiered relative to the truly untouched headroom.
     if untouched > 0:
-        miss_exposure = cxl_share / (untouched + margin)
+        miss_exposure = share / (untouched + margin)
     else:
         miss_exposure = 0.0
     residual = 1.0 + miss_exposure * (

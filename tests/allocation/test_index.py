@@ -16,7 +16,8 @@ exact snapshot statistics.  Two layers:
   memory-tight requests, memory sizes that leave float dust) where every
   ``choose`` is cross-checked against ``BestFitScheduler.choose`` over
   the same servers, and every view's index is rebuilt from the servers'
-  own state after every step.
+  own state after every step; a snapshotting variant checks every
+  snapshot against the reference walk over the non-empty servers.
 """
 
 import random
@@ -315,9 +316,12 @@ def assert_index_matches(engine, servers):
 
 
 def engine_state(engine):
-    """Every view's index, the snapshot aggregates and server states.
+    """Every view's index, the settled snapshot aggregates and servers.
 
-    Deep-copied, so a later mutation cannot alias the snapshot.
+    The aggregates are read through ``aggregates()``, which settles the
+    servers changed since the last read, so a rejected mutation that
+    corrupted a server's state shows up in the sums too.  Deep-copied,
+    so a later mutation cannot alias the snapshot.
     """
     views = [engine.green, engine.base_all] + [
         engine.base_by_gen[g] for g in sorted(engine.base_by_gen)
@@ -337,7 +341,7 @@ def engine_state(engine):
         ],
         [
             (agg.count, {m: dict(sums) for m, sums in agg.sums.items()})
-            for agg in (engine.green_agg, engine.base_agg)
+            for agg in engine.aggregates()
         ],
         dict(engine._contrib),
         set(engine._dirty),
@@ -475,6 +479,105 @@ class TestAdversarialChurn:
         # Only the non-dyadic mix leaves emptied servers with float dust.
         dusty = [s for s in servers if s.free_memory_gb != s.total_memory_gb]
         assert bool(dusty) == (gb_per_core is DUST_GB_PER_CORE)
+
+    @pytest.mark.parametrize(
+        "seed, gb_per_core",
+        [
+            pytest.param(seed, DYADIC_GB_PER_CORE, id=str(seed))
+            for seed in (0, 1, 2)
+        ]
+        + [
+            pytest.param(seed, DUST_GB_PER_CORE, id=f"{seed}-dust")
+            for seed in (0, 1, 2)
+        ],
+    )
+    def test_snapshots_match_oracle_walk(self, seed, gb_per_core):
+        """Snapshots under churn equal the reference walk, exactly.
+
+        A snapshotting engine over Gen2, Gen3 and GreenSKU-Full servers
+        churns through placements (green ones with a CXL share, rare
+        full-node ones), departures, and draining a server seen busy at
+        the last snapshot, dropping it with ``remove_server`` and adding
+        it back later.  At random steps it snapshots into a fresh
+        ``SimOutcome``, which must equal ``oracle.observe`` over the
+        servers that are non-empty at that moment.
+        """
+        rng = random.Random(seed)
+        spec = ClusterSpec.of(
+            (baseline_gen2(), 3), (baseline_gen3(), 4), (greensku_full(), 5)
+        )
+        engine = PlacementEngine(spec.build_servers(), track_stats=True)
+        live = {}  # vm_id -> server
+        dropped = []  # servers taken out by remove_server
+        busy_at_snapshot = set()
+        next_id = 0
+        tally = dict(snapshots=0, dropped=0, readded=0, cxl_placements=0)
+
+        def check_snapshot():
+            got = SimOutcome(cluster=spec)
+            engine.snapshot(got)
+            want = SimOutcome(cluster=spec)
+            for server in engine.servers.values():
+                if not server.is_empty:
+                    oracle.observe(
+                        want.green_stats
+                        if server.is_green
+                        else want.baseline_stats,
+                        server,
+                    )
+            assert got.green_stats.canonical() == want.green_stats.canonical()
+            assert (
+                got.baseline_stats.canonical()
+                == want.baseline_stats.canonical()
+            )
+            tally["snapshots"] += 1
+            return {
+                sid for sid, s in engine.servers.items() if not s.is_empty
+            }
+
+        for _step in range(400):
+            action = rng.random()
+            drainable = sorted(busy_at_snapshot & engine.servers.keys())
+            if action < 0.05 and drainable:
+                server = engine.servers[rng.choice(drainable)]
+                for vm_id in [v for v, s in live.items() if s is server]:
+                    engine.remove(live.pop(vm_id), vm_id)
+                engine.remove_server(server.server_id)
+                dropped.append(server)
+                tally["dropped"] += 1
+            elif action < 0.10 and dropped:
+                engine.add_server(dropped.pop(rng.randrange(len(dropped))))
+                tally["readded"] += 1
+            elif action < 0.45 and live:
+                vm_id = rng.choice(sorted(live))
+                engine.remove(live.pop(vm_id), vm_id)
+            else:
+                full_node = action > 0.97
+                if full_node:
+                    cores, memory_gb = 80, 768.0
+                else:
+                    cores = rng.choice((1, 2, 4, 8, 16, 32))
+                    memory_gb = cores * rng.choice(gb_per_core)
+                vm = make_vm(next_id, cores, memory_gb, full_node=full_node)
+                next_id += 1
+                target = None
+                if rng.random() < 0.5:
+                    target = engine.choose_green(vm, cores, memory_gb)
+                if target is None:
+                    target = engine.choose_baseline(vm, cores, memory_gb)
+                if target is not None:
+                    cxl_gb = 0.0
+                    if target.total_cxl_gb:
+                        share = rng.choice((0.1, 0.25, 1.0))
+                        cxl_gb = min(memory_gb * share, target.free_cxl_gb)
+                        tally["cxl_placements"] += cxl_gb > 0
+                    engine.place(target, vm, cores, memory_gb, cxl_gb=cxl_gb)
+                    live[vm.vm_id] = target
+            if rng.random() < 0.1:
+                busy_at_snapshot = check_snapshot()
+        check_snapshot()
+        assert tally["snapshots"] > 20 and tally["cxl_placements"] > 20, tally
+        assert tally["dropped"] > 3 and tally["readded"] > 3, tally
 
     def test_memory_boundary_exact(self):
         # A request matching the free memory exactly (and one epsilon
@@ -756,6 +859,8 @@ class TestProbeReuse:
         Repeated add/subtract of unlike floats leaves tiny nonzero
         residue on a now-empty server; the reference snapshot walk skips
         empty servers, so the engine's aggregates must drop them too.
+        Each round settles the aggregates while its servers are busy, so
+        the final read has real contributions of emptied servers to drop.
         """
         engine = PlacementEngine(
             ClusterSpec.of((baseline_gen3(), 4)).build_servers(),
@@ -770,7 +875,10 @@ class TestProbeReuse:
                 engine.place(server, vm, vm.cores, vm.memory_gb)
                 placed.append((server, vm.vm_id))
                 vm_id += 1
+            _green, base = engine.aggregates()
+            assert base.count > 0
             for server, placed_id in placed:
                 engine.remove(server, placed_id)
-        assert engine.base_agg.count == 0
-        assert all(not bucket for bucket in engine.base_agg.sums.values())
+        _green, base = engine.aggregates()
+        assert base.count == 0
+        assert all(not bucket for bucket in base.sums.values())

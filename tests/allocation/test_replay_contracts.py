@@ -117,15 +117,15 @@ class CountingPolicy:
 
 @pytest.fixture()
 def tiering_calls(monkeypatch):
-    """Record every Pond plan the replay loop asks for."""
+    """Record the server CXL fraction of every Pond share the replay takes."""
     calls = []
-    real = cluster_module.plan_tiering
+    real = cluster_module.cxl_share
 
-    def counting(app, vm_memory_gb, max_memory_fraction, **kwargs):
-        calls.append(kwargs["server_cxl_fraction"])
-        return real(app, vm_memory_gb, max_memory_fraction, **kwargs)
+    def counting(app, max_memory_fraction, server_cxl_fraction, *args):
+        calls.append(server_cxl_fraction)
+        return real(app, max_memory_fraction, server_cxl_fraction, *args)
 
-    monkeypatch.setattr(cluster_module, "plan_tiering", counting)
+    monkeypatch.setattr(cluster_module, "cxl_share", counting)
     return calls
 
 

@@ -5,10 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError
-from repro.perf.apps import APPLICATIONS, get_app
+from repro.hardware.sku import paper_skus
+from repro.perf.apps import APP_BY_NAME, APPLICATIONS, get_app
 from repro.perf.pond import (
+    DEFAULT_PREDICTION_MARGIN,
     MITIGATED_SLOWDOWN_BOUND,
     TieringPlan,
+    cxl_share,
     mitigated_share,
     plan_tiering,
     predicted_untouched_fraction,
@@ -113,3 +116,42 @@ class TestPlanValidation:
                 fully_cxl_backed=False,
                 effective_slowdown=1.0,
             )
+
+
+class TestCxlShare:
+    """The allocation replay's CXL share is the planner's split, exactly."""
+
+    #: Memory fractions: both ends, and 0.9, where ``1 - 0.9 - margin``
+    #: is a tiny negative float the predictor clamps to exactly 0.
+    MAX_MEMORY_FRACTIONS = (0.0, 0.05, 0.3, 0.5, 0.55, 0.75, 0.9, 0.95, 1.0)
+    VM_MEMORY_GB = (0.75, 3.5, 32.0, 112.3, 768.0)
+
+    @pytest.mark.parametrize("app_name", sorted(APP_BY_NAME))
+    def test_share_times_memory_is_plan_cxl_gb(self, app_name):
+        assert predicted_untouched_fraction(0.9) == 0.0
+        app = APP_BY_NAME[app_name]
+        server_fractions = sorted(
+            {sku.cxl_fraction for sku in paper_skus().values()} | {0.0, 1.0}
+        )
+        assert 0.25 in server_fractions
+        for server_fraction in server_fractions:
+            for frac in self.MAX_MEMORY_FRACTIONS:
+                share = cxl_share(app, frac, server_fraction)
+                untouched = 1.0 - frac - DEFAULT_PREDICTION_MARGIN
+                assert share == (
+                    1.0
+                    if app.cxl_tolerant
+                    else min(max(0.0, untouched), server_fraction)
+                )
+                for memory_gb in self.VM_MEMORY_GB:
+                    plan = plan_tiering(
+                        app,
+                        memory_gb,
+                        frac,
+                        server_cxl_fraction=server_fraction,
+                    )
+                    assert (memory_gb * share).hex() == plan.cxl_gb.hex(), (
+                        server_fraction,
+                        frac,
+                        memory_gb,
+                    )
