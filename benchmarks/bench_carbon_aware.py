@@ -14,8 +14,9 @@ Two gates, mirroring the fleet bench:
   ``REPRO_UPDATE_GOLDEN=1``.
 - ``test_carbon_scale_overhead`` times the blind and carbon-aware
   replays at ``REPRO_BENCH_CARBON_VMS`` concurrent VMs on the streaming
-  path and writes ``benchmarks/out/BENCH_carbon_aware.json`` (schema
-  checked by :func:`validate_bench_carbon_aware`).
+  path and writes ``benchmarks/out/BENCH_carbon_aware.json``
+  (``out/smoke/`` below the default scale; schema checked by
+  :func:`validate_bench_carbon_aware`).
 
 ``--smoke`` shrinks the scale knob for CI.
 """
@@ -187,7 +188,11 @@ def test_carbon_scale_overhead(save):
     }
     problems = validate_bench_carbon_aware(payload)
     assert not problems, problems
-    save("BENCH_carbon_aware.json", json.dumps(payload, indent=2))
+    save(
+        "BENCH_carbon_aware.json",
+        json.dumps(payload, indent=2),
+        smoke=concurrent < DEFAULT_CONCURRENT,
+    )
     assert payload["blind_digest"] != payload["aware_digest"]
 
 

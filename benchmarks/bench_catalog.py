@@ -12,8 +12,8 @@ Two gates, mirroring the fleet bench:
 - ``test_catalog_warm_speedup`` runs a larger grid cold, then warm, and
   asserts the warm repeat (pure catalog reads) is >= 10x faster than
   cold compute, writing the machine-readable
-  ``benchmarks/out/BENCH_catalog.json`` artifact (schema checked by
-  :func:`validate_bench_catalog`).
+  ``benchmarks/out/BENCH_catalog.json`` artifact (``out/smoke/`` below
+  the default scale; schema checked by :func:`validate_bench_catalog`).
 
 Scale knobs (``--smoke`` sets small values):
 
@@ -186,7 +186,11 @@ def test_catalog_warm_speedup(save, tmp_path):
     }
     problems = validate_bench_catalog(payload)
     assert not problems, problems
-    save("BENCH_catalog.json", json.dumps(payload, indent=2))
+    save(
+        "BENCH_catalog.json",
+        json.dumps(payload, indent=2),
+        smoke=spec.vms < DEFAULT_VMS or spec.days < DEFAULT_DAYS,
+    )
     assert speedup >= 10.0, (
         f"warm catalog repeat only {speedup:.1f}x faster than cold compute"
     )

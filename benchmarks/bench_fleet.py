@@ -14,7 +14,8 @@ Two gates mirror the queueing bench:
   1x, and 1.6x of the speedup scale — the largest ~3100 servers),
   timing each on both the row-loop oracle and the streaming path,
   asserting bit-identical ``outcome_digest``s at every scale, and writes
-  the machine-readable ``benchmarks/out/BENCH_fleet.json`` artifact —
+  the machine-readable ``benchmarks/out/BENCH_fleet.json`` artifact
+  (``benchmarks/out/smoke/`` below full scale) —
   including the per-scale ``scale_trajectory`` — (schema checked by
   :func:`validate_bench_fleet`, peak RSS included, full-fleet
   ``VmRequest`` rows never materialized).
@@ -286,7 +287,9 @@ def test_fleet_scale_speedup(save):
     }
     problems = validate_bench_fleet(payload)
     assert not problems, problems
-    save("BENCH_fleet.json", json.dumps(payload, indent=2))
+    save(
+        "BENCH_fleet.json", json.dumps(payload, indent=2), smoke=not full_scale
+    )
     assert bit_identical, (
         "streaming sample diverged from the row-loop oracle"
     )

@@ -19,6 +19,10 @@ import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
+#: Where a smoke-scale run writes instead (git-ignored), so running a CI
+#: smoke step never rewrites a committed full-scale record.
+SMOKE_DIR = OUT_DIR / "smoke"
+
 
 def oracle(name: str):
     """Import ``tests.oracles.<name>``, a reference implementation.
@@ -43,13 +47,17 @@ def out_dir() -> pathlib.Path:
 def save(out_dir):
     """Writer: ``save(name, text)`` persists one artifact and echoes it.
 
+    ``save(name, text, smoke=True)`` writes under ``out/smoke/`` instead:
+    a bench passes it when its scale knobs are below full scale.
     Artifacts are written atomically (temp file + rename) so an aborted
     benchmark run never leaves a truncated file under a final name.
     """
     from repro.core.ioutil import atomic_write_text
 
-    def _save(name: str, text: str) -> None:
-        path = out_dir / name
+    def _save(name: str, text: str, smoke: bool = False) -> None:
+        directory = SMOKE_DIR if smoke else out_dir
+        directory.mkdir(exist_ok=True)
+        path = directory / name
         atomic_write_text(path, text + "\n")
         print(f"\n{text}\n[written to {path}]")
 

@@ -48,6 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import telemetry
+from ..core.checks import check_finite
 from ..core.errors import ConfigError
 from ..core.rng import RngFactory
 from ..perf.apps import (
@@ -116,8 +117,8 @@ class TraceParams:
                 object.__setattr__(
                     self, spec.name, tuple(float(v) for v in value)
                 )
-        if self.duration_days <= 0 or self.mean_concurrent_vms <= 0:
-            raise ConfigError("duration and population must be > 0")
+        check_finite(self.duration_days, "duration_days", above=0)
+        check_finite(self.mean_concurrent_vms, "mean_concurrent_vms", above=0)
         for weights, values, label in (
             (self.core_size_weights, self.core_sizes, "core sizes"),
             (
@@ -141,16 +142,11 @@ class TraceParams:
             (self.long_lifetime_hours, "long lifetime"),
             (self.full_node_lifetime_hours, "full-node lifetime"),
         ):
-            if not value > 0 or not math.isfinite(value):
-                raise ConfigError(f"{label} must be a positive finite value")
+            check_finite(value, label, above=0)
         if not 0 <= self.long_lived_fraction <= 1:
             raise ConfigError("long-lived fraction must be in [0, 1]")
-        for value, label in (
-            (self.mem_touch_alpha, "mem_touch_alpha"),
-            (self.mem_touch_beta, "mem_touch_beta"),
-        ):
-            if not value > 0 or not math.isfinite(value):
-                raise ConfigError(f"{label} must be a positive finite value")
+        check_finite(self.mem_touch_alpha, "mem_touch_alpha", above=0)
+        check_finite(self.mem_touch_beta, "mem_touch_beta", above=0)
 
     @property
     def mean_lifetime_hours(self) -> float:

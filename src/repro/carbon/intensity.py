@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.checks import check_finite
 from ..core.errors import ConfigError
 
 #: Lifecycle carbon intensity of renewable generation (kgCO2e/kWh); solar
@@ -43,17 +44,11 @@ class EnergyMix:
     renewable_ci: float = RENEWABLE_LIFECYCLE_CI
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("renewable fraction", self.renewable_fraction),
-            ("fossil CI", self.fossil_ci),
-            ("renewable CI", self.renewable_ci),
-        ):
-            if not math.isfinite(value):
-                raise ConfigError(f"{label} must be finite, got {value}")
-        if not 0 <= self.renewable_fraction <= 1:
-            raise ConfigError("renewable fraction must be in [0, 1]")
-        if self.fossil_ci < 0 or self.renewable_ci < 0:
-            raise ConfigError("carbon intensities must be >= 0")
+        check_finite(
+            self.renewable_fraction, "renewable fraction", at_least=0, at_most=1
+        )
+        check_finite(self.fossil_ci, "fossil CI", at_least=0)
+        check_finite(self.renewable_ci, "renewable CI", at_least=0)
 
     @property
     def effective_ci(self) -> float:

@@ -118,8 +118,10 @@ class AdoptionModel:
         if app_name not in self.apps:
             raise ConfigError(f"unknown application {app_name!r}")
         if self._table is None:
-            # One batched Table III evaluation serves every cell this
-            # model decides; it lives on the instance, never across models.
+            # One Table III serves every cell this model decides.  It is
+            # derived once per process for each (profiles, generations,
+            # cxl) value and shared across models: it is a pure function
+            # of those immutable inputs, and each model gets its own dicts.
             self._table = scaling_table(
                 list(self.apps.values()), sorted(self.baselines), cxl=self.cxl
             )

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..allocation.traces import VmTrace
 from ..carbon.model import CarbonModel
 from ..core import telemetry
+from ..core.checks import check_finite
 from ..hardware.datacenter import DataCenterConfig
 from ..hardware.rack import RackConfig
 from ..hardware.sku import ServerSKU, all_greenskus, baseline_gen3
@@ -64,6 +65,15 @@ class GsfConfig:
     repair_time_days: float = DEFAULT_REPAIR_TIME_DAYS
     buffer_fraction: float = DEFAULT_BUFFER_FRACTION
     cxl_scaling: bool = False
+
+    def __post_init__(self) -> None:
+        check_finite(
+            self.fip_effectiveness, "FIP effectiveness", at_least=0, at_most=1
+        )
+        check_finite(self.repair_time_days, "repair time (days)", at_least=0)
+        check_finite(
+            self.buffer_fraction, "buffer fraction", at_least=0, below=1
+        )
 
 
 class Gsf:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
+from ..core.checks import check_finite
 from ..core.errors import ConfigError
 
 
@@ -50,16 +51,18 @@ class DataCenterConfig:
     compute_share_of_dc: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.lifetime_years <= 0:
-            raise ConfigError("lifetime must be > 0 years")
-        if self.carbon_intensity_kg_per_kwh < 0:
-            raise ConfigError("carbon intensity must be >= 0")
-        if self.pue < 1.0:
-            raise ConfigError("PUE must be >= 1.0")
-        if not 0 < self.derate_factor <= 1:
-            raise ConfigError("derate factor must be in (0, 1]")
-        if not 0 < self.compute_share_of_dc <= 1:
-            raise ConfigError("compute share must be in (0, 1]")
+        check_finite(self.lifetime_years, "lifetime (years)", above=0)
+        check_finite(
+            self.carbon_intensity_kg_per_kwh, "carbon intensity", at_least=0
+        )
+        check_finite(self.pue, "PUE", at_least=1.0)
+        check_finite(
+            self.dc_embodied_per_rack_kg, "DC embodied per rack", at_least=0
+        )
+        check_finite(self.derate_factor, "derate factor", above=0, at_most=1)
+        check_finite(
+            self.compute_share_of_dc, "compute share", above=0, at_most=1
+        )
 
     def with_carbon_intensity(self, ci: float) -> "DataCenterConfig":
         """A copy of this config at a different grid carbon intensity."""

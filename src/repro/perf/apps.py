@@ -28,6 +28,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
+from ..core.checks import check_finite
 from ..core.errors import ConfigError
 
 
@@ -93,19 +94,20 @@ class ApplicationProfile:
         if missing:
             raise ConfigError(f"{self.name}: missing speeds for {missing}")
         for platform, value in self.speed.items():
-            if value <= 0:
-                raise ConfigError(
-                    f"{self.name}: speed on {platform} must be > 0"
-                )
-        if self.base_service_ms <= 0:
-            raise ConfigError(f"{self.name}: service time must be > 0")
-        if self.cxl_slowdown < 1.0:
-            raise ConfigError(
-                f"{self.name}: CXL slowdown must be >= 1.0 "
-                "(CXL never speeds an application up)"
-            )
-        if not 0 <= self.mem_boundedness <= 1:
-            raise ConfigError(f"{self.name}: mem_boundedness must be in [0,1]")
+            check_finite(value, f"{self.name}: speed on {platform}", above=0)
+        check_finite(
+            self.base_service_ms, f"{self.name}: service time", above=0
+        )
+        # CXL never speeds an application up.
+        check_finite(
+            self.cxl_slowdown, f"{self.name}: CXL slowdown", at_least=1.0
+        )
+        check_finite(
+            self.mem_boundedness,
+            f"{self.name}: mem_boundedness",
+            at_least=0,
+            at_most=1,
+        )
         if self.cxl_tolerant and self.cxl_slowdown != 1.0:
             raise ConfigError(
                 f"{self.name}: a CXL-tolerant app cannot have a CXL slowdown"

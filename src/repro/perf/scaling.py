@@ -20,7 +20,9 @@ Methodology, following the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -146,6 +148,12 @@ def scaling_factor(
     return ScalingResult(app.name, generation, math.inf, None, slo)
 
 
+#: Distinct (profiles, generations, ``cxl``) inputs the Table III memo
+#: keeps.  A process asks for a handful (the default apps with and without
+#: CXL, Table III's 19 rows, one generation for ``factors_by_app``).
+_TABLE_MEMO_SIZE = 32
+
+
 def scaling_table(
     apps: Optional[Sequence[ApplicationProfile]] = None,
     generations: Sequence[int] = (1, 2, 3),
@@ -153,19 +161,78 @@ def scaling_table(
 ) -> Dict[str, Dict[int, ScalingResult]]:
     """Table III: scaling factors for every app against every generation.
 
+    The table is a pure function of the profiles' field values, the
+    generations and ``cxl``, so it is derived once per process for each
+    such value and then served from a small memo (an equal copy of a
+    profile hits; a profile with any field changed misses).  Each call
+    returns its own dicts, which the caller may mutate without affecting
+    the next call; the :class:`ScalingResult` cells are frozen.
+    """
+    apps = tuple(apps) if apps is not None else tuple(table3_apps())
+    generations = tuple(generations)
+    for gen in generations:
+        if gen not in (1, 2, 3):
+            raise ConfigError(f"generation must be 1, 2 or 3, got {gen}")
+    table = _memo_table(_TableInputs(apps, generations, bool(cxl)))
+    return {name: dict(row) for name, row in table.items()}
+
+
+def _profile_key(app: ApplicationProfile) -> tuple:
+    """Every field value of ``app``, hashable (``speed`` as sorted items)."""
+    key = [type(app)]
+    for spec in fields(app):
+        value = getattr(app, spec.name)
+        if isinstance(value, Mapping):
+            value = tuple(sorted(value.items()))
+        key.append(value)
+    return tuple(key)
+
+
+class _TableInputs:
+    """One table's inputs, hashed and compared by value: every field of
+    every profile, the generations and ``cxl``.  (A profile itself is not
+    hashable: its ``speed`` is a mapping.)"""
+
+    __slots__ = ("apps", "generations", "cxl", "_key", "_hash")
+
+    def __init__(
+        self,
+        apps: Tuple[ApplicationProfile, ...],
+        generations: Tuple[int, ...],
+        cxl: bool,
+    ):
+        self.apps = apps
+        self.generations = generations
+        self.cxl = cxl
+        self._key = (tuple(map(_profile_key, apps)), generations, cxl)
+        self._hash = hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _TableInputs) and self._key == other._key
+
+
+@lru_cache(maxsize=_TABLE_MEMO_SIZE)
+def _memo_table(inputs: _TableInputs) -> Dict[str, Dict[int, ScalingResult]]:
+    return _derive_table(inputs.apps, inputs.generations, inputs.cxl)
+
+
+def _derive_table(
+    apps: Sequence[ApplicationProfile],
+    generations: Sequence[int],
+    cxl: bool,
+) -> Dict[str, Dict[int, ScalingResult]]:
+    """The uncached Table III derivation behind :func:`scaling_table`.
+
     Batched: all latency-critical cells share one :func:`derive_slos`
     call and one (cell × candidate-cores) :func:`tail_latencies` grid,
     so the whole table costs two vectorized evaluations instead of one
     latency inversion per candidate.  Cell outcomes match per-cell
     :func:`scaling_factor` calls.
     """
-    apps = list(apps) if apps is not None else table3_apps()
-    generations = list(generations)
-    for gen in generations:
-        if gen not in (1, 2, 3):
-            raise ConfigError(f"generation must be 1, 2 or 3, got {gen}")
     table: Dict[str, Dict[int, ScalingResult]] = {app.name: {} for app in apps}
-
     for app in apps:
         if app.latency_critical:
             continue

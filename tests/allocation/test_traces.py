@@ -150,6 +150,20 @@ class TestParams:
         with pytest.raises(ConfigError):
             TraceParams(long_lived_fraction=1.5)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            # An infinite duration would never stop the arrivals loop;
+            # only the params are built here, never a trace.
+            ("duration_days", math.inf),
+            ("duration_days", math.nan),
+            ("mean_concurrent_vms", math.nan),
+        ],
+    )
+    def test_non_finite_duration_and_population_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            TraceParams(**{field: value})
+
 
 def _spike_vm(vm_id, arrival, lifetime, cores):
     return VmRequest(

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.ablations import ADOPTION_RULES
 from repro.catalog import (
     ResultsCatalog,
     SweepSpec,
@@ -14,10 +15,16 @@ from repro.catalog import (
     sweep_points,
     with_cxl_dimms,
 )
+from repro.catalog.sweep import _compute_point
 from repro.core.errors import ConfigError, SimulationError
 from repro.core.provenance import ProvenanceLog
 from repro.hardware.components import CxlControllerSpec, DramSpec
-from repro.hardware.sku import greensku_cxl, greensku_full, paper_skus
+from repro.hardware.sku import (
+    all_greenskus,
+    greensku_cxl,
+    greensku_full,
+    paper_skus,
+)
 
 #: A tiny two-point grid every driver test shares (fast: ~0.1 s total).
 TINY = SweepSpec(
@@ -239,6 +246,25 @@ class TestRunSweep:
         # grid construction only, no evaluation).
         spec = SweepSpec(skus=tuple(sorted(paper_skus())))
         assert len(sweep_points(spec)) == len(paper_skus())
+
+
+class TestSharedScalingTable:
+    def test_grid_pass_derives_table_once(self, table_derivations):
+        # Every GreenSKU x adoption rule x buffer point of one pass, in
+        # process, through the calls run_sweep's workers make.
+        spec = SweepSpec(
+            skus=tuple(sku.name for sku in all_greenskus()),
+            adoption_rules=ADOPTION_RULES,
+            buffer_fractions=(0.15, 0.25),
+            seed=1,
+            vms=20,
+            days=0.5,
+        )
+        points = sweep_points(spec)
+        assert len(points) == 18
+        for point in points:
+            _compute_point(point)
+        assert len(table_derivations) == 1
 
 
 class TestCarbonAxes:

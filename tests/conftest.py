@@ -68,3 +68,25 @@ def medium_trace():
 @pytest.fixture(scope="session")
 def gsf():
     return Gsf()
+
+
+@pytest.fixture
+def table_derivations(monkeypatch):
+    """Record each uncached Table III derivation, from an empty memo.
+
+    Yields a list that gains one ``(app names, generations, cxl)`` entry
+    per derivation behind :func:`repro.perf.scaling.scaling_table`.
+    """
+    from repro.perf import scaling
+
+    calls = []
+    derive = scaling._derive_table
+
+    def counting(apps, generations, cxl):
+        calls.append((tuple(app.name for app in apps), generations, cxl))
+        return derive(apps, generations, cxl)
+
+    scaling._memo_table.cache_clear()
+    monkeypatch.setattr(scaling, "_derive_table", counting)
+    yield calls
+    scaling._memo_table.cache_clear()

@@ -4,13 +4,19 @@ import math
 
 import pytest
 
-from repro.analysis.ablations import adoption_policy
+from repro.allocation.traces import TraceParams, generate_trace
+from repro.analysis.ablations import ADOPTION_RULES, adoption_policy
 from repro.carbon.model import CarbonModel
 from repro.core.errors import ConfigError
 from repro.gsf import adoption
 from repro.gsf.adoption import AdoptionModel, default_baseline_skus
-from repro.gsf.framework import Gsf
-from repro.hardware.sku import greensku_efficient, greensku_full
+from repro.gsf.framework import Gsf, GsfConfig
+from repro.hardware.sku import (
+    all_greenskus,
+    greensku_efficient,
+    greensku_full,
+)
+from repro.perf.apps import APP_BY_NAME
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +127,33 @@ class TestOneTablePerModel:
         with pytest.raises(ConfigError):
             model.decide("Redis", 5)
         assert table_calls == []
+
+
+class TestOneTablePerProcess:
+    """Fresh frameworks and models share one Table III per input value."""
+
+    def test_every_greensku_rule_and_intensity(self, table_derivations):
+        trace = generate_trace(
+            5, TraceParams(mean_concurrent_vms=20, duration_days=0.5)
+        )
+        cells = [(name, gen) for name in APP_BY_NAME for gen in (1, 2, 3)]
+        for cxl_scaling in (False, True):
+            for sku in all_greenskus():
+                for rule in ADOPTION_RULES:
+                    gsf = Gsf(GsfConfig(cxl_scaling=cxl_scaling))
+                    policy = adoption_policy(rule, gsf, sku)
+                    for cell in cells:
+                        policy(*cell)
+                    gsf.adoption_model(sku).adopted_core_hour_share()
+            Gsf(GsfConfig(cxl_scaling=cxl_scaling)).intensity_sweep(
+                trace, (0.02, 0.1, 0.3)
+            )
+            # cxl=True adds exactly one derivation.
+            assert len(table_derivations) == 1 + cxl_scaling
+        assert [call[1:] for call in table_derivations] == [
+            ((1, 2, 3), False),
+            ((1, 2, 3), True),
+        ]
 
 
 class TestAdoptedShare:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog.results import payload_digest
 from repro.core import telemetry
+from repro.core.errors import ConfigError
 from repro.gsf.framework import Gsf, GsfConfig
 from repro.hardware.datacenter import DataCenterConfig
 from repro.hardware.sku import (
@@ -147,3 +148,11 @@ class TestConfigPlumbing:
         )
         gsf = Gsf(config)
         assert gsf.carbon_model.datacenter.pue == 1.3
+
+    def test_nan_repair_time_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            GsfConfig(repair_time_days=float("nan"))
+
+    def test_nan_intensity_rejected(self, gsf):
+        with pytest.raises(ConfigError, match="finite"):
+            gsf.at_intensity(float("nan"))

@@ -52,6 +52,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             DataCenterConfig(compute_share_of_dc=0.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "lifetime_years",
+            "carbon_intensity_kg_per_kwh",
+            "pue",
+            "dc_embodied_per_rack_kg",
+        ],
+    )
+    def test_nan_rejected(self, field):
+        # ``x <= 0`` / ``x < 0`` checks are false for NaN.
+        with pytest.raises(ConfigError, match="finite"):
+            DataCenterConfig(**{field: float("nan")})
+
+    def test_negative_dc_embodied_rejected(self):
+        with pytest.raises(ConfigError):
+            DataCenterConfig(dc_embodied_per_rack_kg=-1)
+
 
 class TestAppendixConfig:
     def test_no_pue_or_dc_overhead(self):

@@ -145,6 +145,27 @@ class TestValidation:
                 speed={"gen3": 1.0},
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_speed_rejected(self, bad):
+        # ``value <= 0`` is false for NaN; a NaN profile would also key
+        # the Table III memo by a value that never equals itself.
+        with pytest.raises(ConfigError, match="finite"):
+            ApplicationProfile(
+                name="bad",
+                app_class=AppClass.RTC,
+                speed={"gen1": 1, "gen2": 1, "gen3": 1, "bergamo": bad},
+            )
+
+    @pytest.mark.parametrize("field", ["base_service_ms", "cxl_slowdown"])
+    def test_nan_service_time_and_slowdown_rejected(self, field):
+        with pytest.raises(ConfigError, match="finite"):
+            ApplicationProfile(
+                name="bad",
+                app_class=AppClass.RTC,
+                speed={"gen1": 1, "gen2": 1, "gen3": 1, "bergamo": 1},
+                **{field: float("nan")},
+            )
+
     def test_platform_for_generation(self):
         assert platform_for_generation(1) == "gen1"
         assert platform_for_generation(3) == "gen3"

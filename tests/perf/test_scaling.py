@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+import dataclasses
+
 from repro.core.errors import ConfigError
+from repro.perf import scaling
 from repro.perf.apps import APPLICATIONS, get_app, table3_apps
 from repro.perf.scaling import (
     CANDIDATE_CORES,
@@ -107,7 +110,8 @@ class TestBatchedEquivalence:
         # The vectorized grid evaluation behind scaling_table must agree
         # cell-for-cell with the per-app scalar scaling_factor path on
         # every cell an AdoptionModel reads (all apps, both CXL settings).
-        table = scaling_table(list(APPLICATIONS), (1, 2, 3), cxl=cxl)
+        # Derived afresh, not read from the memo.
+        table = scaling._derive_table(tuple(APPLICATIONS), (1, 2, 3), cxl)
         for app in APPLICATIONS:
             for gen in (1, 2, 3):
                 assert table[app.name][gen] == scaling_factor(
@@ -149,3 +153,68 @@ class TestFactorsByApp:
 
     def test_candidate_cores(self):
         assert CANDIDATE_CORES == (8, 10, 12)
+
+
+class TestTableMemo:
+    """``scaling_table`` derives each distinct input value once."""
+
+    def test_equal_profiles_hit(self, table_derivations):
+        first = scaling_table(list(APPLICATIONS))
+        copies = [dataclasses.replace(app) for app in APPLICATIONS]
+        assert copies[0] is not APPLICATIONS[0]
+        assert scaling_table(copies) == first
+        assert len(table_derivations) == 1
+
+    def test_changed_speed_misses(self, table_derivations):
+        apps = list(APPLICATIONS)
+        scaling_table(apps)
+        xapian = apps.index(get_app("Xapian"))
+        apps[xapian] = dataclasses.replace(
+            apps[xapian], speed={**apps[xapian].speed, "bergamo": 0.9}
+        )
+        table = scaling_table(apps)
+        assert len(table_derivations) == 2
+        assert table == scaling._derive_table(tuple(apps), (1, 2, 3), False)
+        # 0.72 -> 0.9 lets Xapian meet Gen3's SLO with fewer cores.
+        assert table["Xapian"][3].factor < 1.5
+
+    def test_generations_and_cxl_are_part_of_the_key(self, table_derivations):
+        apps = list(APPLICATIONS)
+        for _ in range(2):
+            scaling_table(apps, (1, 2, 3))
+            scaling_table(apps, (3,))
+            scaling_table(apps, (1, 2, 3), cxl=True)
+        assert [call[1:] for call in table_derivations] == [
+            ((1, 2, 3), False),
+            ((3,), False),
+            ((1, 2, 3), True),
+        ]
+
+    def test_mutating_a_result_leaves_the_next_unchanged(
+        self, table_derivations
+    ):
+        table = scaling_table(list(APPLICATIONS))
+        expected = {name: dict(row) for name, row in table.items()}
+        for _ in range(2):
+            table["Redis"][3] = ScalingResult("Redis", 3, math.inf, None)
+            del table["Silo"][1]
+            table.pop("Moses")
+            table["Extra"] = {}
+            table = scaling_table(list(APPLICATIONS))
+            assert table == expected
+        assert len(table_derivations) == 1
+
+    def test_invalid_generation_caches_nothing(self, table_derivations):
+        with pytest.raises(ConfigError):
+            scaling_table(list(APPLICATIONS), (3, 4))
+        assert table_derivations == []
+        assert scaling._memo_table.cache_info().currsize == 0
+
+    def test_memo_is_bounded(self, table_derivations):
+        redis = get_app("Redis")
+        maxsize = scaling._memo_table.cache_info().maxsize
+        for i in range(maxsize + 5):
+            app = dataclasses.replace(redis, base_service_ms=1.0 + i / 100)
+            scaling_table([app], (3,))
+        assert scaling._memo_table.cache_info().currsize == maxsize
+        assert len(table_derivations) == maxsize + 5

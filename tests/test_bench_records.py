@@ -1,9 +1,9 @@
 """Each committed ``benchmarks/out/BENCH_*.json`` passes its validator.
 
 Each ``BENCH_<name>.json`` is written by ``benchmarks/bench_<name>.py``,
-which defines ``validate_bench_<name>``.  The CI smoke steps rewrite
-these files before validating them, so only this test checks the
-records as committed.
+which defines ``validate_bench_<name>``.  The CI smoke steps write and
+validate their own small-scale records under the git-ignored
+``benchmarks/out/smoke/``, so only this test checks the committed ones.
 """
 
 import importlib

@@ -43,6 +43,12 @@ class TestPrice:
         assert main(["price", "MegaSKU"]) == 2
         assert "unknown SKU" in capsys.readouterr().err
 
+    def test_nan_intensity_error(self, capsys):
+        assert main(["price", "GreenSKU-Full", "--ci", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "carbon intensity must be finite" in captured.err
+        assert "nan kg" not in captured.out
+
 
 class TestSavings:
     def test_savings_table(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 import repro.allocation.packing
 import repro.carbon.intensity
 import repro.carbon.power
+import repro.core.checks
 import repro.core.rng
 import repro.core.tables
 import repro.core.units
@@ -19,6 +20,7 @@ MODULES = [
     repro.allocation.packing,
     repro.carbon.intensity,
     repro.carbon.power,
+    repro.core.checks,
     repro.core.rng,
     repro.core.tables,
     repro.core.units,
