@@ -33,7 +33,7 @@ from repro.allocation.cluster import (
     outcome_digest,
     simulate,
 )
-from repro.allocation.scheduler import PLACEMENT_POLICIES, BestFitScheduler
+from repro.allocation.scheduler import PLACEMENT_POLICIES
 from repro.allocation.traces import (
     TraceParams,
     generate_trace,
@@ -150,7 +150,7 @@ def test_alloc_engine_golden_digest(save):
             trace,
             cluster,
             adoption=adoption,
-            scheduler=BestFitScheduler(policy=policy),
+            policy=policy,
         )
         digests[name] = outcome_digest(outcome)
     if os.environ.get("REPRO_UPDATE_GOLDEN", "0") not in ("", "0"):
@@ -161,7 +161,7 @@ def test_alloc_engine_golden_digest(save):
                     trace,
                     cluster,
                     adoption=adoption,
-                    scheduler=BestFitScheduler(policy=policy),
+                    policy=policy,
                 )
             )
             for name, trace, cluster, adoption, policy in _golden_scenarios()
@@ -342,7 +342,7 @@ def test_telemetry_overhead_and_manifest(save):
             trace,
             cluster,
             adoption=adoption,
-            scheduler=BestFitScheduler(policy=policy),
+            policy=policy,
         )
 
     for scenario in scenarios:  # warm caches before either timing

@@ -34,7 +34,7 @@ from .lifetimes import (
     stranded_capacity_fraction,
 )
 from .packing import PackingPoint, cdf, fraction_below, packing_point
-from .scheduler import BestFitScheduler, PlacementDecision, Server
+from .scheduler import Server
 from .store import TraceStore, store_enabled
 from .traces import TraceParams, VmTrace, generate_trace, production_trace_suite
 from .vm import VmRequest
@@ -72,8 +72,6 @@ __all__ = [
     "cdf",
     "fraction_below",
     "packing_point",
-    "BestFitScheduler",
-    "PlacementDecision",
     "Server",
     "TraceParams",
     "VmTrace",

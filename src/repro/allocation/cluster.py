@@ -52,7 +52,7 @@ from ..hardware.sku import ServerSKU
 from ..perf.apps import APP_BY_NAME
 from ..perf.pond import cxl_share
 from .index import METRICS, SCALE_SHIFT, KindAggregate, PlacementEngine
-from .scheduler import BestFitScheduler, Server
+from .scheduler import Server
 from .traces import VmTrace
 
 #: An adoption policy maps (app_name, generation) to a scaling factor, or
@@ -725,8 +725,10 @@ def _build_backend(
     exact value of ``placement.carbon_key(sku)`` and each group gets its
     own engine (ascending key order; a group keeps its servers' original
     ascending-id order, so the per-tier min-id tie-break is unchanged).
+    A cluster without servers has no tiers and gets one plain engine,
+    which still checks ``policy``.
     """
-    if placement is None:
+    if placement is None or not servers:
         return PlacementEngine(servers, policy=policy, track_stats=track_stats)
     keyed: Dict[float, List[Server]] = {}
     for server in servers:
@@ -803,7 +805,7 @@ def simulate(
     adoption: AdoptionPolicy = adopt_nothing,
     snapshot_hours: float = 6.0,
     raise_on_reject: bool = False,
-    scheduler: Optional[BestFitScheduler] = None,
+    policy: str = "best-fit",
     placement=None,
     accountant=None,
     chunk_events: int = DEFAULT_CHUNK_EVENTS,
@@ -820,8 +822,11 @@ def simulate(
         raise_on_reject: Raise :class:`CapacityError` at the first
             rejection instead of recording it (used by sizing searches to
             exit early).
-        scheduler: Placement heuristic (default: production best-fit);
-            pass a first-fit/worst-fit scheduler for ablations.
+        policy: Placement heuristic, one of
+            :data:`~repro.allocation.scheduler.PLACEMENT_POLICIES`:
+            ``"best-fit"`` (the production rules) or ``"first-fit"`` /
+            ``"worst-fit"`` for ablations (:class:`ConfigError`
+            otherwise).
         placement: Emission-aware policy — ``None`` / ``"blind"`` / a
             :class:`PlacementPolicy`.  Blind resolves to the exact
             pre-policy code path; ``carbon_aware`` (built via
@@ -839,10 +844,9 @@ def simulate(
     """
     if snapshot_hours <= 0:
         raise ConfigError("snapshot interval must be > 0")
-    scheduler = scheduler or BestFitScheduler()
     backend = _build_backend(
         cluster.build_servers(),
-        scheduler.policy,
+        policy,
         _wants_stats(trace, snapshot_hours),
         placement=resolve_placement(placement),
     )

@@ -14,9 +14,9 @@ This module keeps the same decisions reachable in sublinear time:
   no busy server fits (the production prefer-non-empty rule).
 - :class:`PlacementEngine` owns one index per pool view (GreenSKUs, all
   baselines, per-generation baselines) plus exact snapshot aggregates,
-  and applies the same ranking rules as
-  :class:`~repro.allocation.scheduler.BestFitScheduler` for all three
-  placement policies.  A placement or departure only marks its server
+  and applies the same ranking rules as the oracle's linear-scan
+  ``choose`` (``tests/oracles/allocation.py``) for all three placement
+  policies.  A placement or departure only marks its server
   pending; a snapshot settles each pending server's contribution once
   and merges the per-kind sums, so the aggregate work is per snapshot
   and per changed server, not per event.

@@ -11,14 +11,17 @@ This module provides:
 - a simple lifetime predictor standing in for the production ML model
   (thresholding on trace-supplied lifetimes with a configurable accuracy,
   so prediction *errors* are part of the study),
-- a segregated placement policy: long-lived VMs prefer "anchor" servers,
-  short-lived VMs prefer the churn pool,
-- an A/B harness measuring what segregation buys in right-size terms.
+- an A/B harness measuring what segregation buys in right-size terms:
+  it right-sizes the whole trace as one pool, then the predicted
+  long-lived VMs ("anchor" pool) and the rest ("churn" pool) as two
+  separate pools, each under the production best-fit rules,
+- a stranded-capacity measurement: the trace replays on the production
+  placement engine, and each snapshot counts the free cores on servers
+  pinned by a long-lived VM.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -27,8 +30,9 @@ import numpy as np
 from ..core.errors import ConfigError
 from ..core.rng import RngFactory
 from ..hardware.sku import ServerSKU, baseline_gen3
-from .cluster import ClusterSpec
-from .scheduler import BestFitScheduler, Server
+from .cluster import ClusterSpec, adopt_everything, replay_on_engine
+from .index import PlacementEngine
+from .scheduler import Server
 from .traces import VmTrace
 from .vm import VmRequest
 
@@ -62,8 +66,11 @@ class LifetimePredictor:
 
     def predict_long_lived(self, vm: VmRequest) -> bool:
         """Predict whether ``vm`` will outlive the threshold."""
-        truth = vm.lifetime_hours >= self.threshold_hours
-        rng = RngFactory(self.seed).stream(f"vm-{vm.vm_id}")
+        return self._predict(vm.vm_id, vm.lifetime_hours)
+
+    def _predict(self, vm_id: int, lifetime_hours: float) -> bool:
+        truth = lifetime_hours >= self.threshold_hours
+        rng = RngFactory(self.seed).stream(f"vm-{vm_id}")
         if rng.random() < self.accuracy:
             return truth
         return not truth
@@ -84,25 +91,35 @@ class SegregationOutcome:
         return self.interleaved_servers - self.segregated_servers
 
 
+def _long_lived_mask(
+    trace: VmTrace, predictor: LifetimePredictor
+) -> np.ndarray:
+    """Which rows ``predictor`` calls long-lived, as a boolean column mask."""
+    columns = trace.columns
+    return np.array(
+        [
+            predictor._predict(vm_id, lifetime)
+            for vm_id, lifetime in zip(
+                columns.vm_id.tolist(), columns.lifetime_hours.tolist()
+            )
+        ],
+        dtype=bool,
+    )
+
+
 def _min_servers_segregated(
     trace: VmTrace,
     sku: ServerSKU,
     predictor: LifetimePredictor,
 ) -> Tuple[int, int]:
     """(anchor, churn) right-sizes when the two populations are split."""
-    long_vms, short_vms = [], []
-    for vm in trace.vms:
-        (long_vms if predictor.predict_long_lived(vm) else short_vms).append(
-            vm
-        )
-
     from ..gsf.sizing import right_size
 
-    def right_size_subset(vms: List[VmRequest]) -> int:
-        sub = VmTrace(name="sub", params=trace.params, vms=tuple(vms))
-        return right_size(sub, sku)
-
-    return right_size_subset(long_vms), right_size_subset(short_vms)
+    long_lived = _long_lived_mask(trace, predictor)
+    return (
+        right_size(trace.filter(long_lived), sku),
+        right_size(trace.filter(~long_lived), sku),
+    )
 
 
 def segregation_study(
@@ -132,6 +149,44 @@ def segregation_study(
     )
 
 
+class _PinnedCapacityEngine(PlacementEngine):
+    """A best-fit engine whose snapshots sample pinned free capacity.
+
+    Each snapshot records the free cores on servers whose oldest VM is
+    at least the long-lived threshold old, over all cores.  The replay
+    loop fires snapshots on its grid, ``start + h`` then every ``h``;
+    the engine steps its own copy of that grid to date them.
+    """
+
+    def __init__(
+        self,
+        servers: List[Server],
+        arrivals: Dict[int, float],
+        start: float,
+        snapshot_hours: float,
+    ):
+        super().__init__(servers)
+        self._arrivals = arrivals
+        self._snapshot_hours = snapshot_hours
+        self._snapshot_at = start + snapshot_hours
+        self.samples: List[float] = []
+
+    def snapshot(self, outcome) -> None:
+        pinned_free = 0
+        total = 0
+        arrivals = self._arrivals
+        now = self._snapshot_at
+        for server in self.servers.values():
+            total += server.total_cores
+            if server.is_empty:
+                continue
+            oldest = min(arrivals[vm_id] for vm_id in server.vm_ids)
+            if now - oldest >= DEFAULT_LONG_LIVED_THRESHOLD_HOURS:
+                pinned_free += server.free_cores
+        self.samples.append(pinned_free / total if total else 0.0)
+        self._snapshot_at += self._snapshot_hours
+
+
 def stranded_capacity_fraction(
     trace: VmTrace,
     sku: Optional[ServerSKU] = None,
@@ -143,57 +198,27 @@ def stranded_capacity_fraction(
     A server is *pinned* when it hosts at least one VM older than the
     long-lived threshold; its free cores cannot be reclaimed by draining.
     This is the fragmentation signal lifetime-aware placement targets.
+    The trace replays under the production rules on ``min_servers``
+    servers of ``sku`` (default: the right-size), with every VM placed
+    unscaled, so a GreenSKU pool hosts it too.
     """
     sku = sku or baseline_gen3()
     from ..gsf.sizing import right_size
 
     n = min_servers if min_servers is not None else right_size(trace, sku)
-    spec = ClusterSpec.of((sku, n))
-    # Replay manually to inspect per-server VM ages at snapshots.
-    servers = spec.build_servers()
-    scheduler = BestFitScheduler()
-    placements: Dict[int, Tuple[Server, float]] = {}
-    events: List[Tuple[float, int, int]] = []  # (time, kind 0=arr/1=dep, idx)
-    stranded_samples: List[float] = []
-    start = trace.start_hours
-    snapshot_at = start + snapshot_hours
-
-    import heapq
-
-    departures: List[Tuple[float, int, Server]] = []
-
-    def snapshot(now: float) -> None:
-        nonlocal snapshot_at
-        while snapshot_at <= now:
-            pinned_free = 0
-            total = 0
-            for server in servers:
-                total += server.total_cores
-                if server.is_empty:
-                    continue
-                oldest = min(
-                    placements[vm_id][1]
-                    for vm_id in list(placements)
-                    if placements[vm_id][0] is server
-                )
-                if snapshot_at - oldest >= DEFAULT_LONG_LIVED_THRESHOLD_HOURS:
-                    pinned_free += server.free_cores
-            stranded_samples.append(pinned_free / total if total else 0.0)
-            snapshot_at += snapshot_hours
-
-    for vm in trace.vms:
-        while departures and departures[0][0] <= vm.arrival_hours:
-            dep_time, vm_id, server = heapq.heappop(departures)
-            snapshot(dep_time)
-            server.remove(vm_id)
-            placements.pop(vm_id, None)
-        snapshot(vm.arrival_hours)
-        chosen = scheduler.choose(vm, servers, vm.cores, vm.memory_gb)
-        if chosen is None:
-            continue
-        chosen.place(vm, vm.cores, vm.memory_gb)
-        placements[vm.vm_id] = (chosen, vm.arrival_hours)
-        if math.isfinite(vm.departure_hours):
-            heapq.heappush(departures, (vm.departure_hours, vm.vm_id, chosen))
-    snapshot(trace.end_hours)
-    return float(np.mean(stranded_samples)) if stranded_samples else 0.0
+    cluster = ClusterSpec.of((sku, n))
+    columns = trace.columns
+    engine = _PinnedCapacityEngine(
+        cluster.build_servers(),
+        dict(zip(columns.vm_id.tolist(), columns.arrival_hours.tolist())),
+        trace.start_hours,
+        snapshot_hours,
+    )
+    replay_on_engine(
+        trace,
+        cluster,
+        engine,
+        adoption=adopt_everything,
+        snapshot_hours=snapshot_hours,
+    )
+    return float(np.mean(engine.samples)) if engine.samples else 0.0

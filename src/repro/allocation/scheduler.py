@@ -1,4 +1,4 @@
-"""Best-fit VM scheduler with Azure production placement rules.
+"""Server state under Azure's production placement rules.
 
 The paper's VM allocation component uses a simulator capturing the key
 placement rules of Azure's production scheduler (Protean):
@@ -10,16 +10,18 @@ placement rules of Azure's production scheduler (Protean):
    baseline server; GreenSKU eligibility comes from the adoption
    component).
 
-This module provides the mutable :class:`Server` state and the
-:class:`BestFitScheduler` that ranks feasible servers.
+This module provides the mutable :class:`Server` state, the memory
+slack :data:`MEM_EPS` every feasibility check shares, and the
+heuristic names.  :class:`~repro.allocation.index.PlacementEngine`
+answers the rules; the linear scan that states them one server at a
+time is the reference in ``tests/oracles/allocation.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, KeysView, List, Tuple
 
-from ..core.errors import ConfigError, SimulationError
+from ..core.errors import SimulationError
 from ..hardware.sku import ServerSKU
 from .vm import VmRequest
 
@@ -108,6 +110,11 @@ class Server:
     def vm_count(self) -> int:
         """Number of VMs currently placed."""
         return len(self._vms)
+
+    @property
+    def vm_ids(self) -> KeysView[int]:
+        """Ids of the VMs currently placed (a live, read-only view)."""
+        return self._vms.keys()
 
     @property
     def allocated_cores(self) -> int:
@@ -236,90 +243,7 @@ class Server:
         )
 
 
-@dataclass(frozen=True)
-class PlacementDecision:
-    """Where a VM landed and at what (possibly scaled) size."""
-
-    server: Server
-    cores: int
-    memory_gb: float
-
-
 #: Placement heuristics selectable for ablation studies.  ``best-fit`` is
 #: the production rule set (and the paper's); the others exist to
 #: quantify how much the best-fit + prefer-non-empty rules buy.
 PLACEMENT_POLICIES = ("best-fit", "first-fit", "worst-fit")
-
-
-class BestFitScheduler:
-    """Ranks feasible servers under the production placement rules.
-
-    Args:
-        policy: ``"best-fit"`` (default, the production rules including
-            the prefer-non-empty preference), ``"first-fit"`` (lowest
-            server id that fits), or ``"worst-fit"`` (most remaining
-            cores) — the latter two for ablation studies.
-    """
-
-    def __init__(self, policy: str = "best-fit"):
-        if policy not in PLACEMENT_POLICIES:
-            raise ConfigError(
-                f"unknown placement policy {policy!r}; "
-                f"known: {PLACEMENT_POLICIES}"
-            )
-        self.policy = policy
-
-    def _rank_key(
-        self, server: Server, cores: int, memory_gb: float
-    ) -> Tuple:
-        if self.policy == "best-fit":
-            if server.is_empty:
-                # Prefer non-empty (rule 2).  An empty server ranks by its
-                # SKU shape: place/remove cycles can leave float dust in
-                # its free memory, and dust must not reorder empty servers.
-                return (
-                    1,
-                    server.total_cores - cores,
-                    server.total_memory_gb - memory_gb,
-                )
-            return (
-                0,
-                server.free_cores - cores,  # best fit by cores (rule 1)
-                server.free_memory_gb - memory_gb,  # tie-break by memory
-            )
-        if self.policy == "first-fit":
-            return (server.server_id,)
-        # worst-fit: most remaining cores first.
-        return (-(server.free_cores - cores), server.server_id)
-
-    def choose(
-        self,
-        vm: VmRequest,
-        servers: Iterable[Server],
-        cores: int,
-        memory_gb: float,
-    ) -> Optional[Server]:
-        """Pick a server for a request, or None when none fits.
-
-        Full-node VMs always require an entirely empty, non-GreenSKU
-        server (a hard production constraint, kept under every policy).
-        """
-        if cores <= 0 or memory_gb <= 0:
-            raise ConfigError("placement request must be positive")
-        best: Optional[Server] = None
-        best_key: Optional[Tuple] = None
-        for server in servers:
-            if vm.full_node:
-                if server.is_green or not server.is_empty:
-                    continue
-                if (
-                    cores > server.total_cores
-                    or server.total_memory_gb < memory_gb - MEM_EPS
-                ):
-                    continue
-            elif not server.fits(cores, memory_gb):
-                continue
-            key = self._rank_key(server, cores, memory_gb)
-            if best_key is None or key < best_key:
-                best, best_key = server, key
-        return best

@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -345,26 +344,13 @@ class VmTrace:
             columns=self.columns.take(mask),
         )
 
-    def peak_concurrent_cores(self, step_hours: Optional[float] = None) -> int:
+    def peak_concurrent_cores(self) -> int:
         """Peak simultaneous requested cores (sizing lower bound).
 
         Exact event sweep over the columns: departures at an instant
         release cores before arrivals at the same instant claim them
         (half-open ``[arrival, departure)`` occupancy).
-
-        ``step_hours`` is dead: an earlier implementation sampled every
-        ``step_hours`` and missed interior peaks; the exact sweep
-        ignores it.  Passing it is deprecated and the parameter will be
-        removed in a future release.
         """
-        if step_hours is not None:
-            warnings.warn(
-                "peak_concurrent_cores(step_hours=...) is deprecated and "
-                "ignored: the exact event sweep needs no sampling step; "
-                "the parameter will be removed",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return self.columns.peak_concurrent_cores()
 
     def digest(self) -> str:

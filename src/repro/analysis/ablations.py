@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..allocation.cluster import ClusterSpec, adopt_nothing, simulate
-from ..allocation.scheduler import PLACEMENT_POLICIES, BestFitScheduler
+from ..allocation.scheduler import PLACEMENT_POLICIES
 from ..allocation.traces import VmTrace
 from ..carbon.model import CarbonModel
 from ..core.errors import ConfigError
@@ -50,7 +50,6 @@ def _placement_one(
     policy: str, trace: VmTrace, sku: ServerSKU, bestfit_n: int
 ) -> PlacementAblation:
     """One placement heuristic's sizing + density (worker entry)."""
-    scheduler = BestFitScheduler(policy)
 
     def feasible(n: int) -> bool:
         out = simulate(
@@ -58,7 +57,7 @@ def _placement_one(
             ClusterSpec.of((sku, n)),
             adoption=adopt_nothing,
             snapshot_hours=1e9,
-            scheduler=scheduler,
+            policy=policy,
         )
         return out.feasible
 
@@ -71,7 +70,7 @@ def _placement_one(
         ClusterSpec.of((sku, n)),
         adoption=adopt_nothing,
         snapshot_hours=6.0,
-        scheduler=scheduler,
+        policy=policy,
     )
     return PlacementAblation(
         policy=policy,

@@ -43,6 +43,7 @@ from ..allocation.ingest import (
 from ..allocation.traces import TraceParams, generate_trace
 from ..carbon.grid import GRID_SIGNALS
 from ..core import provenance, telemetry
+from ..core.checks import check_finite
 from ..core.errors import ConfigError, SimulationError
 from ..core.runner import cached_map, content_key
 from ..hardware import catalog as parts_catalog
@@ -133,6 +134,13 @@ class SweepSpec:
                 and self.cxl_dimm_counts and self.backends
                 and self.grid_signals and self.placement_policies):
             raise ConfigError("every sweep axis needs at least one value")
+        for fraction in self.buffer_fractions:
+            check_finite(fraction, "buffer fraction", at_least=0, below=1)
+        if self.carbon_intensity is not None:
+            check_finite(
+                self.carbon_intensity, "carbon intensity", at_least=0
+            )
+        check_finite(self.days, "days", above=0)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.checks import check_finite
 from ..core.errors import CarbonModelError, ConfigError
 
 
@@ -34,8 +35,16 @@ class RackConfig:
     overhead_embodied_kg: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.space_capacity_u <= 0:
-            raise ConfigError("rack space capacity must be > 0 U")
+        check_finite(self.space_capacity_u, "rack space (U)", above=0)
+        check_finite(
+            self.power_capacity_watts, "rack power capacity (W)", above=0
+        )
+        check_finite(
+            self.overhead_power_watts, "rack overhead power (W)", at_least=0
+        )
+        check_finite(
+            self.overhead_embodied_kg, "rack overhead embodied (kg)", at_least=0
+        )
         if self.power_capacity_watts <= self.overhead_power_watts:
             raise ConfigError(
                 "rack power capacity must exceed the rack's own draw"

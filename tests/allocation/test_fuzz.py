@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.cluster import ClusterSpec, adopt_everything, simulate
-from repro.allocation.scheduler import BestFitScheduler, Server
+from repro.allocation.index import PlacementEngine
+from repro.allocation.scheduler import Server
 from repro.allocation.traces import TraceParams, VmTrace
 from repro.allocation.vm import VmRequest
 from repro.core import telemetry
@@ -93,13 +94,13 @@ class TestSchedulerInvariants:
     @settings(deadline=None, max_examples=40)
     def test_chosen_server_always_fits(self, shapes, policy):
         servers = [Server(i, baseline_gen3()) for i in range(3)]
-        scheduler = BestFitScheduler(policy)
+        engine = PlacementEngine(servers, policy=policy)
         for i, (cores, memory, touch) in enumerate(shapes):
             vm = make_vm(i, cores, memory, touch)
-            chosen = scheduler.choose(vm, servers, cores, memory)
+            chosen = engine.choose_baseline(vm, cores, memory)
             if chosen is not None:
                 assert chosen.fits(cores, memory)
-                chosen.place(vm, cores, memory)
+                engine.place(chosen, vm, cores, memory)
 
 
 class TestSimulationInvariants:

@@ -14,8 +14,8 @@ exact snapshot statistics.  Two layers:
 - adversarial churn on the engine itself: randomized place/remove
   sequences (full-node dedication, servers emptying and refilling,
   memory-tight requests, memory sizes that leave float dust) where every
-  ``choose`` is cross-checked against ``BestFitScheduler.choose`` over
-  the same servers, and every view's index is rebuilt from the servers'
+  ``choose`` is cross-checked against the oracle's linear scan over the
+  same servers, and every view's index is rebuilt from the servers'
   own state after every step; a snapshotting variant checks every
   snapshot against the reference walk over the non-empty servers.
 """
@@ -34,7 +34,7 @@ from repro.allocation.cluster import (
     simulate,
 )
 from repro.allocation.index import PlacementEngine
-from repro.allocation.scheduler import PLACEMENT_POLICIES, BestFitScheduler, Server
+from repro.allocation.scheduler import PLACEMENT_POLICIES, Server
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
 from repro.carbon.grid import CarbonAccountant, carbon_aware_policy, diurnal_signal
@@ -81,7 +81,7 @@ def assert_matches_oracle(
         kwargs = dict(
             adoption=adoption,
             snapshot_hours=snapshot_hours,
-            scheduler=BestFitScheduler(policy),
+            policy=policy,
             placement=placement,
         )
         expected = oracle.simulate(
@@ -184,7 +184,7 @@ class TestTelemetryDifferential:
         kwargs = dict(
             adoption=adopt_everything,
             snapshot_hours=3.0,
-            scheduler=BestFitScheduler("best-fit"),
+            policy="best-fit",
         )
         plain = simulate(trace, spec, **kwargs)
         with telemetry.capture() as tel:
@@ -409,7 +409,6 @@ class TestAdversarialChurn:
         for server in base_pool:
             base_by_gen.setdefault(server.sku.generation, []).append(server)
         engine = PlacementEngine(servers, policy=policy)
-        scheduler = BestFitScheduler(policy)
 
         def reference_baseline_pool(generation):
             if len(base_by_gen) > 1 and generation in base_by_gen:
@@ -445,13 +444,17 @@ class TestAdversarialChurn:
             ref_green = (
                 None
                 if vm.full_node
-                else scheduler.choose(vm, green_pool, cores, memory_gb)
+                else oracle.choose(policy, vm, green_pool, cores, memory_gb)
             )
             assert green_choice is ref_green
 
             base_choice = engine.choose_baseline(vm, cores, memory_gb)
-            ref_base = scheduler.choose(
-                vm, reference_baseline_pool(vm.generation), cores, memory_gb
+            ref_base = oracle.choose(
+                policy,
+                vm,
+                reference_baseline_pool(vm.generation),
+                cores,
+                memory_gb,
             )
             assert base_choice is ref_base
 
@@ -470,11 +473,11 @@ class TestAdversarialChurn:
             assert_index_matches(engine, servers)
         for generation in (1, 2, 3):
             probe = make_vm(next_id, 4, 16.0, generation=generation)
-            assert engine.choose_baseline(probe, 4, 16.0) is scheduler.choose(
-                probe, reference_baseline_pool(generation), 4, 16.0
+            assert engine.choose_baseline(probe, 4, 16.0) is oracle.choose(
+                policy, probe, reference_baseline_pool(generation), 4, 16.0
             )
-        assert engine.choose_green(probe, 4, 16.0) is scheduler.choose(
-            probe, green_pool, 4, 16.0
+        assert engine.choose_green(probe, 4, 16.0) is oracle.choose(
+            policy, probe, green_pool, 4, 16.0
         )
         # Only the non-dyadic mix leaves emptied servers with float dust.
         dusty = [s for s in servers if s.free_memory_gb != s.total_memory_gb]
@@ -586,12 +589,11 @@ class TestAdversarialChurn:
         filler = make_vm(1, 4, 700.0)
         engine = PlacementEngine([server], policy="best-fit")
         engine.place(server, filler, 4, 700.0)
-        scheduler = BestFitScheduler()
         free = server.free_memory_gb
         for memory_gb in (free, free + 1e-10, free + 1.0, free - 1e-10):
             vm = make_vm(2, 2, memory_gb)
             assert engine.choose_baseline(vm, 2, memory_gb) is (
-                scheduler.choose(vm, [server], 2, memory_gb)
+                oracle.choose("best-fit", vm, [server], 2, memory_gb)
             )
 
     def test_emptied_server_rejoins_empty_view(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.allocation.lifetimes import (
     DEFAULT_LONG_LIVED_THRESHOLD_HOURS,
     LifetimePredictor,
+    _long_lived_mask,
     segregation_study,
     stranded_capacity_fraction,
 )
@@ -44,6 +45,19 @@ class TestPredictor:
         predictions = [predictor.predict_long_lived(vm) for vm in long_vms]
         accuracy = sum(predictions) / len(predictions)
         assert 0.45 <= accuracy <= 0.75
+
+    @pytest.mark.parametrize("accuracy", (0.6, 0.9, 1.0))
+    def test_column_mask_matches_row_predictions(self, accuracy):
+        trace = generate_trace(
+            seed=29,
+            params=TraceParams(duration_days=10, mean_concurrent_vms=40),
+        )
+        predictor = LifetimePredictor(accuracy=accuracy, seed=5)
+        expected = [predictor.predict_long_lived(vm) for vm in trace.vms]
+        mask = _long_lived_mask(trace, predictor)
+        assert mask.dtype == bool
+        assert mask.tolist() == expected
+        assert 0 < mask.sum() < trace.vm_count
 
     def test_invalid_accuracy(self):
         with pytest.raises(ConfigError):
@@ -109,3 +123,29 @@ class TestStrandedCapacity:
         )
         fraction = stranded_capacity_fraction(trace, min_servers=1)
         assert fraction > 0.5
+
+    def test_departure_after_last_arrival_frees_its_cores(self):
+        # VM 2 leaves at 601 h, after the last arrival and before the
+        # window closes at 720 h.  The 60 snapshots (every 12 h) see the
+        # server pinned by VM 1 from 168 h on: 37 of them with 70 free
+        # cores, then 10 with 78 once VM 2 has left.
+        vms = (
+            make_vm(1, lifetime=10_000.0, cores=2),
+            make_vm(2, lifetime=600.0, cores=8, arrival=1.0),
+        )
+        trace = VmTrace(
+            name="tail", params=TraceParams(duration_days=30), vms=vms
+        )
+        fraction = stranded_capacity_fraction(trace, min_servers=1)
+        assert fraction == pytest.approx((37 * 70 + 10 * 78) / (80 * 60))
+
+    def test_non_positive_snapshot_interval_rejected(self):
+        trace = VmTrace(
+            name="one",
+            params=TraceParams(duration_days=1),
+            vms=(make_vm(1, lifetime=2.0),),
+        )
+        with pytest.raises(ConfigError, match="snapshot interval"):
+            stranded_capacity_fraction(
+                trace, snapshot_hours=0.0, min_servers=1
+            )

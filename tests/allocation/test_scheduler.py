@@ -1,8 +1,9 @@
-"""Best-fit scheduler and server state tests."""
+"""Server state and placement-rule tests."""
 
 import pytest
 
-from repro.allocation.scheduler import BestFitScheduler, Server
+from repro.allocation.index import PlacementEngine
+from repro.allocation.scheduler import Server
 from repro.allocation.vm import VmRequest
 from repro.core.errors import SimulationError
 from repro.hardware.sku import baseline_gen3, greensku_full
@@ -97,52 +98,57 @@ class TestServerState:
 
 
 class TestBestFit:
+    """The production placement rules, as the engine answers them."""
+
     def test_prefers_non_empty(self):
         empty = Server(0, baseline_gen3())
         busy = Server(1, baseline_gen3())
-        busy.place(make_vm(vm_id=9), 4, 16.0)
-        chosen = BestFitScheduler().choose(
-            make_vm(vm_id=2), [empty, busy], 4, 16.0
-        )
+        engine = PlacementEngine([empty, busy])
+        engine.place(busy, make_vm(vm_id=9), 4, 16.0)
+        chosen = engine.choose_baseline(make_vm(vm_id=2), 4, 16.0)
         assert chosen is busy
 
     def test_best_fit_by_remaining_cores(self):
         loose = Server(0, baseline_gen3())
         tight = Server(1, baseline_gen3())
-        loose.place(make_vm(vm_id=8, cores=8), 8, 32.0)
-        tight.place(make_vm(vm_id=9, cores=72, memory_gb=288.0), 72, 288.0)
-        chosen = BestFitScheduler().choose(
-            make_vm(vm_id=2), [loose, tight], 4, 16.0
+        engine = PlacementEngine([loose, tight])
+        engine.place(loose, make_vm(vm_id=8, cores=8), 8, 32.0)
+        engine.place(
+            tight, make_vm(vm_id=9, cores=72, memory_gb=288.0), 72, 288.0
         )
+        chosen = engine.choose_baseline(make_vm(vm_id=2), 4, 16.0)
         assert chosen is tight
 
     def test_none_when_nothing_fits(self):
-        server = Server(0, baseline_gen3())
-        chosen = BestFitScheduler().choose(
-            make_vm(cores=100, memory_gb=16), [server], 100, 16.0
+        engine = PlacementEngine([Server(0, baseline_gen3())])
+        chosen = engine.choose_baseline(
+            make_vm(cores=100, memory_gb=16), 100, 16.0
         )
         assert chosen is None
 
     def test_memory_constraint_respected(self):
         server = Server(0, baseline_gen3())
-        server.place(make_vm(vm_id=5, cores=4, memory_gb=760.0), 4, 760.0)
-        chosen = BestFitScheduler().choose(
-            make_vm(vm_id=6, cores=4, memory_gb=32.0), [server], 4, 32.0
+        engine = PlacementEngine([server])
+        engine.place(
+            server, make_vm(vm_id=5, cores=4, memory_gb=760.0), 4, 760.0
+        )
+        chosen = engine.choose_baseline(
+            make_vm(vm_id=6, cores=4, memory_gb=32.0), 4, 32.0
         )
         assert chosen is None
 
     def test_full_node_needs_empty_baseline(self):
         green = Server(0, greensku_full())
         busy_base = Server(1, baseline_gen3())
-        busy_base.place(make_vm(vm_id=3), 4, 16.0)
         empty_base = Server(2, baseline_gen3())
+        engine = PlacementEngine([green, busy_base, empty_base])
+        engine.place(busy_base, make_vm(vm_id=3), 4, 16.0)
         vm = make_vm(vm_id=4, full_node=True)
-        chosen = BestFitScheduler().choose(
-            vm, [green, busy_base, empty_base], 80, 768.0
-        )
-        assert chosen is empty_base
+        assert engine.choose_green(vm, 80, 768.0) is None
+        assert engine.choose_baseline(vm, 80, 768.0) is empty_base
 
     def test_full_node_never_on_green(self):
-        green = Server(0, greensku_full())
+        engine = PlacementEngine([Server(0, greensku_full())])
         vm = make_vm(full_node=True)
-        assert BestFitScheduler().choose(vm, [green], 80, 768.0) is None
+        assert engine.choose_green(vm, 80, 768.0) is None
+        assert engine.choose_baseline(vm, 80, 768.0) is None

@@ -207,9 +207,6 @@ class TestPeakConcurrentCores:
         assert _sampled_peak(trace, step_hours=2.0) == 8
         assert trace.peak_concurrent_cores() == 8 + 3 * 16
         assert trace.columns.peak_concurrent_vms() == 4
-        # step_hours is deprecated: still accepted (and ignored) but warns.
-        with pytest.deprecated_call():
-            assert trace.peak_concurrent_cores(step_hours=2.0) == 8 + 3 * 16
 
     def test_half_open_interval_back_to_back(self):
         """A departure releases cores before an arrival at the same time."""

@@ -12,10 +12,11 @@ from repro.analysis.ablations import (
     fip_sweep,
     placement_policy_ablation,
 )
-from repro.allocation.scheduler import BestFitScheduler
+from repro.allocation.cluster import ClusterSpec, simulate
+from repro.carbon.grid import carbon_aware_policy, diurnal_signal
 from repro.core.errors import ConfigError
 from repro.gsf.framework import Gsf, GsfConfig
-from repro.hardware.sku import greensku_full
+from repro.hardware.sku import baseline_gen3, greensku_full
 from repro.perf.apps import APPLICATIONS
 
 
@@ -41,9 +42,22 @@ class TestPlacementAblation:
             >= results["worst-fit"].mean_core_density
         )
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            BestFitScheduler("random-fit")
+    def test_unknown_policy_rejected(self, small_trace):
+        with pytest.raises(ConfigError, match="unknown placement policy"):
+            simulate(
+                small_trace,
+                ClusterSpec.of((baseline_gen3(), 1)),
+                policy="random-fit",
+            )
+
+    def test_unknown_policy_rejected_without_servers(self, small_trace):
+        with pytest.raises(ConfigError, match="unknown placement policy"):
+            simulate(
+                small_trace,
+                ClusterSpec.of((baseline_gen3(), 0)),
+                policy="random-fit",
+                placement=carbon_aware_policy(diurnal_signal()),
+            )
 
 
 class TestFipSweep:

@@ -78,6 +78,23 @@ class TestSpec:
         with pytest.raises(ConfigError, match="at least one value"):
             SweepSpec(adoption_rules=())
 
+    @pytest.mark.parametrize("days", (float("nan"), float("inf"), 0.0))
+    def test_non_finite_days_rejected(self, days):
+        with pytest.raises(ConfigError, match="days must be finite"):
+            SweepSpec(days=days)
+
+    @pytest.mark.parametrize(
+        "fraction", (float("nan"), float("inf"), -0.1, 1.0)
+    )
+    def test_buffer_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigError, match="buffer fraction must be"):
+            SweepSpec(buffer_fractions=(0.15, fraction))
+
+    @pytest.mark.parametrize("ci", (float("nan"), float("inf"), -0.1))
+    def test_non_finite_carbon_intensity_rejected(self, ci):
+        with pytest.raises(ConfigError, match="carbon intensity must be"):
+            SweepSpec(carbon_intensity=ci)
+
     def test_artifact_id_excludes_trace_shape(self):
         a, b = sweep_points(TINY), sweep_points(
             dataclasses.replace(TINY, seed=99)

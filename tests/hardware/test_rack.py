@@ -70,3 +70,17 @@ class TestRackPower:
     def test_zero_space_rejected(self):
         with pytest.raises(ConfigError):
             RackConfig(space_capacity_u=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        (
+            "space_capacity_u",
+            "power_capacity_watts",
+            "overhead_power_watts",
+            "overhead_embodied_kg",
+        ),
+    )
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0))
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            RackConfig(**{field: value})

@@ -3,18 +3,18 @@
 Production replays stream a precomputed event array through the indexed
 :class:`~repro.allocation.index.PlacementEngine`.  This module keeps the
 original implementation: every placement query scans every server of its
-pool with :meth:`BestFitScheduler.choose`, every snapshot walks every
-server, and the replay is a row loop over ``trace.vms`` with a heap of
-pending departures.  Carbon-aware placement consults one such scan per
-carbon tier, lowest tier first.  It is slow (O(servers) per query), so
-tests run it on small traces.
+pool with :func:`choose`, which states the placement rules one server at
+a time, every snapshot walks every server, and the replay is a row loop
+over ``trace.vms`` with a heap of pending departures.  Carbon-aware
+placement consults one such scan per carbon tier, lowest tier first.  It
+is slow (O(servers) per query), so tests run it on small traces.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.allocation.cluster import (
     AdoptionPolicy,
@@ -25,11 +25,72 @@ from repro.allocation.cluster import (
     resolve_placement,
 )
 from repro.allocation.index import scaled_int
-from repro.allocation.scheduler import BestFitScheduler, Server
+from repro.allocation.scheduler import MEM_EPS, PLACEMENT_POLICIES, Server
 from repro.allocation.traces import VmTrace
 from repro.core.errors import CapacityError, ConfigError
 from repro.perf.apps import APP_BY_NAME
 from repro.perf.pond import plan_tiering
+
+
+def _rank_key(
+    policy: str, server: Server, cores: int, memory_gb: float
+) -> Tuple:
+    if policy == "best-fit":
+        if server.is_empty:
+            # Prefer non-empty (rule 2).  An empty server ranks by its
+            # SKU shape: place/remove cycles can leave float dust in
+            # its free memory, and dust must not reorder empty servers.
+            return (
+                1,
+                server.total_cores - cores,
+                server.total_memory_gb - memory_gb,
+            )
+        return (
+            0,
+            server.free_cores - cores,  # best fit by cores (rule 1)
+            server.free_memory_gb - memory_gb,  # tie-break by memory
+        )
+    if policy == "first-fit":
+        return (server.server_id,)
+    # worst-fit: most remaining cores first.
+    return (-(server.free_cores - cores), server.server_id)
+
+
+def choose(
+    policy: str,
+    vm,
+    servers: Iterable[Server],
+    cores: int,
+    memory_gb: float,
+) -> Optional[Server]:
+    """Pick a server for a request under ``policy``, or None when none fits.
+
+    ``"best-fit"`` is the production rule set: best fit by remaining
+    cores, tie-broken by memory, non-empty servers first.
+    ``"first-fit"`` takes the lowest server id that fits, ``"worst-fit"``
+    the most remaining cores.  Full-node VMs always require an entirely
+    empty, non-GreenSKU server (a hard production constraint, kept under
+    every policy).  Ties go to the first server in ``servers`` order.
+    """
+    if cores <= 0 or memory_gb <= 0:
+        raise ConfigError("placement request must be positive")
+    best: Optional[Server] = None
+    best_key: Optional[Tuple] = None
+    for server in servers:
+        if vm.full_node:
+            if server.is_green or not server.is_empty:
+                continue
+            if (
+                cores > server.total_cores
+                or server.total_memory_gb < memory_gb - MEM_EPS
+            ):
+                continue
+        elif not server.fits(cores, memory_gb):
+            continue
+        key = _rank_key(policy, server, cores, memory_gb)
+        if best_key is None or key < best_key:
+            best, best_key = server, key
+    return best
 
 
 def observe(stats: SnapshotStats, server: Server) -> None:
@@ -60,8 +121,13 @@ class _ReferenceBackend:
     generation).
     """
 
-    def __init__(self, tiers: List[List[Server]], scheduler: BestFitScheduler):
-        self.scheduler = scheduler
+    def __init__(self, tiers: List[List[Server]], policy: str):
+        if policy not in PLACEMENT_POLICIES:
+            raise ConfigError(
+                f"unknown placement policy {policy!r}; "
+                f"known: {PLACEMENT_POLICIES}"
+            )
+        self.policy = policy
         self.servers = [server for tier in tiers for server in tier]
         self.tiers = []
         for servers in tiers:
@@ -77,7 +143,7 @@ class _ReferenceBackend:
 
     def choose_green(self, vm, cores: int, memory_gb: float):
         for green, _base, _by_gen in self.tiers:
-            server = self.scheduler.choose(vm, green, cores, memory_gb)
+            server = choose(self.policy, vm, green, cores, memory_gb)
             if server is not None:
                 return server
         return None
@@ -87,7 +153,7 @@ class _ReferenceBackend:
             pool = base
             if len(by_gen) > 1 and vm.generation in by_gen:
                 pool = by_gen[vm.generation]
-            server = self.scheduler.choose(vm, pool, cores, memory_gb)
+            server = choose(self.policy, vm, pool, cores, memory_gb)
             if server is not None:
                 return server
         return None
@@ -121,7 +187,7 @@ def simulate(
     adoption: AdoptionPolicy = adopt_nothing,
     snapshot_hours: float = 6.0,
     raise_on_reject: bool = False,
-    scheduler: Optional[BestFitScheduler] = None,
+    policy: str = "best-fit",
     placement=None,
     accountant=None,
 ) -> SimOutcome:
@@ -134,7 +200,7 @@ def simulate(
         raise ConfigError("snapshot interval must be > 0")
     backend = _ReferenceBackend(
         _tiers(cluster.build_servers(), resolve_placement(placement)),
-        scheduler or BestFitScheduler(),
+        policy,
     )
     outcome = SimOutcome(cluster=cluster)
     has_green = backend.has_green()
