@@ -113,6 +113,7 @@ def test_ingest_store_round_trip(save, tmp_path):
         f"  parse + register: {parse_s * 1000:.1f}ms\n"
         f"  store hit (eager): {eager_s * 1000:.1f}ms\n"
         f"  eager/mmap digest-equal: True",
+        smoke=True,
     )
 
 

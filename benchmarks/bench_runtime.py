@@ -253,6 +253,7 @@ def test_trace_generation_speedup(save):
         f"({vectorized_s / total_vms * 1e6:.1f}us/VM)\n"
         f"  speedup: {speedup:.1f}x (target >= 5x)\n"
         f"  digests: bit-identical across all {count} traces",
+        smoke=True,
     )
     assert speedup >= 3.0, f"suite generation speedup {speedup:.1f}x < 3x"
 
@@ -280,6 +281,7 @@ def test_trace_store_round_trip(save, tmp_path):
         f"  generate (cold, vectorized): {generate_s * 1000:.0f}ms\n"
         f"  load from .npz store (warm): {load_s * 1000:.0f}ms\n"
         f"  speedup: {speedup:.1f}x; round trip digest-equal",
+        smoke=True,
     )
     assert speedup >= 1.0
 
@@ -385,6 +387,7 @@ def test_telemetry_overhead_and_manifest(save):
         f"  telemetry off: {plain_s * 1000:.1f}ms\n"
         f"  telemetry on:  {instrumented_s * 1000:.1f}ms\n"
         f"  overhead: {overhead:+.1%} (budget {budget:.0%})",
+        smoke=True,
     )
     assert overhead <= budget, (
         f"telemetry overhead {overhead:.1%} exceeds the {budget:.0%} budget"

@@ -19,8 +19,8 @@ import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
-#: Where a smoke-scale run writes instead (git-ignored), so running a CI
-#: smoke step never rewrites a committed full-scale record.
+#: Where a smoke-scale run or a host-timing log writes instead
+#: (git-ignored), so running a CI step never rewrites a committed file.
 SMOKE_DIR = OUT_DIR / "smoke"
 
 
@@ -48,7 +48,8 @@ def save(out_dir):
     """Writer: ``save(name, text)`` persists one artifact and echoes it.
 
     ``save(name, text, smoke=True)`` writes under ``out/smoke/`` instead:
-    a bench passes it when its scale knobs are below full scale.
+    a bench passes it when its scale knobs are below full scale, and for
+    a log of host timings, which no two runs reproduce.
     Artifacts are written atomically (temp file + rename) so an aborted
     benchmark run never leaves a truncated file under a final name.
     """

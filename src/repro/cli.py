@@ -75,7 +75,7 @@ from .hardware.sku import paper_skus
 
 def _model(args: argparse.Namespace) -> CarbonModel:
     dc = DataCenterConfig().with_carbon_intensity(args.ci)
-    if getattr(args, "lifetime", None):
+    if getattr(args, "lifetime", None) is not None:
         dc = dc.with_lifetime(args.lifetime)
     return CarbonModel(dc)
 

@@ -70,6 +70,7 @@ from typing import (
 )
 
 from . import runner, telemetry
+from .checks import check_finite
 from .errors import ConfigError, SimulationError
 from .faults import FaultPlan
 from .ioutil import atomic_write_text
@@ -108,7 +109,8 @@ class RetryPolicy:
     ``sleep`` is injectable so tests can assert backoff schedules
     without waiting; parallel runs defer resubmission instead of
     blocking the scheduler and only call ``sleep`` when the backoff
-    leaves them otherwise idle.
+    leaves them otherwise idle.  Every duration must be finite:
+    ``timeout_s=None`` is the only way to ask for no timeout.
     """
 
     max_retries: int = 2
@@ -121,12 +123,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.max_backoff_s < 0:
-            raise ConfigError("backoff must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigError("timeout_s must be > 0")
+        check_finite(self.backoff_base_s, "backoff_base_s", at_least=0)
+        check_finite(self.max_backoff_s, "max_backoff_s", at_least=0)
+        check_finite(self.backoff_factor, "backoff_factor", at_least=1)
+        if self.timeout_s is not None:
+            check_finite(self.timeout_s, "timeout_s", above=0)
 
     @property
     def attempts(self) -> int:

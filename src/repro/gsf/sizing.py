@@ -11,9 +11,8 @@ VM workload with no rejections:
    the fixed point is a cluster where baseline SKUs host exactly the VMs
    that cannot adopt (plus full-node VMs) and GreenSKUs host the rest.
    We reach the same fixed point directly by right-sizing each side of
-   that partition, then verifying the mixed cluster end to end with the
-   allocation simulator (adding GreenSKUs if fungible interleaving
-   changed the picture).
+   that partition, then trimming GreenSKUs while fungible fallback onto
+   spare baseline capacity still hosts the full trace.
 
 Both steps rest on one property of the production best-fit scheduler: it
 opens an empty server only when no busy server fits the VM, and then the
@@ -22,6 +21,13 @@ n servers of a SKU therefore matches a replay against any larger pool of
 that SKU until the larger replay opens server n, so n servers suffice
 exactly when n exceeds the highest server index the larger replay used.
 One replay against an upper-bound pool answers every count at once.
+
+The same property makes the partition sizes exact for the mixed
+cluster.  Beside the adopters' right-size of GreenSKUs, the GreenSKU pool
+sees the same adopters in the same order as that right-size did, which
+never opened a further server, so no adopter falls back and the
+baselines host exactly the rest partition: the full trace needs exactly
+the rest's right-size of baselines, and no replay has to check it.
 
 Out-of-service maintenance overhead inflates each side's server count
 (failed servers await repair, so extra capacity is deployed).
@@ -116,20 +122,22 @@ class ClusterSizing:
 class _HighWater:
     """High-water replays of one trace against an upper-bound pool.
 
-    The pool holds ``bound = min(peak, MAX_SERVERS)`` servers of ``sku``
-    with ids ``0..bound-1``, where ``peak`` is the most VMs the trace
-    keeps placed at once: opening server k needs k busy servers, each
-    hosting a VM, so no replay opens an index at or beyond ``peak``.
+    The pool holds ``bound`` servers of ``sku`` with ids ``0..bound-1``,
+    by default ``min(peak, MAX_SERVERS)``, where ``peak`` is the most
+    VMs the trace keeps placed at once: opening server k needs k busy
+    servers, each hosting a VM, so no replay opens an index at or beyond
+    ``peak``.  A caller that only asks whether ``bound`` servers suffice
+    passes a smaller ``bound``.
 
     Calling the object with a count of ``companion`` servers (ids from
     ``bound`` up, the order ``ClusterSpec.build_servers`` gives them)
     replays the trace once under the production best-fit scheduler and
     returns how many pool servers it used — the highest index touched,
     plus one — which is the fewest ``sku`` servers that host the trace
-    beside those companions.  A replay that rejects a VM anyway raises
-    :class:`CapacityError`: no count of ``sku`` up to ``bound`` hosts
-    the trace beside them.  Pool and companions share one
-    :class:`PlacementEngine`, reset before every replay.
+    beside those companions.  A replay that rejects a VM raises
+    :class:`CapacityError` at that VM: no count of ``sku`` up to
+    ``bound`` hosts the trace beside them.  Pool and companions share
+    one :class:`PlacementEngine`, reset before every replay.
     """
 
     def __init__(
@@ -138,15 +146,18 @@ class _HighWater:
         sku: ServerSKU,
         adoption: AdoptionPolicy,
         companion: Optional[ServerSKU] = None,
+        bound: Optional[int] = None,
     ):
         self._trace = trace
         self._sku = sku
         self._adoption = adoption
         self._companion = companion
         self._companions = 0
-        # A replay releases the departures due by each arrival before
-        # placing it: the half-open occupancy the event sweep counts.
-        self.bound = min(trace.columns.peak_concurrent_vms(), MAX_SERVERS)
+        if bound is None:
+            # A replay releases the departures due by each arrival before
+            # placing it: the half-open occupancy the event sweep counts.
+            bound = min(trace.columns.peak_concurrent_vms(), MAX_SERVERS)
+        self.bound = bound
         self._engine = PlacementEngine(Server.pool(sku, range(self.bound)))
 
     def __call__(self, companions: int = 0) -> int:
@@ -323,24 +334,29 @@ def size_mixed_cluster(
     adoption: AdoptionPolicy,
     oos_overhead_baseline: float = 0.0,
     oos_overhead_green: float = 0.0,
-    verify: bool = True,
 ) -> ClusterSizing:
     """Size both the all-baseline reference and the mixed cluster.
 
     The mixed sizing starts from the per-partition right-sizes (adopters
-    on GreenSKUs, the rest on baselines), verifies the combined cluster
-    end to end, and then greedily trims servers while the full trace still
-    fits — mirroring the paper's incremental baseline-replacement search,
-    which keeps the statistical multiplexing that fungible fallback
-    placement (adopters overflowing onto idle baseline capacity) buys.
+    on GreenSKUs, the rest on baselines) and then greedily trims servers
+    while the full trace still fits — mirroring the paper's incremental
+    baseline-replacement search, which keeps the statistical
+    multiplexing that fungible fallback placement (adopters overflowing
+    onto idle baseline capacity) buys.
 
-    The verification and trim loops ask one question per GreenSKU count
-    g: ``need(g)``, the fewest baselines that host the full trace beside
-    g GreenSKUs.  Adopters try the GreenSKUs first and only what they
-    reject reaches the baselines, so the GreenSKU pool evolves the same
-    way whatever the baseline count until a rejection, and one high-water
-    replay per g (memoized) answers every baseline count: (b, g) fits
-    exactly when ``b >= need(g)``.
+    Write ``need(g)`` for the fewest baselines that host the full trace
+    beside g GreenSKUs.  Adopters try the GreenSKUs first and only what
+    they reject reaches the baselines, so the GreenSKU pool evolves the
+    same way whatever the baseline count until a rejection, and (b, g)
+    fits exactly when ``b >= need(g)``.  The partitions already answer
+    ``need(n_green) == n_base`` (see the module docstring), so the trim
+    starts with no baseline to drop.  It drops GreenSKUs while
+    ``need(g - 1) <= n_base``, one replay per count against a pool of
+    ``n_base`` baselines, which stops at the first VM it cannot place,
+    and lowers the baselines to the need of the count it keeps.  The
+    next count down needs more than ``n_base``, so no further trim of
+    either SKU fits: this is the fixed point of the baselines-first,
+    GreenSKUs-second greedy trim, and no count is replayed twice.
 
     Args:
         trace: The VM workload.
@@ -349,60 +365,32 @@ def size_mixed_cluster(
         adoption: The adoption component's policy.
         oos_overhead_baseline / oos_overhead_green: Out-of-service server
             fractions (maintenance component output).
-        verify: Run the end-to-end verification + trim passes (disable
-            only for unit tests of the partition sizing itself).
     """
     n_reference = right_size(trace, baseline, adopt_nothing)
     green_trace, base_trace = _split_trace(trace, adoption)
     n_base = right_size(base_trace, baseline)
     n_green = right_size(green_trace, greensku, adoption)
-    if verify and (n_base or n_green):
-        pool = _HighWater(trace, baseline, adoption, companion=greensku)
-
-        def replay(ng: int) -> Optional[int]:
+    if n_green:
+        # The pool keeps the n_base baselines the trim starts from.
+        pool = _HighWater(
+            trace, baseline, adoption, companion=greensku, bound=n_base
+        )
+        servers = n_base + n_green
+        replays = 0
+        while n_green:
+            replays += 1
             try:
-                return pool(ng)
+                need = pool(n_green - 1)
             except CapacityError:
-                return None  # no baseline count up to the bound fits
-
-        need = _ReplayMemo(replay)
-
-        def fits(nb: int, ng: int) -> bool:
-            needed = need(ng)
-            return needed is not None and needed <= nb
-
-        grow_steps = 0
-        while not fits(n_base, n_green):
-            n_green += 1
-            grow_steps += 1
-            if n_base + n_green > MAX_SERVERS:
-                raise SizingError(
-                    f"mixed sizing for {trace.name} exceeded {MAX_SERVERS}"
-                )
-        # Greedy trim: prefer dropping baseline SKUs (the replacement the
-        # paper's search performs), then try dropping GreenSKUs.
-        trim_steps = 0
-        trimmed = True
-        while trimmed:
-            trimmed = False
-            needed = need(n_green)
-            if needed < n_base:
-                trim_steps += n_base - needed
-                n_base = needed
-                trimmed = True
-            while n_green > 0 and fits(n_base, n_green - 1):
-                n_green -= 1
-                trim_steps += 1
-                trimmed = True
+                break  # one GreenSKU fewer needs more than n_base baselines
+            n_green, n_base = n_green - 1, need
         tel = telemetry.active()
         if tel is not None:
             tel.count_many(
                 {
                     "sizing.mixed_verifications": 1,
-                    "sizing.grow_steps": grow_steps,
-                    "sizing.trim_steps": trim_steps,
-                    "sizing.simulate_calls": need.simulate_calls,
-                    "sizing.memo_hits": need.memo_hits,
+                    "sizing.trim_steps": servers - n_base - n_green,
+                    "sizing.simulate_calls": replays,
                 }
             )
     return ClusterSizing(
@@ -448,7 +436,6 @@ def size_generation_aware(
     baselines: "dict[int, ServerSKU]",
     greensku: ServerSKU,
     adoption: AdoptionPolicy,
-    verify: bool = True,
 ) -> GenerationAwareSizing:
     """Size reference and mixed clusters with per-generation pools.
 
@@ -477,54 +464,50 @@ def size_generation_aware(
         mixed[gen] = right_size(sub, baselines[gen])
     n_green = right_size(green_trace, greensku, adoption)
 
-    if verify:
-        # Baseline pools route by which generations are present, so the
-        # high-water argument does not apply here: probe count tuples.
-        slot_skus = [baselines[gen] for gen in generations] + [greensku]
-        prober = _EngineProber(trace, slot_skus, adoption)
-        memo = _ReplayMemo(prober)
+    # Baseline pools route by which generations are present, so the
+    # high-water argument does not apply here: probe count tuples.
+    slot_skus = [baselines[gen] for gen in generations] + [greensku]
+    prober = _EngineProber(trace, slot_skus, adoption)
+    memo = _ReplayMemo(prober)
 
-        def feasible(mixed_counts: "dict[int, int]", ng: int) -> bool:
-            return memo(*(mixed_counts[gen] for gen in generations), ng)
+    def feasible(mixed_counts: "dict[int, int]", ng: int) -> bool:
+        return memo(*(mixed_counts[gen] for gen in generations), ng)
 
-        grow_steps = 0
-        while not feasible(mixed, n_green):
-            n_green += 1
-            grow_steps += 1
-            if sum(mixed.values()) + n_green > MAX_SERVERS:
-                raise SizingError(
-                    f"generation-aware sizing for {trace.name} exceeded "
-                    f"{MAX_SERVERS}"
-                )
-        trim_steps = 0
-        trimmed = True
-        while trimmed:
-            trimmed = False
-            for gen in generations:
-                while mixed[gen] > 0:
-                    candidate = dict(mixed)
-                    candidate[gen] -= 1
-                    if feasible(candidate, n_green):
-                        mixed = candidate
-                        trim_steps += 1
-                        trimmed = True
-                    else:
-                        break
-            while n_green > 0 and feasible(mixed, n_green - 1):
-                n_green -= 1
-                trim_steps += 1
-                trimmed = True
-        tel = telemetry.active()
-        if tel is not None:
-            tel.count_many(
-                {
-                    "sizing.mixed_verifications": 1,
-                    "sizing.grow_steps": grow_steps,
-                    "sizing.trim_steps": trim_steps,
-                    "sizing.simulate_calls": memo.simulate_calls,
-                    "sizing.memo_hits": memo.memo_hits,
-                }
+    while not feasible(mixed, n_green):
+        n_green += 1
+        if sum(mixed.values()) + n_green > MAX_SERVERS:
+            raise SizingError(
+                f"generation-aware sizing for {trace.name} exceeded "
+                f"{MAX_SERVERS}"
             )
+    trim_steps = 0
+    trimmed = True
+    while trimmed:
+        trimmed = False
+        for gen in generations:
+            while mixed[gen] > 0:
+                candidate = dict(mixed)
+                candidate[gen] -= 1
+                if feasible(candidate, n_green):
+                    mixed = candidate
+                    trim_steps += 1
+                    trimmed = True
+                else:
+                    break
+        while n_green > 0 and feasible(mixed, n_green - 1):
+            n_green -= 1
+            trim_steps += 1
+            trimmed = True
+    tel = telemetry.active()
+    if tel is not None:
+        tel.count_many(
+            {
+                "sizing.mixed_verifications": 1,
+                "sizing.trim_steps": trim_steps,
+                "sizing.simulate_calls": memo.simulate_calls,
+                "sizing.memo_hits": memo.memo_hits,
+            }
+        )
     return GenerationAwareSizing(
         reference_by_gen=reference,
         mixed_baselines_by_gen=mixed,

@@ -82,6 +82,17 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(timeout_s=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["timeout_s", "backoff_base_s", "backoff_factor", "max_backoff_s"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        # A NaN slips past ``<``/``<=`` range checks and would make
+        # ``backoff_s`` return nan; only ``timeout_s=None`` means "none".
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            RetryPolicy(**{field: value})
+
 
 class TestCheckpointJournal:
     def test_miss_then_hit_round_trip(self, tmp_path):

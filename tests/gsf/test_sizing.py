@@ -21,7 +21,13 @@ from repro.gsf.sizing import (
     right_size,
     size_mixed_cluster,
 )
-from repro.hardware.sku import all_greenskus, baseline_gen3, greensku_full
+from repro.hardware.sku import (
+    all_greenskus,
+    baseline_gen1,
+    baseline_gen2,
+    baseline_gen3,
+    greensku_full,
+)
 from tests.oracles import allocation as allocation_oracle
 from tests.oracles import sizing as oracle
 
@@ -121,20 +127,42 @@ class TestSearchEfficiency:
         self, small_trace, gsf, full_sku, simulate_counter
     ):
         policy = gsf.adoption_model(full_sku).policy()
+        base = baseline_gen3()
+        adopters, rest = sizing_module._split_trace(small_trace, policy)
+        n_base = right_size(rest, base)
+        n_green = right_size(adopters, full_sku, policy)
+        simulate_counter.clear()
         with telemetry.capture() as tel:
-            size_mixed_cluster(small_trace, baseline_gen3(), full_sku, policy)
+            sizing = size_mixed_cluster(small_trace, base, full_sku, policy)
         counters = tel.counters
         assert max(simulate_counter.values()) == 1
         assert counters["sizing.simulate_calls"] == sum(
             simulate_counter.values()
         )
-        # One replay for each of the three right-size searches, then one
-        # per GreenSKU count the grow and trim loops visit.
-        visited = 2 + counters["sizing.grow_steps"] + counters[
-            "sizing.trim_steps"
-        ]
         assert counters["sizing.searches"] == 3
-        assert counters["sizing.simulate_calls"] <= 3 + visited
+        # The partitions' own configuration is known to fit, so no replay
+        # runs it.  Every trim probe holds the n_base baselines the trim
+        # starts from, one per GreenSKU count from n_green - 1 down to
+        # one below the count kept (none below 0).
+        assert (
+            small_trace.name,
+            ((base.name, n_base), (full_sku.name, n_green)),
+        ) not in simulate_counter
+        probes = [
+            skus
+            for name, skus in simulate_counter
+            if name == small_trace.name and len(skus) == 2
+        ]
+        assert probes
+        assert {nb for (_b, nb), _g in probes} == {n_base}
+        kept = sizing.mixed_green_servers
+        assert sorted(ng for _b, (_g, ng) in probes) == list(
+            range(max(kept - 1, 0), n_green)
+        )
+        assert counters["sizing.simulate_calls"] == 3 + len(probes)
+        assert counters["sizing.trim_steps"] == (
+            n_base + n_green - sizing.mixed_total
+        )
 
     def test_stats_accumulate_across_searches(self, small_trace):
         with telemetry.capture() as tel:
@@ -213,32 +241,99 @@ random_vms = st.lists(
 )
 
 
+#: Apps and baseline generations the random traces label VMs with.
+APPS = ("Redis", "Xapian", "Nginx")
+GENERATIONS = (1, 2, 3)
+
+#: One (app, generation) label per row of ``random_vms``.
+random_labels = st.lists(
+    st.tuples(st.sampled_from(APPS), st.sampled_from(GENERATIONS)),
+    min_size=30,
+    max_size=30,
+)
+
+#: Adoption tables: each (app, generation) pair adopts at a factor that
+#: keeps any VM within one GreenSKU once scaled, or does not adopt.
+random_tables = st.fixed_dictionaries(
+    {
+        (app, gen): st.one_of(st.none(), st.floats(1.0, 1.3))
+        for app in APPS
+        for gen in GENERATIONS
+    }
+)
+
+#: A random mixed-sizing question: trace rows and labels, adoption
+#: table, baseline SKU and GreenSKU.
+mixed_cases = dict(
+    vms=random_vms,
+    labels=random_labels,
+    table=random_tables,
+    base=st.sampled_from([baseline_gen1(), baseline_gen2(), baseline_gen3()]),
+    green=st.sampled_from(all_greenskus()),
+)
+
+
+def random_trace(vms, labels=None, base=None):
+    """A trace of ``random_vms`` rows, shapes clipped to fit ``base``."""
+    base = base or baseline_gen3()
+    labels = labels or [("Redis", 3)] * len(vms)
+    rows, now = [], 0.0
+    for i, (row, (app, gen)) in enumerate(zip(vms, labels)):
+        gap, lifetime, cores, memory, full = row
+        now += gap
+        rows.append(
+            VmRequest(
+                vm_id=i,
+                arrival_hours=now,
+                lifetime_hours=math.inf if lifetime is None else lifetime,
+                cores=min(cores, base.cores),
+                memory_gb=min(memory, base.memory_gb),
+                generation=gen,
+                app_name=app,
+                full_node=full,
+            )
+        )
+    return trace_of(rows)
+
+
 class TestHighWaterProperty:
     @given(vms=random_vms)
     @settings(deadline=None, max_examples=60)
     def test_feasible_exactly_from_right_size(self, vms):
-        rows, now = [], 0.0
-        for i, (gap, lifetime, cores, memory, full) in enumerate(vms):
-            now += gap
-            rows.append(
-                VmRequest(
-                    vm_id=i,
-                    arrival_hours=now,
-                    lifetime_hours=math.inf if lifetime is None else lifetime,
-                    cores=cores,
-                    memory_gb=memory,
-                    generation=3,
-                    app_name="Redis",
-                    full_node=full,
-                )
-            )
-        trace = trace_of(rows)
+        trace = random_trace(vms)
         need = right_size(trace, baseline_gen3())
         for n in range(1, need + 3):
             outcome = allocation_oracle.simulate(
                 trace, ClusterSpec.of((baseline_gen3(), n))
             )
             assert outcome.feasible == (n >= need), n
+
+
+class TestMixedSizingProperty:
+    """The trim-only mixed sizing is exact on random workloads."""
+
+    @given(**mixed_cases)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_oracle(self, vms, labels, table, base, green):
+        trace = random_trace(vms, labels, base)
+        policy = _cached(lambda app, gen: table[(app, gen)])
+        assert size_mixed_cluster(
+            trace, base, green, policy
+        ) == oracle.size_mixed_cluster(trace, base, green, policy)
+
+    @given(**mixed_cases)
+    @settings(deadline=None, max_examples=60)
+    def test_partitions_answer_the_mixed_need(
+        self, vms, labels, table, base, green
+    ):
+        # Beside the adopters' right-size of GreenSKUs, an upper-bound
+        # baseline pool uses exactly the rest partition's right-size.
+        trace = random_trace(vms, labels, base)
+        policy = _cached(lambda app, gen: table[(app, gen)])
+        adopters, rest = sizing_module._split_trace(trace, policy)
+        n_green = right_size(adopters, green, policy)
+        pool = sizing_module._HighWater(trace, base, policy, companion=green)
+        assert pool(n_green) == right_size(rest, base)
 
 
 class TestUnsortedTraceRejected:
@@ -359,10 +454,9 @@ class TestMixedSizing:
         def policy(app, gen):
             return 1.25 if app == "Xapian" else None
 
-        partitions = size_mixed_cluster(
-            trace, baseline_gen3(), greensku_full(), policy, verify=False
-        )
-        assert partitions.mixed_total == 4
+        adopters, rest = sizing_module._split_trace(trace, policy)
+        assert right_size(rest, baseline_gen3()) == 3
+        assert right_size(adopters, greensku_full(), policy) == 1
         sizing = size_mixed_cluster(
             trace, baseline_gen3(), greensku_full(), policy
         )

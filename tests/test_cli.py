@@ -49,6 +49,13 @@ class TestPrice:
         assert "carbon intensity must be finite" in captured.err
         assert "nan kg" not in captured.out
 
+    def test_zero_lifetime_error(self, capsys):
+        # A zero lifetime is rejected like -1, not read as "not given".
+        assert main(["price", "GreenSKU-Full", "--lifetime", "0"]) == 2
+        assert "lifetime (years) must be finite and > 0" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSavings:
     def test_savings_table(self, capsys):
@@ -173,6 +180,10 @@ class TestResilienceFlags:
     def test_bad_fault_spec_rejected(self, capsys):
         assert main(["--faults", "banana=1", "run", "table4"]) == 2
         assert "fault spec" in capsys.readouterr().err
+
+    def test_nan_task_timeout_rejected(self, capsys):
+        assert main(["--task-timeout", "nan", "run", "table3"]) == 2
+        assert "timeout_s must be finite" in capsys.readouterr().err
 
 
 class TestStats:
