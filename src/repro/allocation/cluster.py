@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import telemetry
+from ..core.checks import check_count
 from ..core.errors import CapacityError, ConfigError
 from ..hardware.sku import ServerSKU
 from ..perf.apps import APP_BY_NAME
@@ -170,8 +171,7 @@ class ClusterSpec:
         if not self.skus:
             raise ConfigError("a cluster needs at least one SKU entry")
         for _sku, count in self.skus:
-            if count < 0:
-                raise ConfigError("server counts must be >= 0")
+            check_count(count, "server count")
 
     @classmethod
     def of(cls, *pairs: Tuple[ServerSKU, int]) -> "ClusterSpec":

@@ -319,6 +319,10 @@ def simulate_fleet(
     ``None`` holes in ``outcomes`` — the aggregates then cover the
     survivors only, and ``feasible`` is False).
 
+    With no ``policy`` and no active one, each shard gets one attempt
+    and a failure raises.  ``cache=None`` consults the opt-in disk
+    cache (``--cache`` / ``REPRO_CACHE``) like every other fan-out.
+
     ``adoption`` must be picklable (a module-level function or a policy
     object) so workers can receive it.  ``chunk_events`` is deliberately
     *excluded* from the cache key — outcomes are bit-identical across

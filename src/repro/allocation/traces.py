@@ -49,6 +49,7 @@ import numpy as np
 from ..core import telemetry
 from ..core.checks import check_finite
 from ..core.errors import ConfigError
+from ..core.resilience import TaskFailure, drop_failures, resilient_map
 from ..core.rng import RngFactory
 from ..perf.apps import (
     FLEET_CORE_HOUR_SHARE,
@@ -572,7 +573,7 @@ def _generate_columns(seed: int, params: TraceParams) -> ColumnarTrace:
 
 
 def _generate_spec(spec: Tuple[int, TraceParams, str]) -> VmTrace:
-    """Generate one suite trace from its spec (a ``parallel_map`` task)."""
+    """Generate one suite trace from its spec (a ``resilient_map`` task)."""
     seed, params, name = spec
     return generate_trace(seed=seed, params=params, name=name)
 
@@ -620,8 +621,10 @@ def production_trace_suite(
     When the persistent trace store is enabled (``store=`` argument, or
     the ``REPRO_TRACE_STORE``/result-cache opt-in — see
     ``allocation.store``), stored traces load from ``.npz`` and only the
-    misses are generated — in parallel worker processes when ``jobs``
-    (or the runner default) asks for more than one.
+    misses are generated — in process unless ``jobs`` asks for more than
+    one worker, and then through ``resilient_map`` under any active
+    resilience policy.  A trace whose generation failed under the CLI's
+    ``--keep-going`` is neither stored nor returned.
     """
     specs = suite_specs(count=count, base_seed=base_seed, params=params)
     if store is None:
@@ -635,16 +638,14 @@ def production_trace_suite(
     missing = [i for i, trace in enumerate(results) if trace is None]
     if missing:
         if jobs is not None and jobs != 1 and len(missing) > 1:
-            from ..core.runner import parallel_map
-
-            fresh = parallel_map(
+            fresh = resilient_map(
                 _generate_spec, [specs[i] for i in missing], jobs=jobs
             )
         else:
             fresh = [_generate_spec(specs[i]) for i in missing]
         for i, trace in zip(missing, fresh):
             results[i] = trace
-            if store is not None:
+            if store is not None and not isinstance(trace, TaskFailure):
                 seed, trace_params, _name = specs[i]
                 store.put(seed, trace_params, trace.columns)
-    return list(results)
+    return drop_failures(results)

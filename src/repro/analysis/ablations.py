@@ -23,7 +23,7 @@ from ..allocation.scheduler import PLACEMENT_POLICIES
 from ..allocation.traces import VmTrace
 from ..carbon.model import CarbonModel
 from ..core.errors import ConfigError
-from ..core.runner import parallel_map
+from ..core.resilience import drop_failures, resilient_map
 from ..gsf.buffer import baseline_only_buffer, proportional_dual_buffer
 from ..gsf.framework import Gsf
 from ..gsf.sizing import right_size, size_mixed_cluster
@@ -90,17 +90,19 @@ def placement_policy_ablation(
 
     For each heuristic: the minimum cluster size hosting the trace and
     the achieved packing density at that size.  Policies evaluate
-    independently, so they fan out over ``jobs`` worker processes.
+    independently, so they fan out over ``jobs`` worker processes under
+    any active resilience policy; under the CLI's ``--keep-going`` a
+    policy whose task failed is dropped from the result.
     """
     sku = sku or baseline_gen3()
     bestfit_n = right_size(trace, sku)
-    return parallel_map(
+    return drop_failures(resilient_map(
         functools.partial(
             _placement_one, trace=trace, sku=sku, bestfit_n=bestfit_n
         ),
         list(policies),
         jobs=jobs,
-    )
+    ))
 
 
 # -- Fail-In-Place ------------------------------------------------------------
@@ -215,17 +217,18 @@ def adoption_rule_ablation(
       upper bound on GreenSKU utilization that breaks performance goals.
 
     Each rule's full sizing search is independent; they fan out over
-    ``jobs`` worker processes in rule order.
+    ``jobs`` worker processes in rule order, under any active resilience
+    policy (a rule whose task failed under ``--keep-going`` is dropped).
     """
     gsf = gsf or Gsf()
     greensku = greensku or greensku_full()
-    return parallel_map(
+    return drop_failures(resilient_map(
         functools.partial(
             _adoption_rule_one, trace=trace, gsf=gsf, greensku=greensku
         ),
         list(ADOPTION_RULES),
         jobs=jobs,
-    )
+    ))
 
 
 # -- growth buffer --------------------------------------------------------------

@@ -16,10 +16,10 @@ and recording its provenance edges.  On a repeat run it:
    published entry must encode byte-identically to it, else the sweep
    raises — silent nondeterminism must never replace published results.
 
-Recomputation rides :func:`repro.core.runner.cached_map`, so when a
-resilience policy is active (the CLI's ``--resume`` / ``--retries`` /
-``--faults``) the sweep inherits checkpoint/resume, retries, and fault
-injection — a killed sweep resumes bit-identically.
+Recomputation rides :func:`repro.core.resilience.resilient_map`, so
+when a resilience policy is active (the CLI's ``--resume`` /
+``--retries`` / ``--faults``) the sweep inherits checkpoint/resume,
+retries, and fault injection — a killed sweep resumes bit-identically.
 
 Points are frozen dataclasses and the compute function is module-level,
 so the grid fans out over worker processes like every other experiment.
@@ -45,7 +45,8 @@ from ..carbon.grid import GRID_SIGNALS
 from ..core import provenance, telemetry
 from ..core.checks import check_finite
 from ..core.errors import ConfigError, SimulationError
-from ..core.runner import cached_map, content_key
+from ..core.resilience import resilient_map
+from ..core.runner import content_key
 from ..hardware import catalog as parts_catalog
 from ..hardware.components import CxlControllerSpec, DramSpec
 from ..hardware.sku import ServerSKU, paper_skus
@@ -458,8 +459,9 @@ def run_sweep(
     """Run (or incrementally re-run) one scenario sweep.
 
     Warm points are a single compressed catalog read each; cold points
-    recompute through :func:`~repro.core.runner.cached_map` (inheriting
-    any active resilience policy) and are published + provenance-recorded.
+    recompute through :func:`~repro.core.resilience.resilient_map`
+    (inheriting any active resilience policy) and are published +
+    provenance-recorded.
     A recomputed payload whose closure key already had a catalog entry
     must encode to byte-identical entry bytes, else ``SimulationError``
     — nondeterminism must never silently replace published results.
@@ -490,7 +492,7 @@ def run_sweep(
     recomputed: List[str] = []
     if cold_idx:
         with telemetry.span("catalog.recompute"):
-            fresh = cached_map(
+            fresh = resilient_map(
                 _compute_point,
                 [points[i] for i in cold_idx],
                 key_fn=key_of.__getitem__,

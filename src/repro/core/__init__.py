@@ -22,9 +22,7 @@ from .rng import DEFAULT_SEED, RngFactory, derive_seed, stream
 from .runner import (
     DiskCache,
     cache_enabled,
-    cached_map,
     content_key,
-    parallel_map,
     resolve_jobs,
     set_cache_enabled,
     set_default_jobs,
@@ -74,9 +72,7 @@ __all__ = [
     "stream",
     "DiskCache",
     "cache_enabled",
-    "cached_map",
     "content_key",
-    "parallel_map",
     "resolve_jobs",
     "set_cache_enabled",
     "set_default_jobs",

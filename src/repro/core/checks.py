@@ -5,6 +5,7 @@ slips through it and surfaces later as a ``nan`` result (or, for a trace
 duration of ``inf``, as a loop that never ends).  :func:`check_finite`
 rejects non-finite values before it compares bounds, and raises
 :class:`~repro.core.errors.ConfigError` so the CLI reports a clean error.
+:func:`check_count` does the same for counts, which must be integers.
 """
 
 from __future__ import annotations
@@ -65,3 +66,26 @@ def check_finite(
             ["finite"] + [f"{text} {bound:g}" for bound, text, _ in given]
         )
         raise ConfigError(f"{label} must be {wanted}, got {value!r}")
+
+
+def check_count(value: int, label: str) -> None:
+    """Check that ``value`` is a count: an integer >= 0.
+
+    NumPy integers pass.  A float such as ``1.5``, ``nan`` or ``inf``
+    fails even though ``< 0`` is false for it, and so does a ``bool``.
+
+    Raises:
+        ConfigError: ``value`` is not a non-negative integer.
+
+    >>> check_count(3, "servers")
+    >>> check_count(float("inf"), "servers")
+    Traceback (most recent call last):
+    ...
+    repro.core.errors.ConfigError: servers must be an integer >= 0, got inf
+    """
+    if not (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 0
+    ):
+        raise ConfigError(f"{label} must be an integer >= 0, got {value!r}")

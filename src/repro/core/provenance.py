@@ -1,10 +1,10 @@
 """Provenance graph over experiment inputs and outputs.
 
-Every artifact the reproduction computes — a ``cached_map`` /
-``resilient_map`` task result, a sweep point's payload, a GSF report —
-is a pure function of content-addressable inputs: trace-store entries,
-hardware tables, :class:`~repro.allocation.traces.TraceParams`, sizing
-configs, and the code itself.  This module records those dependency
+Every artifact the reproduction computes — a ``resilient_map`` task
+result, a sweep point's payload, a GSF report — is a pure function of
+content-addressable inputs: trace-store entries, hardware tables,
+:class:`~repro.allocation.traces.TraceParams`, sizing configs, and the
+code itself.  This module records those dependency
 edges so a changed input invalidates exactly its downstream cone
 instead of the whole sweep (the PROBE model: provenance as a graph of
 input/output digests, not timestamps):
@@ -27,9 +27,8 @@ input/output digests, not timestamps):
   :class:`InvalidationReport` carries a deterministic ``cone_digest``
   that CI pins as a golden value.
 
-``repro.core.runner.cached_map`` and
-``repro.core.resilience.resilient_map`` record a ``task/<key>`` node
-for every fresh task execution whenever a log is active (see
+``repro.core.resilience.resilient_map`` records a ``task/<key>`` node
+for every keyed task result it returns whenever a log is active (see
 :func:`recording`); the sweep driver (``repro.catalog.sweep``) records
 the experiment-level artifacts.  See ``docs/catalog.md``.
 """
@@ -337,7 +336,7 @@ def recording(log: ProvenanceLog) -> Iterator[ProvenanceLog]:
 
 
 def record_task(key: str, value: object) -> None:
-    """Record one ``cached_map``/``resilient_map`` task into the active log.
+    """Record one ``resilient_map`` task into the active log.
 
     The task's content key *is* its input digest (the same hash the
     journal and disk cache use), plus the code salt; the output digest

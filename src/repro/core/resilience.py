@@ -30,18 +30,21 @@ a first-class outcome:
   one entry per input and callers can never silently misalign.
   :func:`drop_failures` makes computing over the survivors an explicit
   decision.
-- :func:`resilient_map` — the composition: journal lookups, disk-cache
-  lookups, retried parallel execution of the misses, checkpoint after
-  every completion.  ``repro.core.runner.cached_map`` routes through it
-  automatically whenever a policy is active (the CLI's ``--resume`` /
-  ``--retries`` / ``--task-timeout`` / ``--faults`` flags), so every
-  suite experiment inherits resilience without code changes.
+- :func:`resilient_map` — the one map every fan-out in the package
+  runs on: journal lookups, disk-cache lookups, retried serial or
+  process-pool execution of the misses, checkpoint after every
+  completion.  It runs under the process-wide policy the CLI's
+  ``--resume`` / ``--retries`` / ``--task-timeout`` / ``--faults``
+  flags install (``--keep-going`` adds degradation to it), so every
+  suite experiment inherits resilience without code changes; with no
+  policy it makes one attempt per task and raises on failure.
 
-Telemetry: counters ``resilience.tasks`` / ``.resumed`` /
-``.checkpointed`` / ``.retries`` / ``.timeouts`` / ``.failures`` /
-``.degraded_dropped`` / ``.pool_restarts`` / ``.journal_quarantined``
-and a ``resilience.map`` span per fan-out.  Fault injection (``repro.core.faults``) hooks in here
-and nowhere else.  See ``docs/resilience.md``.
+Telemetry: counters ``resilience.resumed`` / ``.checkpointed`` /
+``.retries`` / ``.timeouts`` / ``.failures`` / ``.degraded_dropped`` /
+``.pool_restarts`` / ``.journal_quarantined``, the ``runner.*`` task
+counters and timer, and a ``resilience.map`` span per fan-out.  Fault
+injection (``repro.core.faults``) hooks in here and nowhere else.  See
+``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from typing import (
 )
 
 from . import runner, telemetry
-from .checks import check_finite
+from .checks import check_count, check_finite
 from .errors import ConfigError, SimulationError
 from .faults import FaultPlan
 from .ioutil import atomic_write_text
@@ -102,9 +105,10 @@ class RetryPolicy:
     is followed by a ``backoff_base_s * backoff_factor**k`` delay
     (capped at ``max_backoff_s``) before the retry.  ``timeout_s`` (when
     set) bounds each *attempt's* wall clock in parallel runs, measured
-    from when the attempt starts executing — the scheduler never submits
-    more tasks than there are workers, so queueing behind busy workers
-    does not burn a task's budget.  A timed out attempt counts as a
+    from when the attempt starts executing — with a timeout the
+    scheduler never submits more tasks than there are workers, so
+    queueing behind busy workers does not burn a task's budget.
+    ``max_retries`` must be an integer.  A timed out attempt counts as a
     failure and the worker pool is recycled to reclaim the stuck worker.
     ``sleep`` is injectable so tests can assert backoff schedules
     without waiting; parallel runs defer resubmission instead of
@@ -121,8 +125,7 @@ class RetryPolicy:
     sleep: Callable[[float], None] = time.sleep
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
+        check_count(self.max_retries, "max_retries")
         check_finite(self.backoff_base_s, "backoff_base_s", at_least=0)
         check_finite(self.max_backoff_s, "max_backoff_s", at_least=0)
         check_finite(self.backoff_factor, "backoff_factor", at_least=1)
@@ -291,6 +294,11 @@ class ResiliencePolicy:
 
 _ACTIVE_POLICY: Optional[ResiliencePolicy] = None
 
+#: The policy of a map that gets none, by argument or from the CLI: one
+#: attempt, no journal, no faults, and a failure raises.  A task is a
+#: pure function of its item, so a retry would repeat the failure.
+_PLAIN_POLICY = ResiliencePolicy(retry=RetryPolicy(max_retries=0))
+
 
 def active_policy() -> Optional[ResiliencePolicy]:
     """The process-wide policy installed by the CLI flags, or ``None``."""
@@ -320,9 +328,14 @@ def activated(policy: ResiliencePolicy) -> Iterator[ResiliencePolicy]:
 class _ResilientTask:
     """Picklable task wrapper: fault injection + worker instrumentation.
 
-    Composes the runner's ``_StatsTrackedTask`` (per-task telemetry
-    capture) with the fault plan, which fires in the executing process —
-    so hard kills really kill the worker.
+    The fault plan fires in the executing process, so hard kills really
+    kill the worker.  The task then runs under a *fresh* capture
+    (shadowing whatever the worker inherited via fork), so the drained
+    counters and timers are exactly this task's activity and merge
+    associatively into the parent's manifest through
+    ``Telemetry.absorb``.  Whether to capture is decided in the parent
+    at submit time, so workers never need the parent's sink.  Returns
+    ``(result, drained_telemetry)``.
     """
 
     def __init__(
@@ -332,15 +345,21 @@ class _ResilientTask:
         index: int,
         attempt: int,
     ) -> None:
-        self._inner = runner._StatsTrackedTask(fn)
+        self._fn = fn
         self._faults = faults
         self._index = index
         self._attempt = attempt
+        self._telemetry = telemetry.enabled()
 
     def __call__(self, item: T):
         if self._faults is not None:
             self._faults.apply(self._index, self._attempt)
-        return self._inner(item)
+        if not self._telemetry:
+            return self._fn(item), None
+        with telemetry.capture() as tel:
+            with tel.timer("runner.task"):
+                result = self._fn(item)
+        return result, tel.drain()
 
 
 @dataclass
@@ -417,10 +436,13 @@ def _run_parallel(
 ) -> Dict[int, object]:
     """Process-pool execution with retry, timeout, and pool recycling.
 
-    At most ``workers`` tasks are submitted at a time (refilled as
-    futures complete), so a task's ``timeout_s`` deadline — set at
-    submission — measures execution, not time spent queued behind busy
-    workers.  Backed-off retries carry a per-task not-before time
+    Tasks are submitted as futures complete, never all at once: a worker
+    death turns every task in flight into a casualty that reruns alone.
+    With a ``timeout_s`` at most ``workers`` tasks are in flight, so a
+    deadline — set at submission — measures execution, not time spent
+    queued behind busy workers; without one, ``2 * workers`` are, so
+    each worker has a task queued behind the one it runs and never waits
+    on the scheduler.  Backed-off retries carry a per-task not-before time
     instead of sleeping the scheduler thread, so one retry's backoff
     never stalls the collection of everyone else's results.  Casualties
     of a pool breakage rerun solo (see :class:`_Pending`), so a breakage
@@ -428,6 +450,7 @@ def _run_parallel(
     """
     retry = policy.retry
     tel = telemetry.active()
+    cap = workers if retry.timeout_s is not None else 2 * workers
     outcomes: Dict[int, object] = {}
     queue: List[_Pending] = list(pending)
     pool = ProcessPoolExecutor(max_workers=workers)
@@ -495,9 +518,7 @@ def _run_parallel(
             # A solo task runs with nothing else in flight.
             solo_running = any(t.solo for t, _ in inflight.values())
             i = 0
-            while (
-                not solo_running and len(inflight) < workers and i < len(queue)
-            ):
+            while not solo_running and len(inflight) < cap and i < len(queue):
                 if queue[i].not_before > now or (queue[i].solo and inflight):
                     i += 1
                     continue
@@ -534,7 +555,7 @@ def _run_parallel(
                 soonest.not_before = 0.0
                 continue
             wake_times = [d for _, d in inflight.values() if d is not None]
-            if len(inflight) < workers and not solo_running:
+            if len(inflight) < cap and not solo_running:
                 # A free slot is waiting on a backoff window (a solo task
                 # waits for the tasks in flight instead).
                 wake_times.extend(t.not_before for t in queue if not t.solo)
@@ -612,33 +633,42 @@ def resilient_map(
     cache: Optional[runner.DiskCache] = None,
     policy: Optional[ResiliencePolicy] = None,
 ) -> List[R]:
-    """Fault-tolerant :func:`repro.core.runner.cached_map`.
+    """Map ``fn`` over ``items``: the one fan-out of the package.
 
-    Resolution order per item: checkpoint journal, disk cache, then
-    retried execution (serial or process pool).  Every fresh completion
-    is checkpointed (and cached) before the call returns, so a crash
-    mid-suite loses at most the in-flight tasks.  Tasks that exhaust
-    their attempts become :class:`TaskFailure` records — written to the
-    journal and the telemetry manifest.  Under ``on_failure="raise"``
-    (the default) the map then raises, after checkpointing the
-    survivors so a rerun resumes; under ``on_failure="record"`` the
-    :class:`TaskFailure` is returned **in the failed task's slot**, so
-    the returned list always has exactly ``len(items)`` entries and can
-    never silently misalign with the inputs (:func:`drop_failures`
-    filters it explicitly).  With no failures the result is exactly
-    ``cached_map``'s: input order, bit-identical across worker counts
-    and resumes, because tasks are pure functions of their items.
+    Results come back in input order and each task is a pure function
+    of its item, so the output is bit-identical across worker counts
+    (``jobs``, resolved by :func:`repro.core.runner.resolve_jobs`),
+    caches and resumes; ``fn`` and the items must pickle when more than
+    one worker runs.  Worker telemetry folds back into this process's
+    capture, so the counts match the serial path.
+
+    ``policy`` defaults to the active policy, else one attempt per task
+    with no journal and no faults.  ``cache`` defaults to a
+    :class:`DiskCache` when :func:`repro.core.runner.cache_enabled`.
+    The journal, the cache and the provenance log need ``key_fn``.
+
+    Per item: checkpoint journal, disk cache, then retried execution.
+    Every fresh completion is checkpointed (and cached) before the call
+    returns, so a crash mid-suite loses at most the in-flight tasks.  A
+    task that exhausts its attempts becomes a :class:`TaskFailure`,
+    written to the journal and the telemetry manifest.  Under
+    ``on_failure="raise"`` the map then raises :class:`SimulationError`
+    from the first failed task's exception, after checkpointing the
+    survivors so a rerun resumes; under ``"record"`` the failure is
+    returned **in its task's slot**, so the list always has
+    ``len(items)`` entries and never silently misaligns with the inputs
+    (:func:`drop_failures` filters it explicitly).
     """
     items = list(items)
-    policy = policy if policy is not None else active_policy()
     if policy is None:
-        policy = ResiliencePolicy()
+        policy = active_policy() or _PLAIN_POLICY
+    if cache is None and runner.cache_enabled():
+        cache = runner.DiskCache()
     journal = policy.journal
     keys: Optional[List[str]] = (
         [key_fn(item) for item in items] if key_fn is not None else None
     )
 
-    telemetry.count("resilience.tasks", len(items))
     tel = telemetry.active()
     if tel is not None:
         tel.count("runner.tasks", len(items))
@@ -726,10 +756,18 @@ def resilient_map(
                 f"task {f.index}: {f.error_type}: {f.message}"
                 for f in failures
             )
+            cause = next(
+                (
+                    task.last_error
+                    for task in pending
+                    if isinstance(results[task.index], TaskFailure)
+                ),
+                None,
+            )
             raise SimulationError(
                 f"{len(failures)}/{len(items)} tasks failed after "
                 f"{policy.retry.attempts} attempts: {detail}"
-            )
+            ) from cause
     return list(results)
 
 

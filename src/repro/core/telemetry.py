@@ -224,8 +224,8 @@ class Telemetry:
     ) -> None:
         """Fold another capture's drained state into this one.
 
-        Used by :func:`repro.core.runner.parallel_map` to merge worker-
-        process instrumentation back into the parent's manifest.
+        Used by :func:`repro.core.resilience.resilient_map` to merge
+        worker-process instrumentation back into the parent's manifest.
         """
         self.count_many(counters)
         for name, (count, total_s, min_s, max_s) in timers.items():

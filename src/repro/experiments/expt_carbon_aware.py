@@ -28,8 +28,8 @@ from ..allocation.cluster import ClusterSpec, simulate
 from ..allocation.ingest import trace_suite
 from ..allocation.traces import TraceParams, VmTrace
 from ..carbon.grid import CarbonAccountant, carbon_aware_policy, grid_signal
-from ..core.resilience import drop_failures
-from ..core.runner import DiskCache, cached_map, content_key
+from ..core.resilience import drop_failures, resilient_map
+from ..core.runner import DiskCache, content_key
 from ..core.tables import render_csv
 from ..gsf.framework import Gsf
 from ..gsf.results import CarbonAwareDelta
@@ -159,9 +159,10 @@ def run(
     """Run the carbon-aware study over the trace suite × signal grid.
 
     Per-(trace, signal) pairs are independent, so they fan out through
-    :func:`~repro.core.runner.cached_map` (inheriting any resilience
-    policy); under a degrading ``--keep-going`` run, failed pairs are
-    dropped from the study and surface in the telemetry manifest.
+    :func:`~repro.core.resilience.resilient_map` (inheriting any
+    resilience policy); under a degrading ``--keep-going`` run, failed
+    pairs are dropped from the study and surface in the telemetry
+    manifest.
     """
     if traces is None:
         traces = trace_suite(
@@ -179,7 +180,7 @@ def run(
         for trace in traces
         for signal_name in signals
     ]
-    deltas = drop_failures(cached_map(
+    deltas = drop_failures(resilient_map(
         functools.partial(_run_pair, gsf=gsf, greensku=greensku),
         pairs,
         key_fn=functools.partial(_pair_key, gsf=gsf, greensku=greensku),

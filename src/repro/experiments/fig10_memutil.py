@@ -20,8 +20,8 @@ from ..allocation.cluster import ClusterSpec, adopt_nothing, simulate
 from ..allocation.packing import cdf, fraction_below
 from ..allocation.ingest import trace_suite
 from ..allocation.traces import TraceParams, VmTrace
-from ..core.resilience import drop_failures
-from ..core.runner import DiskCache, cached_map, content_key
+from ..core.resilience import drop_failures, resilient_map
+from ..core.runner import DiskCache, content_key
 from ..core.tables import render_csv
 from ..gsf.adoption import AdoptionModel
 from ..gsf.framework import Gsf
@@ -162,7 +162,7 @@ def run(
     baseline, greensku = baseline_gen3(), greensku_cxl()
     permissive = PermissiveAdoption(gsf.adoption_model(greensku))
 
-    triples = drop_failures(cached_map(
+    triples = drop_failures(resilient_map(
         functools.partial(
             run_trace,
             baseline=baseline,

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..allocation.traces import TraceParams, VmTrace, generate_trace
-from ..core.runner import parallel_map, resolve_jobs
+from ..core.resilience import drop_failures, resilient_map
+from ..core.runner import resolve_jobs
 from ..core.tables import render_csv, render_table
 from ..gsf.framework import Gsf
 from ..gsf.results import IntensitySweepPoint
@@ -75,6 +76,9 @@ def run(
     cache only short-circuits recomputing results that are identical by
     construction), so the sweep fans out per intensity over ``jobs``
     workers; the serial path keeps the shared cache across intensities.
+    The fan-out inherits any active resilience policy, and under the
+    CLI's ``--keep-going`` an intensity whose task exhausted its retry
+    budget is dropped (``resilience.degraded_dropped``).
     ``trace_backend`` selects synthetic vs ingested Azure traces; the
     azure backend sweeps the first ingested trace.
     """
@@ -95,11 +99,11 @@ def run(
     if resolve_jobs(jobs) <= 1:
         points = gsf.intensity_sweep(trace, intensities)
     else:
-        points = parallel_map(
+        points = drop_failures(resilient_map(
             functools.partial(_sweep_one, gsf=gsf, trace=trace),
             intensities,
             jobs=jobs,
-        )
+        ))
     return Fig11Result(points=points, regions=dict(AZURE_REGION_CI))
 
 

@@ -20,8 +20,8 @@ from ..allocation.cluster import ClusterSpec, adopt_nothing, simulate
 from ..allocation.packing import PackingPoint, packing_point
 from ..allocation.ingest import trace_suite
 from ..allocation.traces import TraceParams, VmTrace
-from ..core.resilience import drop_failures
-from ..core.runner import DiskCache, cached_map, content_key
+from ..core.resilience import drop_failures, resilient_map
+from ..core.runner import DiskCache, content_key
 from ..core.tables import render_csv
 from ..gsf.framework import Gsf
 from ..gsf.sizing import size_mixed_cluster
@@ -134,7 +134,7 @@ def run(
         )
     gsf = gsf or Gsf()
     baseline, greensku = baseline_gen3(), greensku_full()
-    pairs = drop_failures(cached_map(
+    pairs = drop_failures(resilient_map(
         functools.partial(
             run_trace, gsf=gsf, baseline=baseline, greensku=greensku
         ),

@@ -443,8 +443,20 @@ def size_generation_aware(
     the mixed cluster adds GreenSKUs for adopters and trims greedily on
     the full trace with generation routing active.  The verify/trim loops
     memoize every probed configuration.
+
+    Raises:
+        ConfigError: A generation holds VMs in ``trace`` but has no SKU
+            in ``baselines``, so the reference could not host them.
     """
     generations = sorted(baselines)
+    unsized = sorted(
+        set(np.unique(trace.columns.generation).tolist()) - set(generations)
+    )
+    if unsized:
+        raise ConfigError(
+            f"{trace.name} holds VMs of generation(s) {unsized} that have "
+            f"no baseline SKU (baselines cover {generations})"
+        )
     # Reference: per-generation right-size on that generation's sub-trace.
     reference: "dict[int, int]" = {}
     for gen in generations:

@@ -1,5 +1,6 @@
 """Cluster simulation tests."""
 
+import numpy as np
 import pytest
 
 from repro.allocation.cluster import (
@@ -55,6 +56,17 @@ class TestClusterSpec:
     def test_negative_count_rejected_in_any_position(self):
         with pytest.raises(ConfigError):
             ClusterSpec.of((baseline_gen3(), 3), (greensku_full(), -2))
+
+    @pytest.mark.parametrize("count", [float("nan"), 1.5, float("inf")])
+    def test_non_integer_count_rejected(self, count):
+        # ``< 0`` is false for each of these, and ``simulate`` used to
+        # fail later with a TypeError building the servers.
+        with pytest.raises(ConfigError, match="server count must be an"):
+            ClusterSpec.of((baseline_gen3(), count))
+
+    def test_numpy_integer_count_accepted(self):
+        spec = ClusterSpec.of((baseline_gen3(), np.int64(3)))
+        assert spec.total_servers == 3
 
 
 class TestSimulateBasics:

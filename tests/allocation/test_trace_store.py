@@ -24,7 +24,8 @@ from repro.allocation.traces import (
 )
 from repro.core import telemetry
 from repro.core.errors import ConfigError
-from repro.core.faults import corrupt_file
+from repro.core.faults import FaultPlan, corrupt_file
+from repro.core.resilience import ResiliencePolicy, RetryPolicy, activated
 
 PARAMS = TraceParams(duration_days=2, mean_concurrent_vms=100)
 SUITE_PARAMS = TraceParams(duration_days=2, mean_concurrent_vms=80)
@@ -166,8 +167,24 @@ class TestStore:
             t.digest() for t in serial
         ]
 
+    def test_keep_going_neither_stores_nor_returns_a_failure(self, tmp_path):
+        # A parallel suite inherits the active policy; a trace that
+        # exhausted its retries is dropped, and only survivors are put.
+        store = TraceStore(directory=tmp_path / "kept")
+        policy = ResiliencePolicy(
+            retry=RetryPolicy(max_retries=0),
+            faults=FaultPlan(kill_indices=(1,), kill_attempts=99),
+            on_failure="record",
+        )
+        with activated(policy):
+            suite = production_trace_suite(
+                count=3, params=SUITE_PARAMS, jobs=2, store=store
+            )
+        assert [t.name for t in suite] == ["dc-00", "dc-02"]
+        assert store.writes == 2
+
     def test_store_pickles_with_trace(self, store):
-        # parallel_map ships traces back from workers; the store must not
+        # resilient_map ships traces back from workers; the store must not
         # leak unpicklable state into them.
         trace = store.get(5, PARAMS, "t") or generate_trace(5, PARAMS)
         clone = pickle.loads(pickle.dumps(trace))

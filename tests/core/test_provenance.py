@@ -146,12 +146,12 @@ class TestActiveLog:
         assert record.inputs_map["code"] == code_salt()
         assert record.output_digest == result_digest({"v": 1})
 
-    def test_cached_map_records_tasks(self, tmp_path):
-        from repro.core.runner import cached_map
+    def test_resilient_map_records_tasks(self, tmp_path):
+        from repro.core.resilience import resilient_map
 
         log = ProvenanceLog(tmp_path / "p.jsonl")
         with recording(log):
-            out = cached_map(str.upper, ["a", "b"], key_fn=str, jobs=1)
+            out = resilient_map(str.upper, ["a", "b"], key_fn=str, jobs=1)
         assert out == ["A", "B"]
         latest = log.latest()
         assert "task/a" in latest and "task/b" in latest

@@ -1,10 +1,11 @@
-"""The resilience layer: journal, retry, degradation, runner routing."""
+"""The resilience layer: journal, retry, degradation, policy resolution."""
 
 import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.core import resilience, runner, telemetry
@@ -40,6 +41,28 @@ def slow_square(x):
 
 def key_of(x):
     return f"key-{x}"
+
+
+def fail_on_two(x):
+    if x == 2:
+        raise ValueError(f"bad item {x}")
+    return x * x
+
+
+class InflightCountingPool(ProcessPoolExecutor):
+    """A pool that records the most tasks it ever had outstanding.
+
+    The pool drops a work item before it completes the item's future,
+    so the count never includes a task the scheduler already collected.
+    """
+
+    most = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        cls = type(self)
+        cls.most = max(cls.most, len(self._pending_work_items))
+        return future
 
 
 class SubmitAfterBreakPool(ProcessPoolExecutor):
@@ -78,6 +101,8 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ConfigError):
+            RetryPolicy(max_retries=True)
+        with pytest.raises(ConfigError):
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ConfigError):
             RetryPolicy(timeout_s=0)
@@ -92,6 +117,16 @@ class TestRetryPolicy:
         # ``backoff_s`` return nan; only ``timeout_s=None`` means "none".
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, float("inf")])
+    def test_max_retries_must_be_an_integer(self, value):
+        # ``< 0`` is false for each of these; ``attempts`` would read
+        # nan, 2.5 or inf, and inf retries an always-failing task forever.
+        with pytest.raises(ConfigError, match="max_retries must be an"):
+            RetryPolicy(max_retries=value)
+
+    def test_numpy_integer_retries_accepted(self):
+        assert RetryPolicy(max_retries=np.int64(2)).attempts == 3
 
 
 class TestCheckpointJournal:
@@ -212,6 +247,26 @@ class TestResilientMapSerial:
         assert survivors == [1, 9]
         assert tel.counters["resilience.degraded_dropped"] == 1
 
+    def test_no_policy_runs_once_and_chains_the_task_error(self):
+        # A task is a pure function of its item, so with no policy a
+        # failure is not retried, and the task's own exception stays
+        # reachable (with its traceback) as the cause.
+        assert active_policy() is None
+        calls = []
+
+        def tracked(x):
+            calls.append(x)
+            return fail_on_two(x)
+
+        with pytest.raises(
+            SimulationError, match="1/2 tasks failed after 1 attempts"
+        ) as info:
+            resilient_map(tracked, [1, 2], key_fn=key_of, jobs=1)
+        assert calls == [1, 2]
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "bad item 2"
+        assert info.value.__cause__.__traceback__ is not None
+
     def test_on_failure_raise_is_the_default(self):
         assert ResiliencePolicy().on_failure == "raise"
         policy = ResiliencePolicy(
@@ -319,6 +374,36 @@ class TestResilientMapParallel:
             square, list(range(6)), key_fn=key_of, jobs=2
         )
         assert parallel == serial
+
+    def test_no_policy_chains_the_worker_error(self):
+        with telemetry.capture() as tel:
+            with pytest.raises(SimulationError) as info:
+                resilient_map(fail_on_two, [1, 2, 3], jobs=2)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "bad item 2"
+        assert "resilience.retries" not in tel.counters
+        assert tel.counters["resilience.failures"] == 1
+
+    @pytest.mark.parametrize("timeout_s, cap", [(None, 4), (30.0, 2)])
+    def test_inflight_cap_follows_the_timeout(
+        self, monkeypatch, timeout_s, cap
+    ):
+        # Without a timeout each of the 2 workers keeps one task queued
+        # behind the one it runs; with one, a deadline set at submission
+        # must measure execution, so only one task per worker is out.
+        monkeypatch.setattr(InflightCountingPool, "most", 0)
+        monkeypatch.setattr(
+            resilience, "ProcessPoolExecutor", InflightCountingPool
+        )
+        policy = ResiliencePolicy(
+            retry=fast_retry(max_retries=0, timeout_s=timeout_s),
+            faults=FaultPlan(latency_s=0.2),
+        )
+        out = resilient_map(
+            square, list(range(8)), key_fn=key_of, jobs=2, policy=policy
+        )
+        assert out == [x * x for x in range(8)]
+        assert InflightCountingPool.most == cap
 
     def test_exception_kills_retried_in_workers(self):
         policy = ResiliencePolicy(
@@ -488,12 +573,14 @@ class TestResilientMapParallel:
 
 
 class TestRunnerRouting:
-    def test_cached_map_routes_through_active_policy(self, tmp_path):
+    """How the one map resolves its policy and cache per call."""
+
+    def test_active_policy_applies_without_an_argument(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j")
         policy = ResiliencePolicy(journal=journal, retry=fast_retry())
         with activated(policy):
             assert active_policy() is policy
-            out = runner.cached_map(
+            out = resilient_map(
                 square, [1, 2, 3], key_fn=key_of, jobs=1, cache=None
             )
         assert out == [1, 4, 9]
@@ -513,11 +600,14 @@ class TestRunnerRouting:
         assert journal.get(key_of(2)) == 4
 
     def test_no_policy_means_no_routing(self, tmp_path):
-        # Without an active policy cached_map keeps its PR 1 behavior.
+        # Without a policy the map still consults the cache, but has no
+        # journal to checkpoint into and no faults to inject.
         cache = runner.DiskCache(tmp_path / "cache")
-        out = runner.cached_map(square, [1, 2], key_fn=key_of, cache=cache)
+        with telemetry.capture() as tel:
+            out = resilient_map(square, [1, 2], key_fn=key_of, cache=cache)
         assert out == [1, 4]
-        assert cache.misses == 2
+        assert cache.misses == 2 and cache.writes == 2
+        assert not any(name.startswith("resilience.") for name in tel.counters)
 
 
 class TestDiskCacheQuarantine:

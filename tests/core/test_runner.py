@@ -1,4 +1,9 @@
-"""Tests for the shared experiment runner (parallel map + disk cache)."""
+"""Tests for the shared experiment runner settings and the one map.
+
+Every fan-out runs on ``resilient_map``; these tests pin its plain
+parallel-map and cached-map behaviour, which the runner's worker-count
+and cache settings feed.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +11,14 @@ import os
 
 import pytest
 
+from repro.core import telemetry
 from repro.core.errors import ConfigError
+from repro.core.resilience import resilient_map
 from repro.core.runner import (
     MISSING,
     DiskCache,
     cache_enabled,
-    cached_map,
     content_key,
-    parallel_map,
     resolve_jobs,
     set_cache_enabled,
     set_default_jobs,
@@ -70,36 +75,36 @@ class TestResolveJobs:
 
 
 class TestParallelMap:
+    """``resilient_map`` with no key, cache or policy: a parallel map."""
+
     def test_serial_matches_builtin_map(self):
         items = list(range(20))
-        assert parallel_map(_square, items, jobs=1) == [x * x for x in items]
+        assert resilient_map(_square, items, jobs=1) == [x * x for x in items]
 
     def test_parallel_preserves_input_order(self):
         items = list(range(20))
-        assert parallel_map(_square, items, jobs=4) == [x * x for x in items]
+        assert resilient_map(_square, items, jobs=4) == [x * x for x in items]
 
     def test_parallel_identical_to_serial(self):
         items = list(range(13))
-        assert parallel_map(_square, items, jobs=3) == parallel_map(
+        assert resilient_map(_square, items, jobs=3) == resilient_map(
             _square, items, jobs=1
         )
 
     def test_runs_in_worker_processes(self):
         # Two workers over four items: at least one item must land in a
         # different process than the parent.
-        tagged = parallel_map(_pid_tag, [1, 2, 3, 4], jobs=2)
+        tagged = resilient_map(_pid_tag, [1, 2, 3, 4], jobs=2)
         assert [x for x, _pid in tagged] == [1, 2, 3, 4]
         assert any(pid != os.getpid() for _x, pid in tagged)
 
     def test_empty_items(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        assert resilient_map(_square, [], jobs=4) == []
 
     def test_stats_accumulate(self):
-        from repro.core import telemetry
-
         with telemetry.capture() as tel:
-            parallel_map(_square, [1, 2, 3], jobs=1)
-            parallel_map(_square, [4, 5], jobs=1)
+            resilient_map(_square, [1, 2, 3], jobs=1)
+            resilient_map(_square, [4, 5], jobs=1)
         assert tel.counters["runner.tasks"] == 5
         assert "runner.parallel_tasks" not in tel.counters
 
@@ -115,10 +120,8 @@ class TestTelemetryFoldIn:
     """
 
     def _run(self, jobs):
-        from repro.core import telemetry
-
         with telemetry.capture() as tel:
-            results = parallel_map(_size_trace, [21, 22, 23], jobs=jobs)
+            results = resilient_map(_size_trace, [21, 22, 23], jobs=jobs)
         return results, tel
 
     def test_counters_identical_across_worker_counts(self):
@@ -150,13 +153,11 @@ class TestTelemetryFoldIn:
             assert parallel_tel.timers[name].count == stat.count
 
     def test_disabled_parent_means_no_worker_capture(self):
-        from repro.core import telemetry
-
         # With telemetry off, workers must not capture (drained is None)
         # and the map behaves exactly as before the instrumentation.
         assert telemetry.active() is None
-        results = parallel_map(_size_trace, [21], jobs=2)
-        assert results == parallel_map(_size_trace, [21], jobs=1)
+        results = resilient_map(_size_trace, [21], jobs=2)
+        assert results == resilient_map(_size_trace, [21], jobs=1)
         assert telemetry.active() is None
 
 
@@ -189,19 +190,21 @@ class TestDiskCache:
 
 
 class TestCachedMap:
+    """``resilient_map`` with a key and a disk cache."""
+
     def test_cached_identical_to_uncached(self, tmp_path):
         items = list(range(8))
         cache = DiskCache(tmp_path)
-        first = cached_map(_square, items, key_fn=str, jobs=1, cache=cache)
-        again = cached_map(_square, items, key_fn=str, jobs=1, cache=cache)
+        first = resilient_map(_square, items, key_fn=str, jobs=1, cache=cache)
+        again = resilient_map(_square, items, key_fn=str, jobs=1, cache=cache)
         assert first == again == [x * x for x in items]
         assert cache.misses == 8 and cache.hits == 8
 
     def test_partial_hit_fills_only_misses(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cached_map(_square, [1, 2], key_fn=str, jobs=1, cache=cache)
-        result = cached_map(_square, [1, 2, 3], key_fn=str, jobs=1,
-                            cache=cache)
+        resilient_map(_square, [1, 2], key_fn=str, jobs=1, cache=cache)
+        result = resilient_map(_square, [1, 2, 3], key_fn=str, jobs=1,
+                               cache=cache)
         assert result == [1, 4, 9]
         assert cache.hits == 2 and cache.misses == 3  # 2 initial + 1 new
 
@@ -215,3 +218,25 @@ class TestCachedMap:
             assert cache_enabled()
         finally:
             set_cache_enabled(None)
+
+    def test_opt_in_switch_supplies_the_cache(self, tmp_path, monkeypatch):
+        # cache=None lets the switch decide, so every fan-out (the fleet
+        # included) honours --cache / REPRO_CACHE.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        set_cache_enabled(True)
+        try:
+            first = resilient_map(_square, [1, 2], key_fn=str, jobs=1)
+            with telemetry.capture() as tel:
+                again = resilient_map(_square, [1, 2], key_fn=str, jobs=1)
+        finally:
+            set_cache_enabled(None)
+        assert first == again == [1, 4]
+        assert tel.counters["runner.cache_hits"] == 2
+        assert DiskCache(tmp_path).get("2") == 4
+
+    def test_cache_stays_off_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        set_cache_enabled(None)
+        resilient_map(_square, [1, 2], key_fn=str, jobs=1)
+        assert not list(tmp_path.iterdir())

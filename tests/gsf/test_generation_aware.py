@@ -4,6 +4,7 @@ import pytest
 
 from repro.allocation.cluster import ClusterSpec, adopt_nothing, simulate
 from repro.allocation.traces import TraceParams, generate_trace
+from repro.core.errors import ConfigError
 from repro.gsf.framework import Gsf
 from repro.gsf.sizing import size_generation_aware
 from repro.hardware.sku import (
@@ -62,6 +63,22 @@ class TestGenerationAwareSizing:
             <= sizing.reference_total + sizing.mixed_green_servers
         )
         assert sizing.mixed_baseline_total < sizing.reference_total
+
+    def test_generation_without_a_baseline_rejected(self, gsf):
+        # 64 of this trace's 399 VMs are Gen-1.  With no Gen-1 SKU the
+        # reference used to drop them while the mixed replay hosted
+        # them, so the savings compared different workloads.
+        trace = generate_trace(
+            1, TraceParams(duration_days=3, mean_concurrent_vms=200)
+        )
+        policy = gsf.adoption_model(greensku_full()).policy()
+        with pytest.raises(ConfigError, match=r"generation\(s\) \[1\]"):
+            size_generation_aware(
+                trace,
+                {2: baseline_gen2(), 3: baseline_gen3()},
+                greensku_full(),
+                policy,
+            )
 
     def test_mixed_cluster_feasible(self, sizing, trace, baselines, gsf):
         policy = gsf.adoption_model(greensku_full()).policy()
