@@ -892,6 +892,7 @@ def _build_policy(
         or args.retries is not None
         or args.task_timeout is not None
         or args.faults is not None
+        or args.keep_going
     )
     if not wants_resilience:
         return None

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
+from .checks import check_count, check_finite
 from .errors import ConfigError, SimulationError
 
 #: Exit code used by hard kills, so a dead worker is attributable in CI logs.
@@ -96,10 +97,8 @@ class FaultPlan:
                 f"kill_probability must be in [0, 1], "
                 f"got {self.kill_probability}"
             )
-        if self.kill_attempts < 0:
-            raise ConfigError("kill_attempts must be >= 0")
-        if self.latency_s < 0.0:
-            raise ConfigError("latency_s must be >= 0")
+        check_count(self.kill_attempts, "kill_attempts")
+        check_finite(self.latency_s, "latency_s", at_least=0)
 
     # -- decisions (pure) ------------------------------------------------------
 

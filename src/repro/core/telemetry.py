@@ -6,7 +6,7 @@ and work go?" through this module.  Three
 primitives:
 
 - **counters** — monotone integers (``alloc.placements``,
-  ``engine.bucket_probes``, ``sizing.memo_hits``, ...).
+  ``engine.bucket_probes``, ``sizing.simulate_calls``, ...).
 - **timers** — wall-clock accumulators keyed by name, each tracking
   call count, total, min, and max seconds.
 - **spans** — a hierarchical trace of named phases (one per experiment,

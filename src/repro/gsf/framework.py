@@ -227,6 +227,10 @@ class Gsf:
         keep deploying onto their own hardware generations — is modelled
         here: the reference hosts Gen-g VMs on Gen-g SKUs, and the mixed
         deployment keeps per-generation baseline pools for non-adopters.
+        Both fleets follow the same routing rule: a generation with
+        baseline-bound VMs (non-adopters or full-node VMs) keeps a pool
+        of its own, so those VMs run on their own generation's servers;
+        only a generation whose VMs all adopt may end with no pool.
         """
         adoption = self.adoption_model(greensku)
         sizing = size_generation_aware(

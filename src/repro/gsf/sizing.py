@@ -29,14 +29,24 @@ never opened a further server, so no adopter falls back and the
 baselines host exactly the rest partition: the full trace needs exactly
 the rest's right-size of baselines, and no replay has to check it.
 
+A generation-aware mixed cluster keeps one baseline pool per generation,
+and a VM's baseline placements go to its own generation's pool while the
+cluster holds more than one.  The reference's rule keeps the pools the
+same in every replay: a generation with baseline-bound VMs (non-adopters
+or full-node VMs) keeps a pool of its own, and one whose VMs all adopt
+has none.  A fallback of a generation with no pool picks among pools of
+different shapes, so a pool's highest used index bounds its fewest
+servers without always meeting it, and the trim finishes with probes.
+
 Out-of-service maintenance overhead inflates each side's server count
 (failed servers await repair, so extra capacity is deployed).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,31 +66,6 @@ from ..hardware.sku import ServerSKU
 #: Hard cap on sizing searches; a trace needing more servers than this is
 #: misconfigured for the simulator's scale.
 MAX_SERVERS = 20_000
-
-
-class _ReplayMemo:
-    """Memoizes one search's replays by configuration key.
-
-    Scoped to a single sizing search, where the trace and adoption policy
-    are fixed, so the key fully determines the replay's answer.
-    Guarantees no configuration is replayed twice within the search.
-    ``simulate_calls`` counts replays and ``memo_hits`` the questions
-    answered from the memo instead, for the search's telemetry.
-    """
-
-    def __init__(self, replay: Callable[..., object]):
-        self._replay = replay
-        self._seen: Dict[Hashable, object] = {}
-        self.simulate_calls = 0
-        self.memo_hits = 0
-
-    def __call__(self, *key: Hashable):
-        if key in self._seen:
-            self.memo_hits += 1
-            return self._seen[key]
-        self.simulate_calls += 1
-        result = self._seen[key] = self._replay(*key)
-        return result
 
 
 @dataclass(frozen=True)
@@ -120,61 +105,60 @@ class ClusterSizing:
 
 
 class _HighWater:
-    """High-water replays of one trace against an upper-bound pool.
+    """High-water replays of one trace against upper-bound baseline pools.
 
-    The pool holds ``bound`` servers of ``sku`` with ids ``0..bound-1``,
-    by default ``min(peak, MAX_SERVERS)``, where ``peak`` is the most
-    VMs the trace keeps placed at once: opening server k needs k busy
-    servers, each hosting a VM, so no replay opens an index at or beyond
-    ``peak``.  A caller that only asks whether ``bound`` servers suffice
-    passes a smaller ``bound``.
+    ``pools`` lists baseline SKUs with one bound each.  Pool i holds
+    ``bound_i`` servers of its SKU, with ids following the pools before
+    it, and the ``companion`` servers take the ids after the last pool:
+    the order ``ClusterSpec.build_servers`` gives the same counts.
 
-    Calling the object with a count of ``companion`` servers (ids from
-    ``bound`` up, the order ``ClusterSpec.build_servers`` gives them)
-    replays the trace once under the production best-fit scheduler and
-    returns how many pool servers it used — the highest index touched,
-    plus one — which is the fewest ``sku`` servers that host the trace
-    beside those companions.  A replay that rejects a VM raises
-    :class:`CapacityError` at that VM: no count of ``sku`` up to
-    ``bound`` hosts the trace beside them.  Pool and companions share
-    one :class:`PlacementEngine`, reset before every replay.
+    Calling the object with a count of companions replays the trace once
+    under the production best-fit scheduler and returns, for each pool,
+    how many of its servers the replay used: the highest index touched,
+    plus one.  By the high-water argument (see the module docstring)
+    that many servers of each pool host the trace beside those
+    companions.  A replay that rejects a VM raises
+    :class:`CapacityError` at that VM: the pools at their bounds do not
+    host the trace beside them.  Pools and companions share one
+    :class:`PlacementEngine`, reset before every replay.
     """
 
     def __init__(
         self,
         trace: VmTrace,
-        sku: ServerSKU,
+        pools: Sequence[Tuple[ServerSKU, int]],
         adoption: AdoptionPolicy,
         companion: Optional[ServerSKU] = None,
-        bound: Optional[int] = None,
     ):
         self._trace = trace
-        self._sku = sku
+        self._pools = list(pools)
         self._adoption = adoption
         self._companion = companion
         self._companions = 0
-        if bound is None:
-            # A replay releases the departures due by each arrival before
-            # placing it: the half-open occupancy the event sweep counts.
-            bound = min(trace.columns.peak_concurrent_vms(), MAX_SERVERS)
-        self.bound = bound
-        self._engine = PlacementEngine(Server.pool(sku, range(self.bound)))
+        self._firsts = []
+        servers = []
+        for sku, bound in self._pools:
+            first = len(servers)
+            self._firsts.append(first)
+            servers.extend(Server.pool(sku, range(first, first + bound)))
+        self._end = len(servers)
+        self._engine = PlacementEngine(servers)
 
-    def __call__(self, companions: int = 0) -> int:
+    def __call__(self, companions: int = 0) -> Tuple[int, ...]:
         engine = self._engine
         engine.reset()
-        bound = self.bound
+        end = self._end
         if self._companions < companions:
             for server in Server.pool(
                 self._companion,
-                range(bound + self._companions, bound + companions),
+                range(end + self._companions, end + companions),
             ):
                 engine.add_server(server)
             self._companions = companions
         while self._companions > companions:
             self._companions -= 1
-            engine.remove_server(bound + self._companions)
-        pools = [(self._sku, bound)]
+            engine.remove_server(end + self._companions)
+        pools = list(self._pools)
         if self._companion is not None:
             pools.append((self._companion, companions))
         replay_on_engine(
@@ -185,79 +169,13 @@ class _HighWater:
             snapshot_hours=1e9,
             raise_on_reject=True,
         )
-        used = [sid for sid in engine.touched_ids() if sid < bound]
-        return max(used) + 1 if used else 0
-
-
-class _EngineProber:
-    """One reusable indexed engine for a whole sizing search.
-
-    Every feasibility probe of a search replays the same trace against
-    the same SKU slots with different counts.  Instead of rebuilding the
-    cluster per probe, this keeps a single :class:`PlacementEngine` and
-    applies server add/remove deltas between probes; each SKU slot owns a
-    disjoint ascending id range so the relative server order always
-    matches what ``ClusterSpec.build_servers`` would produce (ties in the
-    placement rank keys resolve by pool order, which both schemes keep
-    identical — and no id leaks into a :class:`SimOutcome`).  Probes
-    replay with ``raise_on_reject``, which decides the verdict at the
-    first rejection; :meth:`PlacementEngine.reset` restores pristine
-    server state before every probe either way.
-    """
-
-    #: Id stride per SKU slot; must exceed any probed count (MAX_SERVERS).
-    _STRIDE = 1 << 21
-
-    def __init__(
-        self,
-        trace: VmTrace,
-        skus: Sequence[ServerSKU],
-        adoption: AdoptionPolicy,
-    ):
-        self._trace = trace
-        self._skus = list(skus)
-        self._adoption = adoption
-        self._engine = PlacementEngine(policy="best-fit", track_stats=False)
-        self._counts: List[int] = [0] * len(self._skus)
-
-    def __call__(self, *counts: int) -> bool:
-        if len(counts) != len(self._skus):
-            raise ConfigError(
-                f"prober takes {len(self._skus)} counts, got {len(counts)}"
-            )
-        engine = self._engine
-        engine.reset()
-        for slot, want in enumerate(counts):
-            have = self._counts[slot]
-            if want == have:
-                continue
-            if want > MAX_SERVERS:
-                raise SizingError(f"probe count {want} exceeds {MAX_SERVERS}")
-            base = slot * self._STRIDE
-            sku = self._skus[slot]
-            if want > have:
-                ids = range(base + have, base + want)
-                for server in Server.pool(sku, ids):
-                    engine.add_server(server)
-            else:
-                for j in range(want, have):
-                    engine.remove_server(base + j)
-            self._counts[slot] = want
-        spec = ClusterSpec(
-            skus=tuple(zip(self._skus, counts))
-        )
-        try:
-            replay_on_engine(
-                self._trace,
-                spec,
-                engine,
-                adoption=self._adoption,
-                snapshot_hours=1e9,
-                raise_on_reject=True,
-            )
-        except CapacityError:
-            return False
-        return True
+        needs = [0] * len(self._pools)
+        firsts = self._firsts
+        for sid in engine.touched_ids():
+            if sid < end:
+                pool = bisect_right(firsts, sid) - 1
+                needs[pool] = max(needs[pool], sid - firsts[pool] + 1)
+        return tuple(needs)
 
 
 def right_size(
@@ -278,16 +196,22 @@ def right_size(
     """
     if not trace.vm_count:
         return 0
-    pool = _HighWater(trace, sku, adoption)
+    # Opening server k needs k busy servers, each hosting a VM, so no
+    # replay opens an index at or beyond the trace's peak of concurrent
+    # VMs.  A replay releases the departures due by each arrival before
+    # placing it: the half-open occupancy the event sweep counts.
+    bound = min(trace.columns.peak_concurrent_vms(), MAX_SERVERS)
+    high_water = _HighWater(trace, [(sku, bound)], adoption)
     tel = telemetry.active()
     if tel is not None:
         tel.count_many({"sizing.searches": 1, "sizing.simulate_calls": 1})
     try:
-        return pool()
+        (need,) = high_water()
+        return need
     except CapacityError as exc:
         limit = (
             f"{MAX_SERVERS} {sku.name} servers"
-            if pool.bound == MAX_SERVERS
+            if bound == MAX_SERVERS
             else f"any number of {sku.name} servers"
         )
         raise SizingError(
@@ -325,6 +249,115 @@ def _split_trace(
     green_trace = trace.filter(adopts, name=f"{trace.name}-adopters")
     base_trace = trace.filter(~adopts, name=f"{trace.name}-rest")
     return green_trace, base_trace
+
+
+def _trim(
+    trace: VmTrace,
+    pools: Sequence[Tuple[ServerSKU, int]],
+    greensku: ServerSKU,
+    n_green: int,
+    adoption: AdoptionPolicy,
+) -> Tuple[Tuple[int, ...], int]:
+    """Trim GreenSKUs from a mixed cluster at its partitions' right-sizes.
+
+    ``pools`` holds each baseline pool at its rest partition's right-size
+    and ``n_green`` is the adopters' right-size, so the trace fits them
+    (see the module docstring).  Drops GreenSKUs while one fewer still
+    fits beside the pools at those sizes, one high-water replay per
+    count that stops at the first VM it cannot place.  Returns each
+    pool's need beside the GreenSKU count it keeps, and that count.
+    """
+    needs = tuple(count for _sku, count in pools)
+    if not n_green:
+        return needs, n_green
+    high_water = _HighWater(trace, pools, adoption, companion=greensku)
+    servers = sum(needs) + n_green
+    replays = 0
+    while n_green:
+        replays += 1
+        try:
+            needs = high_water(n_green - 1)
+        except CapacityError:
+            break  # one GreenSKU fewer overflows a pool
+        n_green -= 1
+    tel = telemetry.active()
+    if tel is not None:
+        tel.count_many(
+            {
+                "sizing.mixed_verifications": 1,
+                "sizing.trim_steps": servers - sum(needs) - n_green,
+                "sizing.simulate_calls": replays,
+            }
+        )
+    return needs, n_green
+
+
+def _probe_trim(
+    trace: VmTrace,
+    pools: Sequence[Tuple[ServerSKU, int]],
+    greensku: ServerSKU,
+    n_green: int,
+    adoption: AdoptionPolicy,
+    needs: Tuple[int, ...],
+) -> Tuple[Tuple[int, ...], int]:
+    """Finish a trim over several pools by probing each one server fewer.
+
+    Runs the probing search's greedy trim from the pools at their
+    partition sizes, ``needs`` being what they used beside ``n_green``
+    GreenSKUs (:func:`_trim`'s answer): each pool in turn while one
+    fewer fits, never below one server, then GreenSKUs, until nothing
+    trims.  A pool drops to the last fitting replay's need, which
+    replays the same, before a probe asks one fewer, and a failed probe
+    is kept so that it never replays again.  Returns the pool counts and
+    the GreenSKU count.
+    """
+    skus = [sku for sku, _count in pools]
+    counts = [count for _sku, count in pools]
+    failed = {(tuple(counts), n_green - 1)}  # stopped the GreenSKU trim
+    servers = sum(needs) + n_green
+    replays = 0
+
+    def fits(candidate: List[int], greens: int) -> Optional[Tuple[int, ...]]:
+        nonlocal replays
+        key = (tuple(candidate), greens)
+        if key in failed:
+            return None
+        replays += 1
+        high_water = _HighWater(
+            trace, list(zip(skus, candidate)), adoption, companion=greensku
+        )
+        try:
+            return high_water(greens)
+        except CapacityError:
+            failed.add(key)
+            return None
+
+    trimmed = True
+    while trimmed:
+        trimmed = False
+        for i in range(len(counts)):
+            found = needs
+            while found is not None:
+                trimmed |= needs[i] < counts[i]
+                counts[i] = needs[i]
+                candidate = counts[:i] + [counts[i] - 1] + counts[i + 1:]
+                found = fits(candidate, n_green) if counts[i] > 1 else None
+                if found is not None:
+                    counts, needs, trimmed = candidate, found, True
+        while n_green:
+            found = fits(counts, n_green - 1)
+            if found is None:
+                break
+            n_green, needs, trimmed = n_green - 1, found, True
+    tel = telemetry.active()
+    if tel is not None:
+        tel.count_many(
+            {
+                "sizing.trim_steps": servers - sum(counts) - n_green,
+                "sizing.simulate_calls": replays,
+            }
+        )
+    return tuple(counts), n_green
 
 
 def size_mixed_cluster(
@@ -370,29 +403,9 @@ def size_mixed_cluster(
     green_trace, base_trace = _split_trace(trace, adoption)
     n_base = right_size(base_trace, baseline)
     n_green = right_size(green_trace, greensku, adoption)
-    if n_green:
-        # The pool keeps the n_base baselines the trim starts from.
-        pool = _HighWater(
-            trace, baseline, adoption, companion=greensku, bound=n_base
-        )
-        servers = n_base + n_green
-        replays = 0
-        while n_green:
-            replays += 1
-            try:
-                need = pool(n_green - 1)
-            except CapacityError:
-                break  # one GreenSKU fewer needs more than n_base baselines
-            n_green, n_base = n_green - 1, need
-        tel = telemetry.active()
-        if tel is not None:
-            tel.count_many(
-                {
-                    "sizing.mixed_verifications": 1,
-                    "sizing.trim_steps": servers - n_base - n_green,
-                    "sizing.simulate_calls": replays,
-                }
-            )
+    (n_base,), n_green = _trim(
+        trace, [(baseline, n_base)], greensku, n_green, adoption
+    )
     return ClusterSizing(
         baseline_only_servers=n_reference,
         mixed_baseline_servers=n_base,
@@ -439,10 +452,16 @@ def size_generation_aware(
 ) -> GenerationAwareSizing:
     """Size reference and mixed clusters with per-generation pools.
 
-    The reference hosts each generation's VMs on that generation's SKU;
-    the mixed cluster adds GreenSKUs for adopters and trims greedily on
-    the full trace with generation routing active.  The verify/trim loops
-    memoize every probed configuration.
+    The reference right-sizes each generation's VMs on that generation's
+    SKU.  The mixed cluster starts from the partitions: each generation's
+    rest (non-adopters and full-node VMs) right-sized on its own SKU, and
+    the adopters on GreenSKUs.  It then trims GreenSKUs as
+    :func:`size_mixed_cluster` does, with one baseline pool per
+    generation, and finishes by probing each pool one server fewer
+    (:func:`_probe_trim`).  A generation with baseline-bound VMs keeps a
+    pool of its own, as in the reference, so the trim never empties it;
+    a generation whose VMs all adopt has none, and its fallbacks go to
+    any baseline.
 
     Raises:
         ConfigError: A generation holds VMs in ``trace`` but has no SKU
@@ -457,71 +476,28 @@ def size_generation_aware(
             f"{trace.name} holds VMs of generation(s) {unsized} that have "
             f"no baseline SKU (baselines cover {generations})"
         )
-    # Reference: per-generation right-size on that generation's sub-trace.
-    reference: "dict[int, int]" = {}
-    for gen in generations:
-        sub = trace.filter(
-            trace.columns.generation == gen, name=f"{trace.name}-g{gen}"
-        )
-        reference[gen] = right_size(sub, baselines[gen])
 
-    # Mixed: non-adopters per generation + greens for adopters.
+    def of_gen(sub: VmTrace, gen: int) -> VmTrace:
+        return sub.filter(
+            sub.columns.generation == gen, name=f"{sub.name}-g{gen}"
+        )
+
+    reference = {
+        gen: right_size(of_gen(trace, gen), baselines[gen])
+        for gen in generations
+    }
     green_trace, base_trace = _split_trace(trace, adoption)
-    mixed: "dict[int, int]" = {}
-    for gen in generations:
-        sub = base_trace.filter(
-            base_trace.columns.generation == gen,
-            name=f"{trace.name}-rest-g{gen}",
-        )
-        mixed[gen] = right_size(sub, baselines[gen])
+    pools = [
+        (baselines[gen], right_size(of_gen(base_trace, gen), baselines[gen]))
+        for gen in generations
+    ]
     n_green = right_size(green_trace, greensku, adoption)
-
-    # Baseline pools route by which generations are present, so the
-    # high-water argument does not apply here: probe count tuples.
-    slot_skus = [baselines[gen] for gen in generations] + [greensku]
-    prober = _EngineProber(trace, slot_skus, adoption)
-    memo = _ReplayMemo(prober)
-
-    def feasible(mixed_counts: "dict[int, int]", ng: int) -> bool:
-        return memo(*(mixed_counts[gen] for gen in generations), ng)
-
-    while not feasible(mixed, n_green):
-        n_green += 1
-        if sum(mixed.values()) + n_green > MAX_SERVERS:
-            raise SizingError(
-                f"generation-aware sizing for {trace.name} exceeded "
-                f"{MAX_SERVERS}"
-            )
-    trim_steps = 0
-    trimmed = True
-    while trimmed:
-        trimmed = False
-        for gen in generations:
-            while mixed[gen] > 0:
-                candidate = dict(mixed)
-                candidate[gen] -= 1
-                if feasible(candidate, n_green):
-                    mixed = candidate
-                    trim_steps += 1
-                    trimmed = True
-                else:
-                    break
-        while n_green > 0 and feasible(mixed, n_green - 1):
-            n_green -= 1
-            trim_steps += 1
-            trimmed = True
-    tel = telemetry.active()
-    if tel is not None:
-        tel.count_many(
-            {
-                "sizing.mixed_verifications": 1,
-                "sizing.trim_steps": trim_steps,
-                "sizing.simulate_calls": memo.simulate_calls,
-                "sizing.memo_hits": memo.memo_hits,
-            }
-        )
+    needs, n_green = _trim(trace, pools, greensku, n_green, adoption)
+    counts, n_green = _probe_trim(
+        trace, pools, greensku, n_green, adoption, needs
+    )
     return GenerationAwareSizing(
         reference_by_gen=reference,
-        mixed_baselines_by_gen=mixed,
+        mixed_baselines_by_gen=dict(zip(generations, counts)),
         mixed_green_servers=n_green,
     )

@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.checks import check_count, check_finite
 from ..core.errors import ConfigError
 
 
@@ -66,14 +67,12 @@ class ComponentSpec:
     fip_eligible: bool = False
 
     def __post_init__(self) -> None:
-        if self.tdp_watts < 0:
-            raise ConfigError(f"{self.name}: TDP must be >= 0")
-        if self.embodied_kg < 0:
-            raise ConfigError(f"{self.name}: embodied carbon must be >= 0")
-        if self.loss_factor < 0:
-            raise ConfigError(f"{self.name}: loss factor must be >= 0")
-        if self.afr_per_100_servers < 0:
-            raise ConfigError(f"{self.name}: AFR must be >= 0")
+        check_finite(self.tdp_watts, f"{self.name}: TDP", at_least=0)
+        check_finite(
+            self.embodied_kg, f"{self.name}: embodied carbon", at_least=0
+        )
+        check_finite(self.loss_factor, f"{self.name}: loss factor", at_least=0)
+        check_finite(self.afr_per_100_servers, f"{self.name}: AFR", at_least=0)
 
     @property
     def effective_embodied_kg(self) -> float:
@@ -121,10 +120,12 @@ class CpuSpec(ComponentSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.cores <= 0:
+        check_count(self.cores, f"{self.name}: CPU cores")
+        if self.cores == 0:
             raise ConfigError(f"{self.name}: CPU must have > 0 cores")
-        if self.perf_per_core <= 0:
-            raise ConfigError(f"{self.name}: per-core perf must be > 0")
+        check_finite(
+            self.perf_per_core, f"{self.name}: per-core perf", above=0
+        )
 
     @property
     def tdp_per_core(self) -> float:
@@ -150,8 +151,7 @@ class DramSpec(ComponentSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.capacity_gb <= 0:
-            raise ConfigError(f"{self.name}: DIMM capacity must be > 0")
+        check_finite(self.capacity_gb, f"{self.name}: DIMM capacity", above=0)
         if self.technology not in ("ddr4", "ddr5"):
             raise ConfigError(
                 f"{self.name}: unknown DRAM technology {self.technology!r}"
@@ -184,8 +184,7 @@ class SsdSpec(ComponentSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.capacity_tb <= 0:
-            raise ConfigError(f"{self.name}: SSD capacity must be > 0")
+        check_finite(self.capacity_tb, f"{self.name}: SSD capacity", above=0)
         if self.interface not in ("m.2", "e1.s"):
             raise ConfigError(
                 f"{self.name}: unknown SSD interface {self.interface!r}"
@@ -218,7 +217,8 @@ class CxlControllerSpec(ComponentSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.dimm_slots <= 0:
+        check_count(self.dimm_slots, f"{self.name}: DIMM slots")
+        if self.dimm_slots == 0:
             raise ConfigError(f"{self.name}: controller needs >= 1 DIMM slot")
 
 

@@ -56,6 +56,16 @@ class TestFaultPlan:
         with pytest.raises(ConfigError):
             FaultPlan(latency_s=-1.0)
 
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), -1])
+    def test_non_count_kill_attempts_rejected(self, bad):
+        with pytest.raises(ConfigError, match="kill_attempts must be"):
+            FaultPlan(kill_attempts=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, bad):
+        with pytest.raises(ConfigError, match="latency_s must be finite"):
+            FaultPlan(latency_s=bad)
+
 
 class TestCorruptFile:
     def test_truncate_halves_the_file(self, tmp_path):

@@ -1,6 +1,5 @@
 """Cluster-sizing search tests."""
 
-import collections
 import functools
 import math
 
@@ -19,6 +18,7 @@ from repro.gsf.framework import Gsf
 from repro.gsf.sizing import (
     ClusterSizing,
     right_size,
+    size_generation_aware,
     size_mixed_cluster,
 )
 from repro.hardware.sku import (
@@ -99,23 +99,6 @@ class TestRightSize:
 
 class TestSearchEfficiency:
     """Each right-size search is one replay; none is ever repeated."""
-
-    @pytest.fixture()
-    def simulate_counter(self, monkeypatch):
-        """Counts replay invocations per (trace, cluster) config."""
-        calls = collections.Counter()
-        real_replay = sizing_module.replay_on_engine
-
-        def counting_replay(trace, cluster, engine, **kwargs):
-            key = (
-                trace.name,
-                tuple((sku.name, count) for sku, count in cluster.skus),
-            )
-            calls[key] += 1
-            return real_replay(trace, cluster, engine, **kwargs)
-
-        monkeypatch.setattr(sizing_module, "replay_on_engine", counting_replay)
-        return calls
 
     def test_right_size_never_resimulates(
         self, small_trace, simulate_counter
@@ -332,8 +315,36 @@ class TestMixedSizingProperty:
         policy = _cached(lambda app, gen: table[(app, gen)])
         adopters, rest = sizing_module._split_trace(trace, policy)
         n_green = right_size(adopters, green, policy)
-        pool = sizing_module._HighWater(trace, base, policy, companion=green)
-        assert pool(n_green) == right_size(rest, base)
+        bound = trace.columns.peak_concurrent_vms()
+        pool = sizing_module._HighWater(
+            trace, [(base, bound)], policy, companion=green
+        )
+        assert pool(n_green) == (right_size(rest, base),)
+
+
+class TestGenerationAwareSizingProperty:
+    """The generation-aware trim equals the probing search with the rule."""
+
+    @given(
+        vms=random_vms,
+        labels=random_labels,
+        table=random_tables,
+        green=st.sampled_from(all_greenskus()),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_matches_oracle(self, vms, labels, table, green):
+        # Shapes fit the smallest baseline, so each generation's VMs fit
+        # its own SKU and a fallback fits any baseline.
+        trace = random_trace(vms, labels, baseline_gen1())
+        baselines = {
+            1: baseline_gen1(),
+            2: baseline_gen2(),
+            3: baseline_gen3(),
+        }
+        policy = _cached(lambda app, gen: table[(app, gen)])
+        assert size_generation_aware(
+            trace, baselines, green, policy
+        ) == oracle.size_generation_aware(trace, baselines, green, policy)
 
 
 class TestUnsortedTraceRejected:

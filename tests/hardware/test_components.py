@@ -63,6 +63,15 @@ class TestComponentSpec:
         with pytest.raises(ConfigError):
             make_spec(embodied_kg=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["tdp_watts", "embodied_kg", "loss_factor", "afr_per_100_servers"],
+    )
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=r"^part: .* must be finite"):
+            make_spec(**{field: bad})
+
     def test_negative_afr_rejected(self):
         with pytest.raises(ConfigError):
             make_spec(afr_per_100_servers=-0.1)
@@ -99,6 +108,16 @@ class TestCpuSpec:
         with pytest.raises(ConfigError):
             self.make(perf_per_core=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_perf_rejected(self, bad):
+        with pytest.raises(ConfigError, match="per-core perf must be finite"):
+            self.make(perf_per_core=bad)
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+    def test_non_integer_cores_rejected(self, bad):
+        with pytest.raises(ConfigError, match="CPU cores must be an integer"):
+            self.make(cores=bad)
+
 
 class TestDramSpec:
     def make(self, **overrides):
@@ -118,6 +137,11 @@ class TestDramSpec:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigError):
             self.make(capacity_gb=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_capacity_rejected(self, bad):
+        with pytest.raises(ConfigError, match="dimm: DIMM capacity must be"):
+            self.make(capacity_gb=bad)
 
     def test_unknown_technology_rejected(self):
         with pytest.raises(ConfigError):
@@ -157,6 +181,11 @@ class TestSsdSpec:
         with pytest.raises(ConfigError):
             self.make(capacity_tb=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_capacity_rejected(self, bad):
+        with pytest.raises(ConfigError, match="ssd: SSD capacity must be"):
+            self.make(capacity_tb=bad)
+
     def test_unknown_interface_rejected(self):
         with pytest.raises(ConfigError):
             self.make(interface="u.2")
@@ -169,12 +198,21 @@ class TestSsdSpec:
 
 
 class TestCxlControllerSpec:
+    def make(self, **overrides):
+        base = dict(
+            name="cxl",
+            category=Category.CXL,
+            tdp_watts=5.8,
+            embodied_kg=2.5,
+        )
+        base.update(overrides)
+        return CxlControllerSpec(**base)
+
     def test_slots_must_be_positive(self):
         with pytest.raises(ConfigError):
-            CxlControllerSpec(
-                name="cxl",
-                category=Category.CXL,
-                tdp_watts=5.8,
-                embodied_kg=2.5,
-                dimm_slots=0,
-            )
+            self.make(dimm_slots=0)
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+    def test_non_integer_slots_rejected(self, bad):
+        with pytest.raises(ConfigError, match="cxl: DIMM slots must be"):
+            self.make(dimm_slots=bad)

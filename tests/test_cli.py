@@ -171,6 +171,24 @@ class TestResilienceFlags:
         assert counters["resilience.resumed"] == 12
         assert "resilience.checkpointed" not in counters
 
+    def test_keep_going_alone_degrades(self):
+        from repro.cli import _build_policy, build_parser
+
+        policy = _build_policy(
+            build_parser().parse_args(["--keep-going", "run", "fig9"])
+        )
+        assert policy is not None
+        assert policy.on_failure == "record"
+        assert policy.retry.max_retries == 2
+        assert policy.journal is None
+        assert policy.faults is None
+
+    def test_no_resilience_flag_installs_no_policy(self):
+        from repro.cli import _build_policy, build_parser
+
+        args = build_parser().parse_args(["run", "fig9"])
+        assert _build_policy(args) is None
+
     def test_policy_cleared_after_main(self):
         from repro.core import resilience
 
