@@ -14,13 +14,12 @@ counters.
 import os
 import time
 
-from repro.core import telemetry
+from repro.core import settings, telemetry
 from repro.core.faults import FaultPlan
 from repro.core.resilience import (
     CheckpointJournal,
     ResiliencePolicy,
     RetryPolicy,
-    activated,
 )
 from repro.experiments import fig9_packing
 
@@ -54,7 +53,7 @@ def test_resilience_checkpoint_resume(benchmark, save, tmp_path):
     )
 
     def faulty_run():
-        with activated(faulty_policy):
+        with settings.using(policy=faulty_policy):
             return fig9_packing.run(
                 trace_count=TRACE_COUNT, mean_concurrent_vms=VMS, jobs=1
             )
@@ -65,7 +64,7 @@ def test_resilience_checkpoint_resume(benchmark, save, tmp_path):
     resume_policy = ResiliencePolicy(journal=journal)
 
     def resumed_run():
-        with activated(resume_policy):
+        with settings.using(policy=resume_policy):
             return fig9_packing.run(
                 trace_count=TRACE_COUNT, mean_concurrent_vms=VMS, jobs=1
             )

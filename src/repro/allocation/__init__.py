@@ -35,14 +35,13 @@ from .lifetimes import (
 )
 from .packing import PackingPoint, cdf, fraction_below, packing_point
 from .scheduler import Server
-from .store import TraceStore, store_enabled
+from .store import TraceStore
 from .traces import TraceParams, VmTrace, generate_trace, production_trace_suite
 from .vm import VmRequest
 
 __all__ = [
     "ColumnarTrace",
     "TraceStore",
-    "store_enabled",
     "CARBON_PLACEMENT_POLICIES",
     "AdoptionPolicy",
     "ClusterSpec",

@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import telemetry
-from ..core.checks import check_count
+from ..core.checks import check_count, check_finite
 from ..core.errors import CapacityError, ConfigError
 from ..hardware.sku import ServerSKU
 from ..perf.apps import APP_BY_NAME
@@ -768,8 +768,7 @@ def replay_on_engine(
     the engine's.  The replay plans Pond tiering only when the engine
     keeps snapshot aggregates (``track_stats``).
     """
-    if snapshot_hours <= 0:
-        raise ConfigError("snapshot interval must be > 0")
+    check_finite(snapshot_hours, "snapshot interval", above=0)
     return _replay_events(
         trace,
         cluster,
@@ -842,8 +841,7 @@ def simulate(
             ~O(chunk), independent of trace size).  Outcomes do not
             depend on it.
     """
-    if snapshot_hours <= 0:
-        raise ConfigError("snapshot interval must be > 0")
+    check_finite(snapshot_hours, "snapshot interval", above=0)
     backend = _build_backend(
         cluster.build_servers(),
         policy,

@@ -24,7 +24,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core import telemetry
+from ..core import settings, telemetry
+from ..core.checks import check_finite
 from ..core.errors import ConfigError, SimulationError
 from ..core.resilience import ResiliencePolicy, TaskFailure, resilient_map
 from ..core.runner import DiskCache, content_key
@@ -256,10 +257,10 @@ def _load_trace(job: _ClusterJob) -> VmTrace:
     holds at most its chunk window plus active-VM state in memory —
     full-fleet rows are never materialized.
     """
-    from .store import TraceStore, store_enabled
+    from .store import TraceStore
 
     task = job.task
-    if store_enabled():
+    if settings.current().use_trace_store:
         store = TraceStore()
         trace = store.get(task.seed, task.params, task.name, mmap=job.mmap)
         if trace is not None:
@@ -312,16 +313,16 @@ def simulate_fleet(
     """Replay every cluster of ``spec`` and merge the outcomes exactly.
 
     Shards fan out through :func:`resilient_map`, so fleet runs inherit
-    the PR 5 substrate wholesale: checkpoint/resume via the active
+    the PR 5 substrate wholesale: checkpoint/resume via the settings'
     journal, retries with per-attempt timeouts, deterministic fault
     injection, and degraded completion under ``on_failure="record"``
     (failed shards surface in ``FleetOutcome.failures`` and leave
     ``None`` holes in ``outcomes`` — the aggregates then cover the
     survivors only, and ``feasible`` is False).
 
-    With no ``policy`` and no active one, each shard gets one attempt
-    and a failure raises.  ``cache=None`` consults the opt-in disk
-    cache (``--cache`` / ``REPRO_CACHE``) like every other fan-out.
+    With no ``policy``, here or in the run settings, each shard gets one
+    attempt and a failure raises.  ``cache=None`` consults the opt-in
+    disk cache (``--cache`` / ``REPRO_CACHE``) like every other fan-out.
 
     ``adoption`` must be picklable (a module-level function or a policy
     object) so workers can receive it.  ``chunk_events`` is deliberately
@@ -339,8 +340,7 @@ def simulate_fleet(
     :class:`~repro.carbon.grid.CarbonAccountant` per shard.  Both enter
     the cache key — a carbon-aware fleet never reuses a blind journal.
     """
-    if snapshot_hours <= 0:
-        raise ConfigError("snapshot interval must be > 0")
+    check_finite(snapshot_hours, "snapshot interval", above=0)
     if placement_policy not in CARBON_PLACEMENT_POLICIES:
         raise ConfigError(
             f"unknown placement policy {placement_policy!r}; "

@@ -54,26 +54,19 @@ import gzip
 import hashlib
 import io
 import math
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import telemetry
+from ..core import settings, telemetry
 from ..core.errors import ConfigError
+from ..core.settings import TRACE_BACKENDS
 from ..perf.apps import AppClass
 from .columnar import ColumnarTrace
 from .store import TraceStore
 from .traces import TraceParams, VmTrace, _app_tables
-
-#: Trace-suite backends and the env var selecting the process default.
-TRACE_BACKENDS = ("synthetic", "azure")
-BACKEND_ENV = "REPRO_TRACE_BACKEND"
-
-#: Directory of ingested Azure tables for :func:`azure_trace_suite`.
-AZURE_DIR_ENV = "REPRO_AZURE_TRACE_DIR"
 
 #: Schema tag baked into every store key; bump when the parsing or
 #: assignment rules change so stale entries miss instead of lying.
@@ -149,9 +142,9 @@ INGEST_CORRUPT_ERRORS = (
 
 
 def resolve_trace_backend(backend: Optional[str] = None) -> str:
-    """The trace backend: explicit arg > env var > synthetic."""
+    """The trace backend: the argument, else the run settings'."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "synthetic"
+        return settings.current().trace_backend
     if backend not in TRACE_BACKENDS:
         raise ConfigError(
             f"unknown trace backend {backend!r}; "
@@ -640,13 +633,34 @@ def bundled_sample_dir() -> Path:
             return candidate
     raise ConfigError(
         f"bundled Azure sample ({SAMPLE_NAME}) not found; set "
-        f"{AZURE_DIR_ENV} to a directory of ingested vmtable CSVs"
+        f"REPRO_AZURE_TRACE_DIR to a directory of ingested vmtable CSVs"
     )
 
 
 def bundled_sample_path() -> Path:
     """The committed, deterministically subsampled vmtable sample."""
     return bundled_sample_dir() / SAMPLE_NAME
+
+
+def azure_tables(directory: Optional[Path] = None) -> List[Path]:
+    """The sorted ``.csv``/``.csv.gz`` tables under ``directory``.
+
+    ``directory`` defaults to the run settings' ``azure_trace_dir``, then
+    the bundled sample's (so the azure backend always works offline).
+    """
+    if directory is None:
+        directory = settings.current().azure_trace_dir or bundled_sample_dir()
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigError(f"azure trace directory not found: {directory}")
+    paths = sorted(
+        p
+        for p in directory.iterdir()
+        if p.name.endswith((".csv", ".csv.gz"))
+    )
+    if not paths:
+        raise ConfigError(f"no .csv/.csv.gz traces under {directory}")
+    return paths
 
 
 def azure_trace_suite(
@@ -658,25 +672,11 @@ def azure_trace_suite(
 ) -> List[VmTrace]:
     """Every ingestable table under ``directory``, as a trace suite.
 
-    ``directory`` defaults to ``REPRO_AZURE_TRACE_DIR``, then the
-    bundled sample's directory (so the azure backend always works
-    offline).  Files ingest in sorted-name order; ``count`` truncates —
-    fewer real tables than requested is not an error, the suite is
-    simply smaller.
+    The tables are :func:`azure_tables`'s, ingested in sorted-name
+    order; ``count`` truncates — fewer real tables than requested is not
+    an error, the suite is simply smaller.
     """
-    if directory is None:
-        env = os.environ.get(AZURE_DIR_ENV)
-        directory = Path(env) if env else bundled_sample_dir()
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise ConfigError(f"azure trace directory not found: {directory}")
-    paths = sorted(
-        p
-        for p in directory.iterdir()
-        if p.name.endswith((".csv", ".csv.gz"))
-    )
-    if not paths:
-        raise ConfigError(f"no .csv/.csv.gz traces under {directory}")
+    paths = azure_tables(directory)
     if count is not None:
         paths = paths[: max(1, count)]
     traces = []

@@ -21,43 +21,18 @@ design.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from ..core import telemetry
-from ..core.runner import cache_enabled, content_key, default_cache_dir
+from ..core import settings, telemetry
+from ..core.runner import content_key
 from ..core.store import MISSING, Store
 from .columnar import ColumnarTrace, load_columns_npz, save_columns_npz
-
-#: Env vars: force the store on/off, and relocate it.
-STORE_ENV = "REPRO_TRACE_STORE"
-STORE_DIR_ENV = "REPRO_TRACE_STORE_DIR"
 
 #: Part of every entry key; bump when the generator's draw schedule (or
 #: the npz layout) changes so stale entries miss instead of lying.
 STORE_VERSION = "trace-store-v1"
-
-
-def store_enabled() -> bool:
-    """Whether suite generation should use the persistent store.
-
-    ``REPRO_TRACE_STORE`` wins when set (``0``/``false``/``no``/empty
-    disable); otherwise the store follows the result-cache opt-in.
-    """
-    env = os.environ.get(STORE_ENV)
-    if env is not None:
-        return env not in ("", "0", "false", "no")
-    return cache_enabled()
-
-
-def default_store_dir() -> Path:
-    """``REPRO_TRACE_STORE_DIR`` if set, else ``<cache dir>/traces``."""
-    env = os.environ.get(STORE_DIR_ENV)
-    if env:
-        return Path(env)
-    return default_cache_dir() / "traces"
 
 
 class TraceStore(Store):
@@ -72,7 +47,9 @@ class TraceStore(Store):
 
     def __init__(self, directory: Optional[Path] = None) -> None:
         super().__init__(
-            directory if directory is not None else default_store_dir()
+            directory
+            if directory is not None
+            else settings.current().trace_store_path
         )
 
     def key(self, seed: int, params: object) -> str:

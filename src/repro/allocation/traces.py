@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import telemetry
+from ..core import settings, telemetry
 from ..core.checks import check_finite
 from ..core.errors import ConfigError
 from ..core.resilience import TaskFailure, drop_failures, resilient_map
@@ -619,18 +619,18 @@ def production_trace_suite(
     and lifetime mix vary across data centers).
 
     When the persistent trace store is enabled (``store=`` argument, or
-    the ``REPRO_TRACE_STORE``/result-cache opt-in — see
-    ``allocation.store``), stored traces load from ``.npz`` and only the
-    misses are generated — in process unless ``jobs`` asks for more than
-    one worker, and then through ``resilient_map`` under any active
-    resilience policy.  A trace whose generation failed under the CLI's
-    ``--keep-going`` is neither stored nor returned.
+    the run settings' ``use_trace_store``: ``REPRO_TRACE_STORE``, else
+    the result-cache opt-in), stored traces load from ``.npz`` and only
+    the misses are generated — in process unless ``jobs`` asks for more
+    than one worker, and then through ``resilient_map`` under the run
+    settings' resilience policy.  A trace whose generation failed under
+    the CLI's ``--keep-going`` is neither stored nor returned.
     """
     specs = suite_specs(count=count, base_seed=base_seed, params=params)
     if store is None:
-        from .store import TraceStore, store_enabled
+        from .store import TraceStore
 
-        store = TraceStore() if store_enabled() else None
+        store = TraceStore() if settings.current().use_trace_store else None
     results: List[Optional[VmTrace]] = [None] * len(specs)
     if store is not None:
         for i, (seed, trace_params, name) in enumerate(specs):

@@ -91,7 +91,7 @@ def placement_policy_ablation(
     For each heuristic: the minimum cluster size hosting the trace and
     the achieved packing density at that size.  Policies evaluate
     independently, so they fan out over ``jobs`` worker processes under
-    any active resilience policy; under the CLI's ``--keep-going`` a
+    the run settings' resilience policy; under the CLI's ``--keep-going`` a
     policy whose task failed is dropped from the result.
     """
     sku = sku or baseline_gen3()
@@ -217,8 +217,9 @@ def adoption_rule_ablation(
       upper bound on GreenSKU utilization that breaks performance goals.
 
     Each rule's full sizing search is independent; they fan out over
-    ``jobs`` worker processes in rule order, under any active resilience
-    policy (a rule whose task failed under ``--keep-going`` is dropped).
+    ``jobs`` worker processes in rule order, under the run settings'
+    resilience policy (a rule whose task failed under ``--keep-going``
+    is dropped).
     """
     gsf = gsf or Gsf()
     greensku = greensku or greensku_full()

@@ -9,12 +9,10 @@ driver feeding it.  See ``docs/catalog.md``.
 """
 
 from .results import (
-    CATALOG_DIRNAME,
     CATALOG_SCHEMA,
     ResultsCatalog,
     canonical_json,
     closure_key,
-    default_catalog_dir,
     payload_digest,
 )
 from .sweep import (
@@ -29,7 +27,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "CATALOG_DIRNAME",
     "CATALOG_SCHEMA",
     "ResultsCatalog",
     "SweepOutcome",
@@ -38,7 +35,6 @@ __all__ = [
     "canonical_json",
     "closure_key",
     "current_leaf_inputs",
-    "default_catalog_dir",
     "payload_digest",
     "point_inputs",
     "run_sweep",

@@ -26,30 +26,15 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from ..core import telemetry
-from ..core.runner import content_key, default_cache_dir
+from ..core import settings, telemetry
+from ..core.runner import content_key
 from ..core.store import MISSING, Store
 
 #: Entry document schema; bump on breaking layout changes.
 CATALOG_SCHEMA = "repro-catalog/1"
-
-#: Default catalog location, next to the journal under the cache dir.
-CATALOG_DIRNAME = "catalog"
-
-#: Overrides the catalog directory (the CLI's ``--catalog-dir``).
-CATALOG_DIR_ENV = "REPRO_CATALOG_DIR"
-
-
-def default_catalog_dir() -> Path:
-    """``<cache dir>/catalog`` unless ``REPRO_CATALOG_DIR`` overrides it."""
-    env = os.environ.get(CATALOG_DIR_ENV)
-    if env:
-        return Path(env)
-    return default_cache_dir() / CATALOG_DIRNAME
 
 
 def canonical_json(payload: Any) -> str:
@@ -112,7 +97,9 @@ class ResultsCatalog(Store):
 
     def __init__(self, directory: Optional[Path] = None) -> None:
         super().__init__(
-            directory if directory is not None else default_catalog_dir()
+            directory
+            if directory is not None
+            else settings.current().catalog_path
         )
         self.unchanged = 0
         self.evicted = 0
@@ -224,12 +211,9 @@ class ResultsCatalog(Store):
 
 
 __all__ = [
-    "CATALOG_DIRNAME",
-    "CATALOG_DIR_ENV",
     "CATALOG_SCHEMA",
     "ResultsCatalog",
     "canonical_json",
     "closure_key",
-    "default_catalog_dir",
     "payload_digest",
 ]

@@ -28,21 +28,14 @@ so the grid fans out over worker processes like every other experiment.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..allocation.cluster import CARBON_PLACEMENT_POLICIES
-from ..allocation.ingest import (
-    AZURE_DIR_ENV,
-    azure_trace_suite,
-    bundled_sample_dir,
-    file_digest,
-)
+from ..allocation.ingest import azure_tables, azure_trace_suite, file_digest
 from ..allocation.traces import TraceParams, generate_trace
 from ..carbon.grid import GRID_SIGNALS
-from ..core import provenance, telemetry
+from ..core import provenance, settings, telemetry
 from ..core.checks import check_finite
 from ..core.errors import ConfigError, SimulationError
 from ..core.resilience import resilient_map
@@ -51,9 +44,6 @@ from ..hardware import catalog as parts_catalog
 from ..hardware.components import CxlControllerSpec, DramSpec
 from ..hardware.sku import ServerSKU, paper_skus
 from .results import ResultsCatalog, closure_key, payload_digest
-
-#: Sweepable trace backends (mirrors ``repro.allocation.ingest``).
-SWEEP_BACKENDS = ("synthetic", "azure")
 
 #: The artifact id of the whole-sweep summary node.
 SUMMARY_ARTIFACT = "sweep/summary"
@@ -109,7 +99,7 @@ class SweepSpec:
             if name not in known:
                 raise ConfigError(f"unknown SKU {name!r}")
         for backend in self.backends:
-            if backend not in SWEEP_BACKENDS:
+            if backend not in settings.TRACE_BACKENDS:
                 raise ConfigError(f"unknown trace backend {backend!r}")
         for signal in self.grid_signals:
             if signal is not None and signal not in GRID_SIGNALS:
@@ -283,15 +273,7 @@ def _azure_trace_digest() -> str:
     Digests the first (sorted) vmtable CSV under the configured
     directory — the same file :func:`_compute_point` will ingest.
     """
-    env = os.environ.get(AZURE_DIR_ENV)
-    directory = Path(env) if env else bundled_sample_dir()
-    paths = sorted(
-        p for p in directory.iterdir()
-        if p.name.endswith((".csv", ".csv.gz"))
-    )
-    if not paths:
-        raise ConfigError(f"no .csv/.csv.gz traces under {directory}")
-    return content_key("azure", file_digest(paths[0]))
+    return content_key("azure", file_digest(azure_tables()[0]))
 
 
 def current_leaf_inputs(spec: SweepSpec) -> Dict[str, str]:
@@ -302,7 +284,7 @@ def current_leaf_inputs(spec: SweepSpec) -> Dict[str, str]:
     salt.  Anything here changing is what invalidates catalog entries.
     """
     leaves = {
-        "code": provenance.code_salt(),
+        "code": settings.current().code_salt,
         "hardware": _hardware_digest(),
     }
     if "synthetic" in spec.backends:
@@ -460,14 +442,15 @@ def run_sweep(
 
     Warm points are a single compressed catalog read each; cold points
     recompute through :func:`~repro.core.resilience.resilient_map`
-    (inheriting any active resilience policy) and are published +
-    provenance-recorded.
+    (inheriting the run settings' resilience policy) and are published +
+    provenance-recorded.  ``log`` defaults to the run settings' log.
     A recomputed payload whose closure key already had a catalog entry
     must encode to byte-identical entry bytes, else ``SimulationError``
     — nondeterminism must never silently replace published results.
     """
     catalog = catalog if catalog is not None else ResultsCatalog()
-    log = log if log is not None else provenance.ProvenanceLog()
+    if log is None:
+        log = settings.current().provenance or provenance.ProvenanceLog()
     points = sweep_points(spec)
     leaves = current_leaf_inputs(spec)
     report = provenance.invalidated(log.latest(), leaves)
@@ -549,7 +532,6 @@ def run_sweep(
 
 __all__ = [
     "SUMMARY_ARTIFACT",
-    "SWEEP_BACKENDS",
     "SweepOutcome",
     "SweepPoint",
     "SweepSpec",

@@ -18,15 +18,13 @@ Commands:
 - ``stats`` — validate and pretty-print a telemetry run manifest.
 
 Global flags: ``--jobs N`` sets the worker-process count for the
-trace-suite experiments (default: the ``REPRO_JOBS`` env var, else all
-cores); ``--cache`` / ``--no-cache`` toggle the opt-in on-disk result
-cache (default: the ``REPRO_CACHE`` env var, else off);
-``--telemetry PATH`` instruments the run and writes a JSON manifest of
-counters, timers, and phase spans (see ``docs/observability.md``);
-``--trace-backend {synthetic,azure}`` selects where trace-suite
-experiments get their workload: the synthetic generator (default) or
-ingested Azure vmtable traces (``REPRO_AZURE_TRACE_DIR``, falling back
-to the bundled offline sample).
+trace-suite experiments; ``--cache`` / ``--no-cache`` toggle the opt-in
+on-disk result cache; ``--telemetry PATH`` instruments the run and
+writes a JSON manifest of counters, timers, phase spans and the run
+settings (see ``docs/observability.md``); ``--trace-backend
+{synthetic,azure}`` selects where trace-suite experiments get their
+workload.  Each beats its ``REPRO_*`` variable: see "Run settings" in
+``docs/reproducing.md``.
 
 Resilience flags (see ``docs/resilience.md``): ``--resume`` checkpoints
 every completed suite task to an on-disk journal and loads completed
@@ -44,12 +42,10 @@ deterministic worker kills and latency for testing the layer itself.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .allocation.ingest import (
-    BACKEND_ENV,
     INGEST_CORRUPT_ERRORS,
     TRACE_BACKENDS,
     azure_trace_suite,
@@ -64,7 +60,7 @@ from .allocation.traces import (
 )
 from .carbon.model import CarbonModel
 from .carbon.savings import paper_savings_table, render_savings_table
-from .core import provenance, resilience, runner, telemetry
+from .core import provenance, resilience, settings, telemetry
 from .core.errors import ConfigError, ReproError
 from .core.faults import parse_fault_spec
 from .experiments.registry import EXPERIMENTS, get_experiment
@@ -402,17 +398,6 @@ def _sweep_spec(args: argparse.Namespace):
     )
 
 
-def _catalog_and_log(args: argparse.Namespace):
-    """The catalog and provenance log the sweep/catalog commands use."""
-    from .catalog import ResultsCatalog
-
-    catalog = ResultsCatalog(
-        args.catalog_dir if args.catalog_dir is not None else None
-    )
-    log = provenance.active_log() or provenance.ProvenanceLog()
-    return catalog, log
-
-
 def _add_sweep_axes(parser: argparse.ArgumentParser) -> None:
     """The shared scenario-grid flags (sweep + catalog subcommands)."""
     parser.add_argument(
@@ -489,12 +474,12 @@ _SWEEP_HEADER = [
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run (or incrementally re-run) a scenario sweep over the catalog."""
-    from .catalog import run_sweep
+    from .catalog import ResultsCatalog, run_sweep
     from .core.tables import render_table
 
     spec = _sweep_spec(args)
-    catalog, log = _catalog_and_log(args)
-    outcome = run_sweep(spec, catalog, log, jobs=args.jobs)
+    catalog = ResultsCatalog()
+    outcome = run_sweep(spec, catalog)
     print(
         render_table(
             _SWEEP_HEADER,
@@ -521,11 +506,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_catalog_query(args: argparse.Namespace) -> int:
     """Warm-read a grid from the catalog; exit 3 if any point misses."""
-    from .catalog import closure_key, current_leaf_inputs, point_inputs, sweep_points
+    from .catalog import ResultsCatalog, closure_key, current_leaf_inputs
+    from .catalog import point_inputs, sweep_points
     from .core.tables import render_table
 
     spec = _sweep_spec(args)
-    catalog, _log = _catalog_and_log(args)
+    catalog = ResultsCatalog()
     points = sweep_points(spec)
     leaves = current_leaf_inputs(spec)
     rows = []
@@ -569,6 +555,7 @@ def cmd_catalog_query(args: argparse.Namespace) -> int:
 def cmd_catalog_gc(args: argparse.Namespace) -> int:
     """Drop catalog entries outside a grid's current input closure."""
     from .catalog import (
+        ResultsCatalog,
         closure_key,
         current_leaf_inputs,
         payload_digest,
@@ -577,7 +564,7 @@ def cmd_catalog_gc(args: argparse.Namespace) -> int:
     )
 
     spec = _sweep_spec(args)
-    catalog, _log = _catalog_and_log(args)
+    catalog = ResultsCatalog()
     points = sweep_points(spec)
     leaves = current_leaf_inputs(spec)
     live = []
@@ -608,8 +595,9 @@ def cmd_catalog_stats(args: argparse.Namespace) -> int:
     """Print the results-catalog manifest (entries, bytes, counters)."""
     import json
 
-    catalog, _log = _catalog_and_log(args)
-    print(json.dumps(catalog.manifest(), indent=2))
+    from .catalog import ResultsCatalog
+
+    print(json.dumps(ResultsCatalog().manifest(), indent=2))
     return 0
 
 
@@ -623,8 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for trace-suite experiments "
-             "(default: REPRO_JOBS env, else all cores)",
+        help="worker processes for trace-suite experiments (overrides "
+             "REPRO_JOBS; default all cores)",
     )
     cache_group = parser.add_mutually_exclusive_group()
     cache_group.add_argument(
@@ -646,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload source for trace-suite experiments: the "
              "'synthetic' generator (default) or ingested 'azure' "
              "vmtable traces (REPRO_AZURE_TRACE_DIR, else the bundled "
-             "sample; default: the REPRO_TRACE_BACKEND env var)",
+             "sample; overrides REPRO_TRACE_BACKEND)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -875,17 +863,16 @@ def _run_command(args: argparse.Namespace, argv: List[str]) -> int:
         try:
             return args.func(args)
         finally:
-            telemetry.write_manifest(
-                tel.manifest(command=args.command, argv=argv),
-                args.telemetry,
-            )
+            manifest = tel.manifest(command=args.command, argv=argv)
+            manifest["settings"] = settings.current().to_dict()
+            telemetry.write_manifest(manifest, args.telemetry)
             print(f"telemetry written to {args.telemetry}", file=sys.stderr)
 
 
 def _build_policy(
     args: argparse.Namespace,
 ) -> Optional[resilience.ResiliencePolicy]:
-    """The process-wide resilience policy the flags ask for, if any."""
+    """The resilience policy the flags ask for, if any."""
     wants_resilience = (
         args.resume
         or args.journal is not None
@@ -916,41 +903,38 @@ def _build_policy(
     )
 
 
+def _flag_settings(args: argparse.Namespace) -> Dict[str, Any]:
+    """The settings the given flags set (flags left out set nothing)."""
+    flags = {
+        "jobs": args.jobs,
+        "cache": args.cache,
+        "trace_backend": args.trace_backend,
+        "catalog_dir": getattr(args, "catalog_dir", None),
+        "policy": _build_policy(args),
+    }
+    if args.provenance is not None:
+        # 'auto' puts the log at its default cache-dir location.
+        flags["provenance"] = provenance.ProvenanceLog(
+            None if args.provenance == "auto" else args.provenance
+        )
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The command runs inside one :func:`repro.core.settings.using` scope.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_backend = os.environ.get(BACKEND_ENV)
     try:
-        runner.set_default_jobs(args.jobs)
-        runner.set_cache_enabled(args.cache)
-        if args.trace_backend is not None:
-            # Experiments resolve the backend at suite-build time via the
-            # env var (which also inherits into worker processes).
-            os.environ[BACKEND_ENV] = args.trace_backend
-        resilience.set_active_policy(_build_policy(args))
-        if args.provenance is not None:
-            # 'auto' puts the log at its default cache-dir location.
-            provenance.set_active_log(
-                provenance.ProvenanceLog(
-                    None if args.provenance == "auto" else args.provenance
-                )
+        with settings.using(**_flag_settings(args)):
+            return _run_command(
+                args, list(sys.argv[1:] if argv is None else argv)
             )
-        return _run_command(
-            args, list(sys.argv[1:] if argv is None else argv)
-        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        runner.set_default_jobs(None)
-        runner.set_cache_enabled(None)
-        if saved_backend is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = saved_backend
-        resilience.set_active_policy(None)
-        provenance.set_active_log(None)
 
 
 if __name__ == "__main__":

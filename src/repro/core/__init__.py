@@ -19,14 +19,7 @@ from .resilience import (
     resilient_map,
 )
 from .rng import DEFAULT_SEED, RngFactory, derive_seed, stream
-from .runner import (
-    DiskCache,
-    cache_enabled,
-    content_key,
-    resolve_jobs,
-    set_cache_enabled,
-    set_default_jobs,
-)
+from .runner import DiskCache, content_key, resolve_jobs
 from .tables import render_csv, render_table
 from .telemetry import (
     Telemetry,
@@ -71,11 +64,8 @@ __all__ = [
     "derive_seed",
     "stream",
     "DiskCache",
-    "cache_enabled",
     "content_key",
     "resolve_jobs",
-    "set_cache_enabled",
-    "set_default_jobs",
     "render_csv",
     "render_table",
     "Telemetry",

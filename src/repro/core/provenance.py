@@ -28,55 +28,32 @@ input/output digests, not timestamps):
   that CI pins as a golden value.
 
 ``repro.core.resilience.resilient_map`` records a ``task/<key>`` node
-for every keyed task result it returns whenever a log is active (see
-:func:`recording`); the sweep driver (``repro.catalog.sweep``) records
-the experiment-level artifacts.  See ``docs/catalog.md``.
+for every keyed task result it returns whenever the run settings carry
+a log (the CLI's ``--provenance``, or ``settings.using(provenance=log)``);
+the sweep driver (``repro.catalog.sweep``) records the experiment-level
+artifacts.  See ``docs/catalog.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
     Tuple,
 )
 
-from . import runner, telemetry
+from . import settings, telemetry
 
 #: JSONL record schema; bump on breaking layout changes.
 PROVENANCE_SCHEMA = "repro-provenance/1"
-
-#: Default log filename, next to the journal under the cache dir.
-PROVENANCE_FILENAME = "provenance.jsonl"
-
-#: Overrides the code-version salt (forces a global recompute when bumped).
-CODE_SALT_ENV = "REPRO_CODE_SALT"
-
-#: Bump when a code change alters experiment outputs: every provenance
-#: closure includes this salt, so stale catalog entries miss instead of
-#: serving results the current code would not produce.
-DEFAULT_CODE_SALT = "repro-code/1"
-
-
-def code_salt() -> str:
-    """The code-version salt mixed into every provenance closure."""
-    return os.environ.get(CODE_SALT_ENV) or DEFAULT_CODE_SALT
-
-
-def default_provenance_path() -> Path:
-    """``<cache dir>/provenance.jsonl`` — stable across runs, like the journal."""
-    return runner.default_cache_dir() / PROVENANCE_FILENAME
 
 
 def result_digest(value: object) -> str:
@@ -162,7 +139,7 @@ class ProvenanceLog:
 
     def __init__(self, path: Optional[Path] = None) -> None:
         self.path = Path(
-            path if path is not None else default_provenance_path()
+            path if path is not None else settings.current().provenance_path
         )
         self.appended = 0
         self.unchanged = 0
@@ -308,65 +285,31 @@ def invalidated(
     )
 
 
-# -- process-wide active log (the CLI's --provenance flag) ---------------------
-
-_ACTIVE_LOG: Optional[ProvenanceLog] = None
-
-
-def active_log() -> Optional[ProvenanceLog]:
-    """The process-wide log task hooks record into, or ``None``."""
-    return _ACTIVE_LOG
-
-
-def set_active_log(log: Optional[ProvenanceLog]) -> None:
-    """Install (or clear) the process-wide provenance log."""
-    global _ACTIVE_LOG
-    _ACTIVE_LOG = log
-
-
-@contextmanager
-def recording(log: ProvenanceLog) -> Iterator[ProvenanceLog]:
-    """Scoped :func:`set_active_log` (the test / library entry point)."""
-    previous = _ACTIVE_LOG
-    set_active_log(log)
-    try:
-        yield log
-    finally:
-        set_active_log(previous)
-
-
 def record_task(key: str, value: object) -> None:
-    """Record one ``resilient_map`` task into the active log.
+    """Record one ``resilient_map`` task into the settings' log.
 
     The task's content key *is* its input digest (the same hash the
     journal and disk cache use), plus the code salt; the output digest
-    is a content hash of the result.  No-op when no log is active.
+    is a content hash of the result.  No-op when the run settings carry
+    no log.
     """
-    log = _ACTIVE_LOG
-    if log is None:
+    run = settings.current()
+    if run.provenance is None:
         return
-    log.record(
+    run.provenance.record(
         f"task/{key}",
         "task",
-        {"item": key, "code": code_salt()},
+        {"item": key, "code": run.code_salt},
         result_digest(value),
     )
 
 
 __all__ = [
-    "CODE_SALT_ENV",
-    "DEFAULT_CODE_SALT",
-    "PROVENANCE_FILENAME",
     "PROVENANCE_SCHEMA",
     "InvalidationReport",
     "ProvenanceLog",
     "ProvenanceRecord",
-    "active_log",
-    "code_salt",
-    "default_provenance_path",
     "invalidated",
     "record_task",
-    "recording",
     "result_digest",
-    "set_active_log",
 ]

@@ -33,9 +33,9 @@ a first-class outcome:
 - :func:`resilient_map` — the one map every fan-out in the package
   runs on: journal lookups, disk-cache lookups, retried serial or
   process-pool execution of the misses, checkpoint after every
-  completion.  It runs under the process-wide policy the CLI's
-  ``--resume`` / ``--retries`` / ``--task-timeout`` / ``--faults``
-  flags install (``--keep-going`` adds degradation to it), so every
+  completion.  It runs under the run settings' policy, which the CLI's
+  ``--resume`` / ``--retries`` / ``--task-timeout`` / ``--faults`` /
+  ``--keep-going`` flags set (see :mod:`repro.core.settings`), so every
   suite experiment inherits resilience without code changes; with no
   policy it makes one attempt per task and raises on failure.
 
@@ -57,14 +57,12 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,7 +70,7 @@ from typing import (
     TypeVar,
 )
 
-from . import runner, telemetry
+from . import provenance, runner, settings, telemetry
 from .checks import check_count, check_finite
 from .errors import ConfigError, SimulationError
 from .faults import FaultPlan
@@ -84,14 +82,6 @@ R = TypeVar("R")
 
 #: Journal metadata schema; bump on breaking layout changes.
 JOURNAL_SCHEMA = "repro-journal/1"
-
-#: Default journal location, next to the PR 1 result cache.
-JOURNAL_DIRNAME = "journal"
-
-
-def default_journal_dir() -> Path:
-    """``<cache dir>/journal`` — stable across runs, so ``--resume`` works."""
-    return runner.default_cache_dir() / JOURNAL_DIRNAME
 
 
 # -- retry policy --------------------------------------------------------------
@@ -199,7 +189,9 @@ class CheckpointJournal(PickleStore):
 
     def __init__(self, directory: Optional[Path] = None) -> None:
         super().__init__(
-            directory if directory is not None else default_journal_dir()
+            directory
+            if directory is not None
+            else settings.current().journal_dir
         )
 
     @property
@@ -265,7 +257,7 @@ class CheckpointJournal(PickleStore):
         return out
 
 
-# -- process-wide policy (the CLI's resilience flags) --------------------------
+# -- policy --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -292,34 +284,10 @@ class ResiliencePolicy:
             )
 
 
-_ACTIVE_POLICY: Optional[ResiliencePolicy] = None
-
-#: The policy of a map that gets none, by argument or from the CLI: one
-#: attempt, no journal, no faults, and a failure raises.  A task is a
+#: The policy of a map that gets none, by argument or from the settings:
+#: one attempt, no journal, no faults, and a failure raises.  A task is a
 #: pure function of its item, so a retry would repeat the failure.
-_PLAIN_POLICY = ResiliencePolicy(retry=RetryPolicy(max_retries=0))
-
-
-def active_policy() -> Optional[ResiliencePolicy]:
-    """The process-wide policy installed by the CLI flags, or ``None``."""
-    return _ACTIVE_POLICY
-
-
-def set_active_policy(policy: Optional[ResiliencePolicy]) -> None:
-    """Install (or clear) the process-wide resilience policy."""
-    global _ACTIVE_POLICY
-    _ACTIVE_POLICY = policy
-
-
-@contextmanager
-def activated(policy: ResiliencePolicy) -> Iterator[ResiliencePolicy]:
-    """Scoped :func:`set_active_policy` (the test-suite entry point)."""
-    previous = _ACTIVE_POLICY
-    set_active_policy(policy)
-    try:
-        yield policy
-    finally:
-        set_active_policy(previous)
+PLAIN_POLICY = ResiliencePolicy(retry=RetryPolicy(max_retries=0))
 
 
 # -- execution -----------------------------------------------------------------
@@ -642,10 +610,11 @@ def resilient_map(
     one worker runs.  Worker telemetry folds back into this process's
     capture, so the counts match the serial path.
 
-    ``policy`` defaults to the active policy, else one attempt per task
-    with no journal and no faults.  ``cache`` defaults to a
-    :class:`DiskCache` when :func:`repro.core.runner.cache_enabled`.
-    The journal, the cache and the provenance log need ``key_fn``.
+    ``jobs``, ``policy`` and ``cache`` default to the run settings
+    (:func:`repro.core.settings.current`, read once per call): their
+    worker count, their policy or else :data:`PLAIN_POLICY`, and a
+    :class:`DiskCache` when their ``cache`` is on.  The journal, the
+    cache and the settings' provenance log need ``key_fn``.
 
     Per item: checkpoint journal, disk cache, then retried execution.
     Every fresh completion is checkpointed (and cached) before the call
@@ -660,10 +629,11 @@ def resilient_map(
     (:func:`drop_failures` filters it explicitly).
     """
     items = list(items)
+    run = settings.current()
     if policy is None:
-        policy = active_policy() or _PLAIN_POLICY
-    if cache is None and runner.cache_enabled():
-        cache = runner.DiskCache()
+        policy = run.policy if run.policy is not None else PLAIN_POLICY
+    if cache is None and run.cache:
+        cache = runner.DiskCache(run.cache_dir)
     journal = policy.journal
     keys: Optional[List[str]] = (
         [key_fn(item) for item in items] if key_fn is not None else None
@@ -696,7 +666,9 @@ def resilient_map(
     ]
     with telemetry.span("resilience.map"):
         if pending:
-            resolved_jobs = runner.resolve_jobs(jobs)
+            resolved_jobs = runner.resolve_jobs(
+                jobs if jobs is not None else run.jobs
+            )
             if resolved_jobs <= 1 or len(pending) <= 1:
                 outcomes = _run_serial(fn, pending, policy)
             else:
@@ -730,9 +702,7 @@ def resilient_map(
                 value = replace(value, key=keys[i])
                 results[i] = value
             failures.append(value)
-    from . import provenance  # lazy: provenance builds on runner
-
-    if provenance.active_log() is not None and keys is not None:
+    if run.provenance is not None and keys is not None:
         for i, value in enumerate(results):
             if not isinstance(value, TaskFailure):
                 provenance.record_task(keys[i], value)
@@ -791,16 +761,12 @@ def drop_failures(results: Sequence[object]) -> List[object]:
 
 
 __all__ = [
-    "JOURNAL_DIRNAME",
     "JOURNAL_SCHEMA",
+    "PLAIN_POLICY",
     "CheckpointJournal",
     "ResiliencePolicy",
     "RetryPolicy",
     "TaskFailure",
-    "activated",
-    "active_policy",
-    "default_journal_dir",
     "drop_failures",
     "resilient_map",
-    "set_active_policy",
 ]

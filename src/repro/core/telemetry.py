@@ -36,6 +36,7 @@ ad-hoc print statements.  See ``docs/observability.md``.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -242,10 +243,14 @@ class Telemetry:
         argv: Optional[List[str]] = None,
     ) -> Dict[str, Any]:
         """The run manifest: a JSON-serializable snapshot of this capture."""
+        import numpy
+
         return {
             "schema": SCHEMA,
             "command": command,
             "argv": list(argv) if argv is not None else None,
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
             "elapsed_s": max(self._clock() - self._started_at, 0.0),
             "counters": dict(sorted(self.counters.items())),
             "timers": {
@@ -375,6 +380,8 @@ def validate_manifest(manifest: Any) -> List[str]:
         or any(not isinstance(a, str) for a in argv)
     ):
         errors.append("argv must be a list of strings or null")
+    if "settings" in manifest and not isinstance(manifest["settings"], dict):
+        errors.append("settings must be an object")
     elapsed = manifest.get("elapsed_s")
     if not _is_number(elapsed) or elapsed < 0:
         errors.append("elapsed_s must be a number >= 0")
@@ -512,6 +519,13 @@ def render_manifest(manifest: Dict[str, Any]) -> str:
     argv = manifest.get("argv")
     if argv:
         lines.append(f"  argv: {' '.join(argv)}")
+    if "python" in manifest:
+        versions = f"python {manifest['python']}, numpy {manifest['numpy']}"
+        lines.append(f"  {versions}")
+    run_settings = manifest.get("settings")
+    if run_settings:
+        lines.append("settings:")
+        lines.extend(f"  {k}: {json.dumps(v)}" for k, v in run_settings.items())
 
     counters = manifest.get("counters") or {}
     if counters:

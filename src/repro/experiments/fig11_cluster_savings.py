@@ -76,7 +76,7 @@ def run(
     cache only short-circuits recomputing results that are identical by
     construction), so the sweep fans out per intensity over ``jobs``
     workers; the serial path keeps the shared cache across intensities.
-    The fan-out inherits any active resilience policy, and under the
+    The fan-out inherits the run settings' resilience policy, and under the
     CLI's ``--keep-going`` an intensity whose task exhausted its retry
     budget is dropped (``resilience.degraded_dropped``).
     ``trace_backend`` selects synthetic vs ingested Azure traces; the

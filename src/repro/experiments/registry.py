@@ -92,23 +92,24 @@ def get_experiment(experiment_id: str) -> Experiment:
 
 
 def _record_provenance(exp: Experiment, result: object) -> None:
-    """Record one experiment artifact into the active provenance log.
+    """Record one experiment artifact into the settings' provenance log.
 
-    No-op unless a log is installed (the CLI's ``--provenance`` flag).
+    No-op unless the run settings carry a log (the CLI's
+    ``--provenance`` flag).
     Inputs are the code salt — figure-level experiments have no external
     data inputs beyond the code and their internal seeds, which the code
     pins — and the output digest is a content hash of the result, so a
     changed outcome shows up as a new record.
     """
-    from ..core import provenance
+    from ..core import provenance, settings
 
-    log = provenance.active_log()
-    if log is None:
+    run = settings.current()
+    if run.provenance is None:
         return
-    log.record(
+    run.provenance.record(
         f"experiment/{exp.experiment_id}",
         "experiment",
-        {"code": provenance.code_salt()},
+        {"code": run.code_salt},
         provenance.result_digest(result),
     )
 

@@ -126,6 +126,13 @@ class CpuSpec(ComponentSpec):
         check_finite(
             self.perf_per_core, f"{self.name}: per-core perf", above=0
         )
+        check_finite(
+            self.max_freq_ghz, f"{self.name}: max frequency", at_least=0
+        )
+        check_count(self.llc_mib, f"{self.name}: LLC MiB")
+        check_finite(
+            self.mem_bw_gbps, f"{self.name}: memory bandwidth", at_least=0
+        )
 
     @property
     def tdp_per_core(self) -> float:
@@ -185,6 +192,10 @@ class SsdSpec(ComponentSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_finite(self.capacity_tb, f"{self.name}: SSD capacity", above=0)
+        check_finite(
+            self.write_bw_gbps, f"{self.name}: write bandwidth", at_least=0
+        )
+        check_finite(self.write_kiops, f"{self.name}: write kIOPS", at_least=0)
         if self.interface not in ("m.2", "e1.s"):
             raise ConfigError(
                 f"{self.name}: unknown SSD interface {self.interface!r}"
@@ -220,6 +231,13 @@ class CxlControllerSpec(ComponentSpec):
         check_count(self.dimm_slots, f"{self.name}: DIMM slots")
         if self.dimm_slots == 0:
             raise ConfigError(f"{self.name}: controller needs >= 1 DIMM slot")
+        check_count(self.pcie_lanes, f"{self.name}: PCIe lanes")
+        check_finite(
+            self.added_bw_gbps, f"{self.name}: added bandwidth", at_least=0
+        )
+        check_finite(
+            self.load_latency_ns, f"{self.name}: load latency", at_least=0
+        )
 
 
 @dataclass(frozen=True)

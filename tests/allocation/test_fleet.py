@@ -10,14 +10,13 @@ from repro.allocation.fleet import (
     simulate_fleet,
 )
 from repro.allocation.traces import TraceParams, generate_trace
-from repro.core import telemetry
+from repro.core import settings, telemetry
 from repro.core.errors import ConfigError, SimulationError
 from repro.core.faults import FaultPlan
 from repro.core.resilience import (
     CheckpointJournal,
     ResiliencePolicy,
     RetryPolicy,
-    activated,
 )
 from repro.hardware.sku import baseline_gen3, greensku_full
 from tests.oracles import allocation as oracle
@@ -59,6 +58,11 @@ class TestFleetSpec:
         task = _spec(1).clusters[0]
         with pytest.raises(ConfigError, match="unique"):
             FleetSpec.of(task, task)
+
+    @pytest.mark.parametrize("hours", [0.0, float("nan"), float("inf")])
+    def test_bad_snapshot_interval_rejected(self, hours):
+        with pytest.raises(ConfigError, match="snapshot interval"):
+            simulate_fleet(_spec(1), snapshot_hours=hours)
 
     def test_requires_named_tasks(self):
         task = _spec(1).clusters[0]
@@ -147,7 +151,7 @@ class TestFleetResilience:
             on_failure="record",
         )
         with telemetry.capture() as tel:
-            with activated(policy):
+            with settings.using(policy=policy):
                 flaky = simulate_fleet(spec, adopt_everything)
         assert tel.counters["resilience.retries"] >= 2
         assert not flaky.failures
@@ -166,7 +170,7 @@ class TestFleetResilience:
             on_failure="record",
         )
         with telemetry.capture() as tel:
-            with activated(doomed_policy):
+            with settings.using(policy=doomed_policy):
                 degraded = simulate_fleet(spec, adopt_everything)
         assert tel.counters["resilience.failures"] == len(doomed)
         assert tel.counters["fleet.failed_clusters"] == len(doomed)
@@ -182,7 +186,7 @@ class TestFleetResilience:
 
         # Resume with faults cleared: only the holes recompute.
         with telemetry.capture() as tel:
-            with activated(ResiliencePolicy(journal=journal)):
+            with settings.using(policy=ResiliencePolicy(journal=journal)):
                 resumed = simulate_fleet(spec, adopt_everything)
         counters = tel.counters
         assert counters["resilience.resumed"] == CLUSTERS - len(doomed)
@@ -198,10 +202,10 @@ class TestFleetResilience:
         chunk size resumes at another without recomputing a shard."""
         spec = _spec(3)
         journal = CheckpointJournal(tmp_path / "journal")
-        with activated(ResiliencePolicy(journal=journal)):
+        with settings.using(policy=ResiliencePolicy(journal=journal)):
             first = simulate_fleet(spec, adopt_everything, chunk_events=64)
         with telemetry.capture() as tel:
-            with activated(ResiliencePolicy(journal=journal)):
+            with settings.using(policy=ResiliencePolicy(journal=journal)):
                 second = simulate_fleet(
                     spec, adopt_everything, chunk_events=4096
                 )

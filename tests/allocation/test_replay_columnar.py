@@ -7,9 +7,11 @@ from repro.allocation.cluster import (
     adopt_everything,
     adopt_nothing,
     outcome_digest,
+    replay_on_engine,
     simulate,
 )
 from repro.allocation.columnar import ColumnarTrace
+from repro.allocation.index import PlacementEngine
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.core import telemetry
 from repro.core.errors import ConfigError
@@ -105,6 +107,21 @@ class TestReplayColumnarApi:
         trace = generate_trace(1, PARAMS)
         with pytest.raises(ConfigError, match="snapshot interval"):
             simulate(trace, _cluster(), snapshot_hours=0)
+
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
+    def test_non_finite_snapshot_interval_rejected(self, hours):
+        # NaN passes a `<= 0` check and replayed with no snapshots.
+        trace = generate_trace(1, PARAMS)
+        with pytest.raises(ConfigError, match="snapshot interval"):
+            simulate(trace, _cluster(), snapshot_hours=hours)
+
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
+    def test_non_finite_snapshot_interval_rejected_on_engine(self, hours):
+        trace = generate_trace(1, PARAMS)
+        spec = _cluster()
+        engine = PlacementEngine(spec.build_servers())
+        with pytest.raises(ConfigError, match="snapshot interval"):
+            replay_on_engine(trace, spec, engine, snapshot_hours=hours)
 
     def test_bad_chunk_size_rejected(self):
         trace = generate_trace(1, PARAMS)

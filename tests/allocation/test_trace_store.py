@@ -11,21 +11,17 @@ from repro.allocation.columnar import (
     load_columns_npz,
     save_columns_npz,
 )
-from repro.allocation.store import (
-    STORE_ENV,
-    TraceStore,
-    store_enabled,
-)
+from repro.allocation.store import TraceStore
 from repro.allocation.traces import (
     TraceParams,
     generate_trace,
     production_trace_suite,
     suite_specs,
 )
-from repro.core import telemetry
+from repro.core import settings, telemetry
 from repro.core.errors import ConfigError
 from repro.core.faults import FaultPlan, corrupt_file
-from repro.core.resilience import ResiliencePolicy, RetryPolicy, activated
+from repro.core.resilience import ResiliencePolicy, RetryPolicy
 
 PARAMS = TraceParams(duration_days=2, mean_concurrent_vms=100)
 SUITE_PARAMS = TraceParams(duration_days=2, mean_concurrent_vms=80)
@@ -168,7 +164,7 @@ class TestStore:
         ]
 
     def test_keep_going_neither_stores_nor_returns_a_failure(self, tmp_path):
-        # A parallel suite inherits the active policy; a trace that
+        # A parallel suite inherits the settings' policy; a trace that
         # exhausted its retries is dropped, and only survivors are put.
         store = TraceStore(directory=tmp_path / "kept")
         policy = ResiliencePolicy(
@@ -176,7 +172,7 @@ class TestStore:
             faults=FaultPlan(kill_indices=(1,), kill_attempts=99),
             on_failure="record",
         )
-        with activated(policy):
+        with settings.using(policy=policy):
             suite = production_trace_suite(
                 count=3, params=SUITE_PARAMS, jobs=2, store=store
             )
@@ -356,17 +352,21 @@ class TestDtypeDriftQuarantine:
         assert store.quarantine_dir.exists()
 
 
+def store_on():
+    return settings.current().use_trace_store
+
+
 class TestStoreEnabled:
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "1")
-        assert store_enabled()
-        for off in ("0", "false", "no", ""):
-            monkeypatch.setenv(STORE_ENV, off)
-            assert not store_enabled()
+        monkeypatch.setenv("REPRO_TRACE_STORE", "1")
+        assert store_on()
+        for off in ("0", "false", "no", "", "off", "False", "FALSE"):
+            monkeypatch.setenv("REPRO_TRACE_STORE", off)
+            assert not store_on()
 
     def test_follows_result_cache(self, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert not store_enabled()
+        assert not store_on()
         monkeypatch.setenv("REPRO_CACHE", "1")
-        assert store_enabled()
+        assert store_on()

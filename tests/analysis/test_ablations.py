@@ -14,10 +14,10 @@ from repro.analysis.ablations import (
 )
 from repro.allocation.cluster import ClusterSpec, simulate
 from repro.carbon.grid import carbon_aware_policy, diurnal_signal
-from repro.core import telemetry
+from repro.core import settings, telemetry
 from repro.core.errors import ConfigError
 from repro.core.faults import FaultPlan
-from repro.core.resilience import ResiliencePolicy, RetryPolicy, activated
+from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.gsf.framework import Gsf, GsfConfig
 from repro.hardware.sku import baseline_gen3, greensku_full
 from repro.perf.apps import APPLICATIONS
@@ -51,7 +51,7 @@ class TestPlacementAblation:
             retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
             faults=FaultPlan(kill_indices=(0,), kill_attempts=1),
         )
-        with activated(policy), telemetry.capture() as tel:
+        with settings.using(policy=policy), telemetry.capture() as tel:
             rows = placement_policy_ablation(small_trace, jobs=2)
         assert rows == list(results.values())
         assert tel.counters["resilience.retries"] == 1
@@ -62,7 +62,7 @@ class TestPlacementAblation:
             faults=FaultPlan(kill_indices=(1,), kill_attempts=99),
             on_failure="record",
         )
-        with activated(policy), telemetry.capture() as tel:
+        with settings.using(policy=policy), telemetry.capture() as tel:
             rows = placement_policy_ablation(small_trace, jobs=2)
         assert rows == [results["best-fit"], results["worst-fit"]]
         assert tel.counters["resilience.degraded_dropped"] == 1

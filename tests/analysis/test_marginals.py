@@ -20,7 +20,7 @@ from repro.analysis.marginals import (
     marginals_report,
     validate_marginals_report,
 )
-from repro.core import runner
+from repro.core import settings
 
 #: KS distances of the bundled sample vs the default synthetic reference
 #: (seed 7).  These are content goldens: they move only when the sample,
@@ -112,11 +112,8 @@ class TestDeterminism:
         )
 
     def test_independent_of_jobs_setting(self, sample_trace, report):
-        runner.set_default_jobs(2)
-        try:
+        with settings.using(jobs=2):
             jobs2 = marginals_report(sample_trace)
-        finally:
-            runner.set_default_jobs(None)
         assert json.dumps(jobs2, sort_keys=True) == json.dumps(
             report, sort_keys=True
         )

@@ -28,8 +28,8 @@ from repro.core.resilience import (
     CheckpointJournal,
     ResiliencePolicy,
     RetryPolicy,
-    activated,
 )
+from repro.core.settings import using
 
 # -- random layered DAGs of provenance records ---------------------------------
 
@@ -190,13 +190,13 @@ class TestKillResumeBitIdentity:
             retry=retry,
             faults=FaultPlan(kill_indices=(0, 1), kill_attempts=1),
         )
-        with activated(policy):
+        with using(policy=policy):
             outcome = run_sweep(TINY, catalog, log)
         assert len(outcome.recomputed) == 2
         assert _entry_bytes(catalog) == _entry_bytes(clean_catalog)
 
         # And a resumed warm pass over the same journal stays identical.
-        with activated(ResiliencePolicy(journal=journal, retry=retry)):
+        with using(policy=ResiliencePolicy(journal=journal, retry=retry)):
             warm = run_sweep(TINY, catalog, log)
         assert warm.recomputed == []
         assert _entry_bytes(catalog) == _entry_bytes(clean_catalog)

@@ -4,15 +4,12 @@ import json
 
 import pytest
 
-from repro.core import provenance
+from repro.core import settings
 from repro.core.provenance import (
-    CODE_SALT_ENV,
     ProvenanceLog,
     ProvenanceRecord,
-    code_salt,
     invalidated,
     record_task,
-    recording,
     result_digest,
 )
 
@@ -36,11 +33,11 @@ class TestRecord:
         assert result_digest({"a": 1}) != result_digest({"a": 2})
 
     def test_code_salt_env_override(self, monkeypatch):
-        default = code_salt()
-        monkeypatch.setenv(CODE_SALT_ENV, "other-code")
-        assert code_salt() == "other-code"
-        monkeypatch.delenv(CODE_SALT_ENV)
-        assert code_salt() == default
+        default = settings.current().code_salt
+        monkeypatch.setenv("REPRO_CODE_SALT", "other-code")
+        assert settings.current().code_salt == "other-code"
+        monkeypatch.delenv("REPRO_CODE_SALT")
+        assert settings.current().code_salt == default
 
 
 class TestLog:
@@ -130,27 +127,27 @@ class TestInvalidation:
 
 class TestActiveLog:
     def test_record_task_without_log_is_noop(self):
-        assert provenance.active_log() is None
+        assert settings.current().provenance is None
         record_task("key", {"v": 1})  # must not raise
 
     def test_recording_scopes_the_log(self, tmp_path):
         log = ProvenanceLog(tmp_path / "p.jsonl")
-        with recording(log):
-            assert provenance.active_log() is log
+        with settings.using(provenance=log):
+            assert settings.current().provenance is log
             record_task("some-key", {"v": 1})
-        assert provenance.active_log() is None
+        assert settings.current().provenance is None
         latest = log.latest()
         assert "task/some-key" in latest
         record = latest["task/some-key"]
         assert record.inputs_map["item"] == "some-key"
-        assert record.inputs_map["code"] == code_salt()
+        assert record.inputs_map["code"] == settings.current().code_salt
         assert record.output_digest == result_digest({"v": 1})
 
     def test_resilient_map_records_tasks(self, tmp_path):
         from repro.core.resilience import resilient_map
 
         log = ProvenanceLog(tmp_path / "p.jsonl")
-        with recording(log):
+        with settings.using(provenance=log):
             out = resilient_map(str.upper, ["a", "b"], key_fn=str, jobs=1)
         assert out == ["A", "B"]
         latest = log.latest()
@@ -168,7 +165,7 @@ class TestActiveLog:
                 return {"rows": [1, 2]}
 
         exp = registry.Experiment("fake", "fake experiment", FakeModule)
-        with recording(log):
+        with settings.using(provenance=log):
             registry._record_provenance(exp, FakeModule.main())
         record = log.latest()["experiment/fake"]
         assert record.kind == "experiment"

@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import resilience, runner, telemetry
+from repro.core import resilience, runner, settings, telemetry
 from repro.core.errors import ConfigError, SimulationError
 from repro.core.faults import FaultPlan
 from repro.core.resilience import (
@@ -16,8 +16,6 @@ from repro.core.resilience import (
     ResiliencePolicy,
     RetryPolicy,
     TaskFailure,
-    activated,
-    active_policy,
     resilient_map,
 )
 
@@ -251,7 +249,7 @@ class TestResilientMapSerial:
         # A task is a pure function of its item, so with no policy a
         # failure is not retried, and the task's own exception stays
         # reachable (with its traceback) as the cause.
-        assert active_policy() is None
+        assert settings.current().policy is None
         calls = []
 
         def tracked(x):
@@ -578,14 +576,14 @@ class TestRunnerRouting:
     def test_active_policy_applies_without_an_argument(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "j")
         policy = ResiliencePolicy(journal=journal, retry=fast_retry())
-        with activated(policy):
-            assert active_policy() is policy
+        with settings.using(policy=policy):
+            assert settings.current().policy is policy
             out = resilient_map(
                 square, [1, 2, 3], key_fn=key_of, jobs=1, cache=None
             )
         assert out == [1, 4, 9]
         assert journal.writes == 3
-        assert active_policy() is None
+        assert settings.current().policy is None
 
     def test_cache_hits_are_rejournaled_for_future_resumes(self, tmp_path):
         cache = runner.DiskCache(tmp_path / "cache")

@@ -11,17 +11,14 @@ import os
 
 import pytest
 
-from repro.core import telemetry
+from repro.core import settings, telemetry
 from repro.core.errors import ConfigError
 from repro.core.resilience import resilient_map
 from repro.core.runner import (
     MISSING,
     DiskCache,
-    cache_enabled,
     content_key,
     resolve_jobs,
-    set_cache_enabled,
-    set_default_jobs,
 )
 
 
@@ -57,11 +54,13 @@ class TestResolveJobs:
 
     def test_cli_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        set_default_jobs(2)
-        try:
+        with settings.using(jobs=2):
             assert resolve_jobs(None) == 2
-        finally:
-            set_default_jobs(None)
+
+    def test_flag_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        with settings.using(jobs=2):
+            assert resolve_jobs(None) == 2
 
     def test_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -71,7 +70,8 @@ class TestResolveJobs:
         with pytest.raises(ConfigError):
             resolve_jobs(0)
         with pytest.raises(ConfigError):
-            set_default_jobs(-1)
+            with settings.using(jobs=-1):
+                pass
 
 
 class TestParallelMap:
@@ -208,28 +208,22 @@ class TestCachedMap:
         assert result == [1, 4, 9]
         assert cache.hits == 2 and cache.misses == 3  # 2 initial + 1 new
 
-    def test_disabled_by_default(self):
-        set_cache_enabled(None)
-        assert not cache_enabled()
+    def test_disabled_by_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        assert not settings.current().cache
 
     def test_opt_in_via_override(self):
-        set_cache_enabled(True)
-        try:
-            assert cache_enabled()
-        finally:
-            set_cache_enabled(None)
+        with settings.using(cache=True):
+            assert settings.current().cache
 
     def test_opt_in_switch_supplies_the_cache(self, tmp_path, monkeypatch):
         # cache=None lets the switch decide, so every fan-out (the fleet
         # included) honours --cache / REPRO_CACHE.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        set_cache_enabled(True)
-        try:
+        with settings.using(cache=True):
             first = resilient_map(_square, [1, 2], key_fn=str, jobs=1)
             with telemetry.capture() as tel:
                 again = resilient_map(_square, [1, 2], key_fn=str, jobs=1)
-        finally:
-            set_cache_enabled(None)
         assert first == again == [1, 4]
         assert tel.counters["runner.cache_hits"] == 2
         assert DiskCache(tmp_path).get("2") == 4
@@ -237,6 +231,5 @@ class TestCachedMap:
     def test_cache_stays_off_by_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        set_cache_enabled(None)
         resilient_map(_square, [1, 2], key_fn=str, jobs=1)
         assert not list(tmp_path.iterdir())

@@ -255,6 +255,8 @@ class TestValidation:
             ),
             (lambda m: m.update(spans=[{"name": ""}]), "span"),
             (lambda m: m.update(spans="no"), "spans"),
+            (lambda m: m.update(settings=["jobs", 1]), "settings"),
+            (lambda m: m.update(settings=None), "settings"),
         ],
     )
     def test_rejects_malformed(self, mutate, fragment):
@@ -266,6 +268,12 @@ class TestValidation:
 
     def test_rejects_non_dict(self):
         assert validate_manifest([1]) == ["manifest must be a JSON object"]
+
+    def test_settings_block_is_optional(self):
+        manifest = self._valid()
+        assert "settings" not in manifest
+        manifest["settings"] = {"jobs": 1}
+        assert validate_manifest(manifest) == []
 
 
 class TestRendering:
@@ -282,6 +290,21 @@ class TestRendering:
         assert "alloc.replay" in text
         assert "experiment.fig9" in text
         assert "replay" in text
+
+    def test_render_settings_block(self):
+        manifest = Telemetry(clock=FakeClock()).manifest()
+        manifest["settings"] = {
+            "jobs": 2, "cache": False, "provenance": None,
+            "policy": {"retries": 0, "journal": None},
+        }
+        text = render_manifest(manifest)
+        assert "settings:" in text
+        assert "  jobs: 2" in text
+        assert "  cache: false" in text
+        assert "  provenance: null" in text
+        assert '  policy: {"retries": 0, "journal": null}' in text
+        versions = f"python {manifest['python']}, numpy {manifest['numpy']}"
+        assert versions in text
 
     def test_render_empty_capture(self):
         text = render_manifest(Telemetry(clock=FakeClock()).manifest())

@@ -118,6 +118,22 @@ class TestCpuSpec:
         with pytest.raises(ConfigError, match="CPU cores must be an integer"):
             self.make(cores=bad)
 
+    @pytest.mark.parametrize(
+        "field,bad,label",
+        [
+            (field, bad, label)
+            for field, label in (
+                ("max_freq_ghz", "max frequency"),
+                ("mem_bw_gbps", "memory bandwidth"),
+            )
+            for bad in (float("nan"), float("inf"), -1.0)
+        ]
+        + [("llc_mib", bad, "LLC MiB") for bad in (float("nan"), 1.5, -1)],
+    )
+    def test_bad_field_rejected(self, field, bad, label):
+        with pytest.raises(ConfigError, match=f"cpu: {label} must be"):
+            self.make(**{field: bad})
+
 
 class TestDramSpec:
     def make(self, **overrides):
@@ -186,6 +202,21 @@ class TestSsdSpec:
         with pytest.raises(ConfigError, match="ssd: SSD capacity must be"):
             self.make(capacity_tb=bad)
 
+    @pytest.mark.parametrize(
+        "field,bad,label",
+        [
+            (field, bad, label)
+            for field, label in (
+                ("write_bw_gbps", "write bandwidth"),
+                ("write_kiops", "write kIOPS"),
+            )
+            for bad in (float("nan"), float("inf"), -5.0)
+        ],
+    )
+    def test_bad_field_rejected(self, field, bad, label):
+        with pytest.raises(ConfigError, match=f"ssd: {label} must be"):
+            self.make(**{field: bad})
+
     def test_unknown_interface_rejected(self):
         with pytest.raises(ConfigError):
             self.make(interface="u.2")
@@ -216,3 +247,22 @@ class TestCxlControllerSpec:
     def test_non_integer_slots_rejected(self, bad):
         with pytest.raises(ConfigError, match="cxl: DIMM slots must be"):
             self.make(dimm_slots=bad)
+
+    @pytest.mark.parametrize(
+        "field,bad,label",
+        [
+            (field, bad, label)
+            for field, label in (
+                ("added_bw_gbps", "added bandwidth"),
+                ("load_latency_ns", "load latency"),
+            )
+            for bad in (float("nan"), float("inf"), -1.0)
+        ]
+        + [
+            ("pcie_lanes", bad, "PCIe lanes")
+            for bad in (float("nan"), 1.5, -1)
+        ],
+    )
+    def test_bad_field_rejected(self, field, bad, label):
+        with pytest.raises(ConfigError, match=f"cxl: {label} must be"):
+            self.make(**{field: bad})

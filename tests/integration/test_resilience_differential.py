@@ -18,23 +18,18 @@ along the way.
 
 import pytest
 
-from repro.allocation.store import (
-    STORE_DIR_ENV,
-    STORE_ENV,
-    TraceStore,
-)
+from repro.allocation.store import TraceStore
 from repro.allocation.traces import (
     TraceParams,
     production_trace_suite,
     suite_specs,
 )
-from repro.core import telemetry
+from repro.core import settings, telemetry
 from repro.core.faults import FaultPlan, corrupt_file
 from repro.core.resilience import (
     CheckpointJournal,
     ResiliencePolicy,
     RetryPolicy,
-    activated,
 )
 from repro.experiments import fig9_packing, fig10_memutil
 
@@ -56,11 +51,10 @@ def _fast_retry(max_retries=2):
 
 
 @pytest.fixture()
-def store_env(tmp_path, monkeypatch):
-    """Route the global trace store into this test's sandbox."""
-    monkeypatch.setenv(STORE_ENV, "1")
-    monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path / "traces"))
-    return TraceStore(directory=tmp_path / "traces")
+def store_env(tmp_path):
+    """Route the settings' trace store into this test's sandbox."""
+    with settings.using(trace_store=True, trace_store_dir=tmp_path / "traces"):
+        yield TraceStore(directory=tmp_path / "traces")
 
 
 def _run(experiment):
@@ -110,7 +104,7 @@ class TestFig9Differential:
 
         # Pass 1: flaky kills — every task retries its way through.
         with telemetry.capture() as tel:
-            with activated(interrupted_policy):
+            with settings.using(policy=interrupted_policy):
                 flaky_result = _run(fig9_packing)
         manifest = tel.manifest(command="fig9-interrupted")
         assert telemetry.validate_manifest(manifest) == []
@@ -125,7 +119,7 @@ class TestFig9Differential:
             entry.unlink()
         journal.meta_path.unlink(missing_ok=True)
         with telemetry.capture() as tel:
-            with activated(doomed_policy):
+            with settings.using(policy=doomed_policy):
                 degraded = _run(fig9_packing)
         manifest = tel.manifest(command="fig9-degraded")
         counters = manifest["counters"]
@@ -150,7 +144,7 @@ class TestFig9Differential:
         # Pass 3: resume with faults cleared.  Only the doomed tasks
         # recompute; everything else journal-hits.
         with telemetry.capture() as tel:
-            with activated(ResiliencePolicy(journal=journal)):
+            with settings.using(policy=ResiliencePolicy(journal=journal)):
                 resumed = _run(fig9_packing)
         manifest = tel.manifest(command="fig9-resumed")
         counters = manifest["counters"]
@@ -178,8 +172,8 @@ class TestFig10Differential:
         )[7]
         corrupt_file(store_env.path(seed, trace_params), mode="truncate")
         with telemetry.capture() as tel:
-            with activated(
-                ResiliencePolicy(
+            with settings.using(
+                policy=ResiliencePolicy(
                     journal=journal,
                     retry=_fast_retry(max_retries=2),
                     faults=FaultPlan(kill_indices=DOOMED, kill_attempts=3),
@@ -192,7 +186,7 @@ class TestFig10Differential:
         assert counters["trace.store_quarantined"] == 1
 
         with telemetry.capture() as tel:
-            with activated(ResiliencePolicy(journal=journal)):
+            with settings.using(policy=ResiliencePolicy(journal=journal)):
                 resumed = _run(fig10_memutil)
         counters = tel.manifest(command="fig10-resumed")["counters"]
         assert counters["resilience.resumed"] == TRACE_COUNT - len(DOOMED)

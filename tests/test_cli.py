@@ -190,10 +190,10 @@ class TestResilienceFlags:
         assert _build_policy(args) is None
 
     def test_policy_cleared_after_main(self):
-        from repro.core import resilience
+        from repro.core import settings
 
         assert main(["--retries", "1", "run", "table4"]) == 0
-        assert resilience.active_policy() is None
+        assert settings.current().policy is None
 
     def test_bad_fault_spec_rejected(self, capsys):
         assert main(["--faults", "banana=1", "run", "table4"]) == 2
@@ -231,3 +231,130 @@ class TestStats:
     def test_rejects_missing_file(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestRunSettings:
+    """The root flags and ``REPRO_*`` variables resolve by one rule."""
+
+    def test_jobs_flag_beats_env_on_run(self, tmp_path, monkeypatch):
+        # `run fig11` once let REPRO_JOBS beat --jobs (5 parallel tasks).
+        from repro.core.telemetry import load_manifest
+
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        path = tmp_path / "tel.json"
+        argv = ["--jobs", "1", "--telemetry", str(path), "run", "fig11"]
+        assert main(argv) == 0
+        manifest = load_manifest(path)
+        assert "runner.parallel_tasks" not in manifest["counters"]
+        assert manifest["settings"]["jobs"] == 1
+
+    @pytest.mark.parametrize("off", ["off", "False", "FALSE", ""])
+    def test_cache_off_value_turns_the_cache_off(
+        self, capsys, tmp_path, monkeypatch, off
+    ):
+        # "off" once turned the disk cache and the trace store on.
+        from repro.core.resilience import resilient_map
+
+        monkeypatch.setenv("REPRO_CACHE", off)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        assert resilient_map(str.upper, ["a", "b"], key_fn=str, jobs=1) == [
+            "A", "B"
+        ]
+        argv = ["trace", "--suite", "2", "--vms", "40", "--days", "1"]
+        assert main(argv) == 0
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_cache_value_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "maybe")
+        assert main(["run", "table3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_CACHE must be one of")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_azure_dir_sweep_exits_2(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_AZURE_TRACE_DIR", str(tmp_path / "gone"))
+        code = main(
+            ["sweep", "--backends", "azure",
+             "--catalog-dir", str(tmp_path / "catalog")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: azure trace directory not found: {tmp_path / 'gone'}\n"
+        )
+
+    def test_main_leaves_env_and_settings_untouched(self, monkeypatch):
+        import os
+
+        from repro.core import settings
+
+        monkeypatch.setenv("REPRO_CODE_SALT", "outer")
+        before = dict(os.environ)
+        argv = ["--jobs", "1", "--no-cache", "--trace-backend", "azure",
+                "--retries", "1", "--provenance", "auto", "list"]
+        assert main(argv) == 0
+        assert dict(os.environ) == before
+        assert settings._INSTALLED is None
+        assert settings.current() == settings.Settings.from_env()
+
+    def test_manifest_records_resolved_settings(self, capsys, tmp_path):
+        import platform
+
+        import numpy
+
+        from repro.core.telemetry import load_manifest
+
+        path = tmp_path / "tel.json"
+        assert main(["--jobs", "1", "--telemetry", str(path), "savings"]) == 0
+        manifest = load_manifest(path)
+        block = manifest["settings"]
+        assert set(block) == {
+            "jobs", "cache", "cache_dir", "trace_store", "trace_store_dir",
+            "trace_backend", "azure_trace_dir", "catalog_dir", "code_salt",
+            "policy", "provenance",
+        }
+        assert block["jobs"] == 1
+        assert block["trace_backend"] == "synthetic"
+        assert isinstance(block["cache_dir"], str)
+        assert set(block["policy"]) == {
+            "retries", "timeout_s", "journal", "on_failure", "faults",
+        }
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == numpy.__version__
+
+    def test_manifest_records_the_policy_flags(self, tmp_path):
+        from repro.core.telemetry import load_manifest
+
+        path = tmp_path / "tel.json"
+        journal = tmp_path / "journal"
+        argv = ["--journal", str(journal), "--retries", "3", "--keep-going",
+                "--faults", "kill=1 seed=4", "--provenance",
+                str(tmp_path / "p.jsonl"), "--telemetry", str(path), "savings"]
+        assert main(argv) == 0
+        block = load_manifest(path)["settings"]
+        assert block["policy"] == {
+            "retries": 3,
+            "timeout_s": None,
+            "journal": str(journal),
+            "on_failure": "record",
+            "faults": {
+                "kill_indices": [1], "kill_probability": 0.0,
+                "kill_attempts": 1, "kill_mode": "exception",
+                "latency_s": 0.0, "latency_indices": None, "seed": 4,
+            },
+        }
+        assert block["provenance"] == str(tmp_path / "p.jsonl")
+
+    def test_stats_prints_the_settings_block(self, capsys, tmp_path):
+        path = tmp_path / "tel.json"
+        assert main(["--jobs", "1", "--telemetry", str(path), "savings"]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "settings:" in out
+        assert "  jobs: 1" in out
+        assert '  trace_backend: "synthetic"' in out
+        assert "python " in out and "numpy " in out

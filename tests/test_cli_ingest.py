@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.allocation.ingest import BACKEND_ENV, bundled_sample_path
+from repro.allocation.ingest import bundled_sample_path
 from repro.cli import main
 
 ROW = (
@@ -116,16 +116,16 @@ class TestTraceBackendFlag:
         assert "seed 3" in capsys.readouterr().out
 
     def test_env_saved_and_restored(self, capsys):
-        assert BACKEND_ENV not in os.environ
+        assert "REPRO_TRACE_BACKEND" not in os.environ
         main(["--trace-backend", "azure", "trace", "--seed", "1",
               "--vms", "30", "--days", "1"])
-        assert BACKEND_ENV not in os.environ
+        assert "REPRO_TRACE_BACKEND" not in os.environ
 
     def test_env_value_restored(self, capsys, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "synthetic")
+        monkeypatch.setenv("REPRO_TRACE_BACKEND", "synthetic")
         main(["--trace-backend", "azure", "trace", "--seed", "1",
               "--vms", "30", "--days", "1"])
-        assert os.environ[BACKEND_ENV] == "synthetic"
+        assert os.environ["REPRO_TRACE_BACKEND"] == "synthetic"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
