@@ -448,13 +448,7 @@ class _VmView:
     touches plain Python scalars without ever building dataclass rows.
     """
 
-    __slots__ = (
-        "vm_id",
-        "generation",
-        "app_name",
-        "max_memory_fraction",
-        "full_node",
-    )
+    __slots__ = ("vm_id", "generation", "max_memory_fraction", "full_node")
 
 
 def _merged_events(
@@ -506,6 +500,25 @@ def _merged_events(
     return times[order], kinds[order], rows[order]
 
 
+def _trace_events(
+    trace: VmTrace, end: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trace's :func:`_merged_events` stream, merged once per trace.
+
+    A sizing search replays one trace several times against different
+    clusters, and the stream depends only on the columns (immutable) and
+    the window end, so the first replay keeps it on the trace, keyed by
+    ``end``, and later replays reuse it read-only.
+    """
+    cached = trace._events
+    if cached is None or cached[0] != end:
+        events = _merged_events(trace.columns, end)
+        for array in events:
+            array.flags.writeable = False
+        cached = trace._events = (end, events)
+    return cached[1]
+
+
 def _replay_events(
     trace: VmTrace,
     cluster: ClusterSpec,
@@ -518,20 +531,26 @@ def _replay_events(
 ) -> SimOutcome:
     """Streaming replay over chunked columnar event arrays.
 
-    Driven by the precomputed event stream of :func:`_merged_events`:
-    per chunk, the needed column slices are gathered with one fancy
-    index and converted to plain Python scalars via ``tolist``, so the
-    hot loop never boxes numpy scalars and never materializes
-    ``VmRequest`` rows.  Telemetry snapshots the backend's cumulative
-    counters up front and folds the deltas (plus per-replay event
-    tallies kept as plain local ints) once at the end, even when a
-    probe replay aborts on its first rejection (``raise_on_reject``).
+    Driven by the trace's event stream (:func:`_trace_events`): per
+    chunk, the needed column slices are gathered with one fancy index
+    and converted to plain Python scalars via ``tolist``, so the hot
+    loop never boxes numpy scalars and never materializes ``VmRequest``
+    rows.  Telemetry snapshots the backend's cumulative counters up
+    front and folds the deltas (plus per-replay event tallies kept as
+    plain local ints, which the ``finally`` also writes to the outcome)
+    once at the end, even when a probe replay aborts on its first
+    rejection (``raise_on_reject``).
 
     The loop does only the per-placement work its caller can observe:
 
     - The adoption policy is a pure function of ``(app, generation)``;
       it is consulted once per pair the replay reaches, on first use,
-      and never for a full-node VM.
+      and never for a full-node VM.  Pairs are keyed by one vectorized
+      ``app_index * 4 + generation`` column (generations are 1-3), and
+      a cluster with GreenSKUs checks each factor once, when its pair
+      resolves, so a bad factor raises at the first VM that asks.
+    - Snapshots are tested inline against the next grid time and taken
+      only when an event reaches it.
     - Pond tiering runs only when ``backend.track_stats`` is on.  Its
       ``cxl_gb`` is bookkeeping inside a placement's ``memory_gb``: no
       feasibility check or index key reads it, only the ``cxl``
@@ -548,12 +567,15 @@ def _replay_events(
     outcome = SimOutcome(cluster=cluster)
     has_green = backend.has_green()
     tiering = backend.track_stats
-    factors: Dict[Tuple[int, int], Optional[float]] = {}
+    factors: Dict[int, Optional[float]] = {}
 
     tel = telemetry.active()
     if tel is not None:
         counters_before = backend.telemetry_counters()
         t_start = time.perf_counter()
+    n_placed = 0
+    n_green = 0
+    n_fallback = 0
     n_departures = 0
     n_snapshots = 0
     n_chunks = 0
@@ -561,7 +583,7 @@ def _replay_events(
 
     start = columns.start_hours()
     end = start + trace.duration_hours
-    ev_times, ev_kinds, ev_rows = _merged_events(columns, end)
+    ev_times, ev_kinds, ev_rows = _trace_events(trace, end)
     next_snapshot = start + snapshot_hours
 
     def take_snapshots_until(now: float) -> None:
@@ -576,7 +598,7 @@ def _replay_events(
     cores_col = columns.cores
     mem_col = columns.memory_gb
     gen_col = columns.generation
-    app_col = columns.app_index
+    pair_col = columns.app_index * 4 + gen_col
     mmf_col = columns.max_memory_fraction
     full_col = columns.full_node
     active: Dict[int, Tuple[object, int]] = {}  # vm_id -> (server, cores)
@@ -591,7 +613,7 @@ def _replay_events(
             cores_l = cores_col[rows].tolist()
             mems = mem_col[rows].tolist()
             gens = gen_col[rows].tolist()
-            apps = app_col[rows].tolist()
+            pairs = pair_col[rows].tolist()
             mmfs = mmf_col[rows].tolist()
             fulls = full_col[rows].tolist()
             for j in range(len(times)):
@@ -603,39 +625,47 @@ def _replay_events(
                     if entry is None:
                         continue
                     server, vm_cores = entry
-                    take_snapshots_until(times[j])
+                    now = times[j]
+                    if now >= next_snapshot:
+                        take_snapshots_until(now)
                     backend.remove(server, vm_id)
                     if accountant is not None:
-                        accountant.on_remove(times[j], server.sku, vm_cores)
+                        accountant.on_remove(now, server.sku, vm_cores)
                     n_departures += 1
                     continue
-                take_snapshots_until(times[j])
+                now = times[j]
+                if now >= next_snapshot:
+                    take_snapshots_until(now)
                 full_node = fulls[j]
-                generation = gens[j]
-                app_name = app_names[apps[j]]
                 cores = cores_l[j]
                 memory_gb = mems[j]
                 if full_node:
                     factor = None
                 else:
-                    pair = (apps[j], generation)
+                    pair = pairs[j]
                     factor = factors.get(pair, _UNRESOLVED)
                     if factor is _UNRESOLVED:
-                        factor = factors[pair] = adoption(app_name, generation)
+                        factor = factors[pair] = adoption(
+                            app_names[pair >> 2], pair & 3
+                        )
+                        # VmRequest.scaled's check, once per pair.
+                        if (
+                            factor is not None
+                            and has_green
+                            and (factor < 1.0 or not math.isfinite(factor))
+                        ):
+                            raise ConfigError(
+                                f"scaling factor must be a finite value "
+                                f">= 1, got {factor}"
+                            )
                 view.vm_id = vm_id
-                view.generation = generation
-                view.app_name = app_name
+                view.generation = gens[j]
                 view.max_memory_fraction = mmfs[j]
                 view.full_node = full_node
                 placed_server = None
                 if factor is not None and has_green:
-                    # Inline of VmRequest.scaled: same validation, same
-                    # ceil/multiply arithmetic on the same floats.
-                    if factor < 1.0 or not math.isfinite(factor):
-                        raise ConfigError(
-                            f"scaling factor must be a finite value >= 1, "
-                            f"got {factor}"
-                        )
+                    # Inline of VmRequest.scaled: the same ceil/multiply
+                    # arithmetic on the same floats.
                     if factor == 1.0:
                         scaled_cores, scaled_mem = cores, memory_gb
                     else:
@@ -650,16 +680,16 @@ def _replay_events(
                     placed_server = backend.choose_baseline(
                         view, cores, memory_gb
                     )
-                    if placed_server is not None and factor is not None:
-                        outcome.fallback_placements += 1
-                if placed_server is None:
-                    if raise_on_reject:
-                        raise CapacityError(
-                            f"VM {vm_id} rejected by cluster "
-                            f"({cluster.total_servers} servers)"
-                        )
-                    outcome.rejected_vms.append(vm_id)
-                    continue
+                    if placed_server is None:
+                        if raise_on_reject:
+                            raise CapacityError(
+                                f"VM {vm_id} rejected by cluster "
+                                f"({cluster.total_servers} servers)"
+                            )
+                        outcome.rejected_vms.append(vm_id)
+                        continue
+                    if factor is not None:
+                        n_fallback += 1
                 cxl_gb = 0.0
                 if (
                     tiering
@@ -667,7 +697,7 @@ def _replay_events(
                     and placed_server.total_cxl_gb > 0
                     and not full_node
                 ):
-                    app = APP_BY_NAME.get(app_name)
+                    app = APP_BY_NAME.get(app_names[pairs[j] >> 2])
                     if app is not None:
                         cxl_gb = min(
                             memory_gb
@@ -678,19 +708,20 @@ def _replay_events(
                             ),
                             placed_server.free_cxl_gb,
                         )
-                backend.place(
-                    placed_server, view, cores, memory_gb, cxl_gb=cxl_gb
-                )
-                outcome.placed_vms += 1
+                backend.place(placed_server, view, cores, memory_gb, cxl_gb)
+                n_placed += 1
                 if placed_server.is_green:
-                    outcome.green_placements += 1
+                    n_green += 1
                 if accountant is not None:
-                    accountant.on_place(times[j], placed_server.sku, cores)
+                    accountant.on_place(now, placed_server.sku, cores)
                 active[vm_id] = (placed_server, cores)
         take_snapshots_until(end)
         if accountant is not None:
             outcome.operational = accountant.finalize(end)
     finally:
+        outcome.placed_vms = n_placed
+        outcome.green_placements = n_green
+        outcome.fallback_placements = n_fallback
         if tel is not None:
             deltas = {
                 key: value - counters_before.get(key, 0)
@@ -698,10 +729,10 @@ def _replay_events(
             }
             deltas["alloc.replays"] = 1
             deltas["alloc.event_chunks"] = n_chunks
-            deltas["alloc.placements"] = outcome.placed_vms
+            deltas["alloc.placements"] = n_placed
             deltas["alloc.rejections"] = len(outcome.rejected_vms)
-            deltas["alloc.green_placements"] = outcome.green_placements
-            deltas["alloc.fallback_placements"] = outcome.fallback_placements
+            deltas["alloc.green_placements"] = n_green
+            deltas["alloc.fallback_placements"] = n_fallback
             deltas["alloc.departures"] = n_departures
             deltas["alloc.snapshots"] = n_snapshots
             if accountant is not None:

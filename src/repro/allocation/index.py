@@ -9,9 +9,10 @@ This module keeps the same decisions reachable in sublinear time:
   ``free_cores`` (one bucket per value, each bucket ordered by
   ``(free_memory_gb, server_id)``) and keeps empty servers aside,
   grouped by shape.  A best-fit query walks the non-empty buckets in
-  ascending free-core order via an integer bitmask and bisects each
-  bucket for the memory threshold; empty servers are consulted only when
-  no busy server fits (the production prefer-non-empty rule).
+  ascending free-core order via an integer bitmask and takes a bucket's
+  first entry when it meets the memory threshold, bisecting for the
+  threshold only when it does not; empty servers are consulted only
+  when no busy server fits (the production prefer-non-empty rule).
 - :class:`PlacementEngine` owns one index per pool view (GreenSKUs, all
   baselines, per-generation baselines) plus exact snapshot aggregates,
   and applies the same ranking rules as the oracle's linear-scan
@@ -21,10 +22,11 @@ This module keeps the same decisions reachable in sublinear time:
   and merges the per-kind sums, so the aggregate work is per snapshot
   and per changed server, not per event.
 - A placement or departure that leaves a busy server busy, almost every
-  event of a replay, moves the server within each of its views by one
-  :meth:`_PoolIndex.rekey`: a bisect-delete of the old
-  ``(free_memory_gb, server_id)`` entry and an insort of the new one.
-  The rare transitions (a server opening, emptying, parked by a
+  event of a replay, moves the server's ``(free_memory_gb, server_id)``
+  entry within each of its views inline (:meth:`PlacementEngine.place`):
+  an entry at the front of its bucket is deleted there and an empty
+  target bucket takes the new one by an append, so only the other cases
+  bisect.  The rare transitions (a server opening, emptying, parked by a
   full-node VM, or released) take the slot path, which leaves every
   view under the old slot and enters it under the new one.
 
@@ -89,7 +91,10 @@ class _PoolIndex:
 
     Busy (non-empty, non-dedicated) servers live in ``buckets[free_cores]``
     as sorted ``(free_memory_gb, server_id)`` tuples; ``mask`` has bit k
-    set iff bucket k is non-empty.  Empty servers are grouped by shape
+    set iff bucket k is non-empty.  ``buckets`` holds a list, empty or
+    not, for every free-core count up to the largest total core count a
+    member has had, and ``max_cores`` is at least that count (see
+    :meth:`reserve`).  Empty servers are grouped by shape
     ``(total_cores, total_memory_gb)`` with ascending id lists.  Suffix
     minima of server ids per bucket are built lazily (only the first-fit
     and worst-fit policies need them) and dropped when their bucket
@@ -120,14 +125,22 @@ class _PoolIndex:
 
     # -- maintenance ----------------------------------------------------------
 
-    def add_busy(self, free_cores: int, free_memory_gb: float, sid: int) -> None:
+    def reserve(self, total_cores: int) -> None:
+        """Hold a bucket for every free-core count up to ``total_cores``.
+
+        A server's free cores never exceed its total, and every server
+        enters a view through here first, so a busy-to-busy move indexes
+        ``buckets`` directly and never raises ``max_cores``.
+        """
         buckets = self.buckets
-        while len(buckets) <= free_cores:
+        while len(buckets) <= total_cores:
             buckets.append([])
-        insort(buckets[free_cores], (free_memory_gb, sid))
+        if total_cores > self.max_cores:
+            self.max_cores = total_cores
+
+    def add_busy(self, free_cores: int, free_memory_gb: float, sid: int) -> None:
+        insort(self.buckets[free_cores], (free_memory_gb, sid))
         self.mask |= 1 << free_cores
-        if free_cores > self.max_cores:
-            self.max_cores = free_cores
         self._suffmin.pop(free_cores, None)
 
     def remove_busy(self, free_cores: int, free_memory_gb: float, sid: int) -> None:
@@ -138,45 +151,12 @@ class _PoolIndex:
             self.mask &= ~(1 << free_cores)
         self._suffmin.pop(free_cores, None)
 
-    def rekey(
-        self,
-        free_cores: int,
-        free_memory_gb: float,
-        new_cores: int,
-        new_memory_gb: float,
-        sid: int,
-    ) -> None:
-        """Move a busy server from its old key to its new one in one step.
-
-        ``remove_busy`` followed by ``add_busy``, inlined because it runs
-        on almost every event of a replay: bisect-delete the old
-        ``(free_memory_gb, sid)`` entry, insort the new one, and keep the
-        bucket mask and the suffix-min cache exact for both buckets.
-        """
-        buckets = self.buckets
-        bucket = buckets[free_cores]
-        del bucket[bisect_left(bucket, (free_memory_gb, sid))]
-        if not bucket:
-            self.mask &= ~(1 << free_cores)
-        while len(buckets) <= new_cores:
-            buckets.append([])
-        insort(buckets[new_cores], (new_memory_gb, sid))
-        self.mask |= 1 << new_cores
-        if new_cores > self.max_cores:
-            self.max_cores = new_cores
-        suffmin = self._suffmin
-        if suffmin:
-            suffmin.pop(free_cores, None)
-            suffmin.pop(new_cores, None)
-
     def add_empty(self, shape: Tuple[int, float], sid: int) -> None:
         ids = self.empty_ids.get(shape)
         if ids is None:
             self.empty_ids[shape] = ids = []
             insort(self.shapes, shape)
             self.shapes_by_cores.setdefault(shape[0], []).append(shape)
-            if shape[0] > self.max_cores:
-                self.max_cores = shape[0]
         insort(ids, sid)
 
     def remove_empty(self, shape: Tuple[int, float], sid: int) -> None:
@@ -214,6 +194,11 @@ class _PoolIndex:
             probes += 1
             k = cores + ((m & -m).bit_length() - 1)
             bucket = self.buckets[k]
+            first = bucket[0]
+            if first[0] >= thresh:
+                # bisect_left would land on the first entry too.
+                self.probes += probes
+                return first[1]
             i = bisect_left(bucket, (thresh,))
             if i < len(bucket):
                 self.probes += probes
@@ -445,8 +430,11 @@ class PlacementEngine:
     def _enter(server: Server, views: Tuple[_PoolIndex, ...], slot) -> None:
         if slot is _PARKED:
             return
+        total_cores = server.total_cores
+        for view in views:
+            view.reserve(total_cores)
         if slot is _EMPTY:
-            shape = (server.total_cores, server.total_memory_gb)
+            shape = (total_cores, server.total_memory_gb)
             for view in views:
                 view.add_empty(shape, server.server_id)
         else:
@@ -477,28 +465,29 @@ class PlacementEngine:
             if cores <= 0 or memory_gb <= 0:
                 raise ConfigError("placement request must be positive")
             return None
-        return self._choose(self.green, cores, memory_gb, full_node=False)
+        return self._choose(self.green, cores, memory_gb, False)
 
     def choose_baseline(
         self, vm: VmRequest, cores: int, memory_gb: float
     ) -> Optional[Server]:
         """Pick a baseline server, generation-routed like the reference."""
-        return self._choose(
-            self._baseline_view(vm.generation),
-            cores,
-            memory_gb,
-            full_node=vm.full_node,
+        view = (
+            self._baseline_view(vm.generation)
+            if self._gen_views_active
+            else self.base_all
         )
+        return self._choose(view, cores, memory_gb, vm.full_node)
 
     def _baseline_view(self, generation: int) -> _PoolIndex:
         # Mirror of the reference rule: per-generation routing only when
         # the cluster currently holds servers of more than one baseline
-        # generation and the VM's generation is among them.
-        if self._gen_views_active:
-            counts = self._gen_counts
-            active = sum(1 for c in counts.values() if c > 0)
-            if active > 1 and counts.get(generation, 0) > 0:
-                return self.base_by_gen[generation]
+        # generation and the VM's generation is among them.  Asked only
+        # once the per-generation views exist; before, every baseline
+        # query goes to ``base_all``.
+        counts = self._gen_counts
+        active = sum(1 for c in counts.values() if c > 0)
+        if active > 1 and counts.get(generation, 0) > 0:
+            return self.base_by_gen[generation]
         return self.base_all
 
     def _choose(
@@ -536,46 +525,71 @@ class PlacementEngine:
     ) -> None:
         """Place a VM and re-key the server under its new free capacity.
 
-        A busy server that stays busy, the common case, moves within each
-        of its views by one :meth:`_PoolIndex.rekey`.  Opening an empty
-        server or parking one for a full-node VM takes the slot path.
-        Either way the old key is read before ``Server.place`` runs its
-        checks, so a rejected placement raises with the index untouched.
+        A busy server that stays busy, the common case, moves its
+        ``(free_memory_gb, id)`` entry within each of its views inline;
+        it is already among the touched servers, since it turned busy
+        through the slot path.  Opening an empty server or parking one
+        for a full-node VM takes the slot path.  Either way the old key
+        is read before ``Server.place`` runs its checks, so a rejected
+        placement raises with the index untouched.
+
+        The move skips each bisect whose answer is known: the entry at
+        the front of its bucket (the only one, or the one a best-fit
+        query just chose) is deleted there, and an empty target bucket
+        takes the new entry by an append.  A bucket mask bit changes
+        only when its bucket empties or fills, and every bucket a member
+        can reach exists (:meth:`_PoolIndex.reserve`).  :meth:`remove`
+        repeats the move rather than calling a shared method, which
+        would add a call per view to every event.
         """
         self.stat_places += 1
         sid = server.server_id
-        if server.is_empty or server.dedicated or vm.full_node:
+        if not server._vms or server.dedicated or vm.full_node:
             views = self._views[sid]
             before = self._slot_of(server)
-            server.place(vm, cores, memory_gb, cxl_gb=cxl_gb)
+            server.place(vm, cores, memory_gb, cxl_gb)
             self._leave(server, views, before)
             self._enter(server, views, self._slot_of(server))
+            self._dirty.add(sid)
         else:
             free_cores = server.free_cores
             free_memory_gb = server.free_memory_gb
-            server.place(vm, cores, memory_gb, cxl_gb=cxl_gb)
+            server.place(vm, cores, memory_gb, cxl_gb)
+            new_cores = server.free_cores
+            entry = (server.free_memory_gb, sid)
             for view in self._views[sid]:
-                view.rekey(
-                    free_cores,
-                    free_memory_gb,
-                    server.free_cores,
-                    server.free_memory_gb,
-                    sid,
-                )
-        self._dirty.add(sid)
+                buckets = view.buckets
+                bucket = buckets[free_cores]
+                if bucket[0][1] == sid:
+                    del bucket[0]
+                else:
+                    del bucket[bisect_left(bucket, (free_memory_gb, sid))]
+                if not bucket:
+                    view.mask &= ~(1 << free_cores)
+                bucket = buckets[new_cores]
+                if bucket:
+                    insort(bucket, entry)
+                else:
+                    bucket.append(entry)
+                    view.mask |= 1 << new_cores
+                suffmin = view._suffmin
+                if suffmin:
+                    suffmin.pop(free_cores, None)
+                    suffmin.pop(new_cores, None)
         if self.track_stats:
             self._pending.add(sid)
 
     def remove(self, server: Server, vm_id: int) -> None:
         """Remove a departed VM and re-key the server.
 
-        A busy server that keeps another VM moves by one re-key per view;
-        emptying a server or releasing a parked one takes the slot path.
-        An unknown ``vm_id`` raises with the index untouched.
+        A busy server that keeps another VM moves inline, as in
+        :meth:`place`; emptying a server or releasing a parked one takes
+        the slot path.  An unknown ``vm_id`` raises with the index
+        untouched.
         """
         self.stat_removes += 1
         sid = server.server_id
-        if server.vm_count < 2 or server.dedicated:
+        if len(server._vms) < 2 or server.dedicated:
             views = self._views[sid]
             before = self._slot_of(server)
             server.remove(vm_id)
@@ -585,14 +599,27 @@ class PlacementEngine:
             free_cores = server.free_cores
             free_memory_gb = server.free_memory_gb
             server.remove(vm_id)
+            new_cores = server.free_cores
+            entry = (server.free_memory_gb, sid)
             for view in self._views[sid]:
-                view.rekey(
-                    free_cores,
-                    free_memory_gb,
-                    server.free_cores,
-                    server.free_memory_gb,
-                    sid,
-                )
+                buckets = view.buckets
+                bucket = buckets[free_cores]
+                if bucket[0][1] == sid:
+                    del bucket[0]
+                else:
+                    del bucket[bisect_left(bucket, (free_memory_gb, sid))]
+                if not bucket:
+                    view.mask &= ~(1 << free_cores)
+                bucket = buckets[new_cores]
+                if bucket:
+                    insort(bucket, entry)
+                else:
+                    bucket.append(entry)
+                    view.mask |= 1 << new_cores
+                suffmin = view._suffmin
+                if suffmin:
+                    suffmin.pop(free_cores, None)
+                    suffmin.pop(new_cores, None)
         if self.track_stats:
             self._pending.add(sid)
 

@@ -182,26 +182,37 @@ class Server:
         not additional capacity.  No feasibility check reads it; only the
         ``cxl`` snapshot aggregate does, so replays that keep no snapshot
         aggregates plan no tiering and pass 0.
+
+        The :meth:`fits` and :attr:`free_cxl_gb` checks are written out
+        here, in the same threshold form: every placement of a replay
+        runs them.
         """
-        if vm.vm_id in self._vms:
-            raise SimulationError(f"VM {vm.vm_id} already on server")
-        if not self.fits(cores, memory_gb):
+        vm_id = vm.vm_id
+        vms = self._vms
+        if vm_id in vms:
+            raise SimulationError(f"VM {vm_id} already on server")
+        free_memory_gb = self.free_memory_gb
+        if (
+            self.dedicated
+            or not cores <= self.free_cores
+            or not free_memory_gb >= memory_gb - MEM_EPS
+        ):
             raise SimulationError(
-                f"VM {vm.vm_id} does not fit server {self.server_id}"
+                f"VM {vm_id} does not fit server {self.server_id}"
             )
         if cxl_gb < 0 or cxl_gb > memory_gb + 1e-9:
             raise SimulationError(
-                f"VM {vm.vm_id}: CXL share {cxl_gb} outside [0, {memory_gb}]"
+                f"VM {vm_id}: CXL share {cxl_gb} outside [0, {memory_gb}]"
             )
-        if cxl_gb > self.free_cxl_gb + 1e-9:
+        if cxl_gb > self.total_cxl_gb - self._cxl_used_gb + 1e-9:
             raise SimulationError(
-                f"VM {vm.vm_id}: CXL pool exhausted on server "
+                f"VM {vm_id}: CXL pool exhausted on server "
                 f"{self.server_id}"
             )
         touched = memory_gb * vm.max_memory_fraction
-        self._vms[vm.vm_id] = (cores, memory_gb, touched, cxl_gb)
+        vms[vm_id] = (cores, memory_gb, touched, cxl_gb)
         self.free_cores -= cores
-        self.free_memory_gb -= memory_gb
+        self.free_memory_gb = free_memory_gb - memory_gb
         self._touched_memory_gb += touched
         self._cxl_used_gb += cxl_gb
         if vm.full_node:
@@ -219,7 +230,8 @@ class Server:
         self.free_memory_gb += memory_gb
         self._touched_memory_gb -= touched
         self._cxl_used_gb -= cxl_gb
-        self.dedicated = False if not self._vms else self.dedicated
+        if not self._vms:
+            self.dedicated = False
 
     def reset(self) -> None:
         """Restore the pristine empty state of a freshly built server.

@@ -267,7 +267,10 @@ class VmTrace:
     converts to the other on demand and round-trips losslessly.
     """
 
-    __slots__ = ("name", "params", "_rows", "_columns")
+    #: ``_events`` holds the replay's merged arrival/departure stream and
+    #: the window end it was merged for, filled by the first replay
+    #: (``allocation.cluster._trace_events``); it is never pickled.
+    __slots__ = ("name", "params", "_rows", "_columns", "_events")
 
     def __init__(
         self,
@@ -284,6 +287,7 @@ class VmTrace:
         self.params = params
         self._rows = tuple(vms) if vms is not None else None
         self._columns = columns
+        self._events = None
 
     @property
     def vms(self) -> Tuple[VmRequest, ...]:

@@ -187,8 +187,13 @@ class ResultsCatalog(Store):
 
     # -- reporting -------------------------------------------------------------
 
-    def manifest(self) -> Dict[str, Any]:
-        """A JSON-ready summary of the catalog (the ``repro stats`` view)."""
+    def contents(self) -> Dict[str, Any]:
+        """What the directory holds: schema, directory, entries, bytes.
+
+        The ``repro catalog stats`` view.  It reads only the directory,
+        so any process sees the same numbers; a run's hits, misses and
+        writes are the ``catalog.*`` counters of its telemetry manifest.
+        """
         keys = self.keys()
         total_bytes = 0
         for key in keys:
@@ -201,6 +206,16 @@ class ResultsCatalog(Store):
             "directory": str(self.directory),
             "entries": len(keys),
             "total_bytes": total_bytes,
+        }
+
+    def manifest(self) -> Dict[str, Any]:
+        """:meth:`contents` plus this instance's own counters.
+
+        The counters cover only the calls made through this object, so
+        the view is for in-process callers.
+        """
+        return {
+            **self.contents(),
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,

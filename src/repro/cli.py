@@ -592,12 +592,16 @@ def cmd_catalog_gc(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog_stats(args: argparse.Namespace) -> int:
-    """Print the results-catalog manifest (entries, bytes, counters)."""
+    """Print what the results-catalog directory holds (entries, bytes).
+
+    A run's hit, miss and write counts are the ``catalog.*`` counters of
+    its ``--telemetry`` manifest; this fresh process has none to print.
+    """
     import json
 
     from .catalog import ResultsCatalog
 
-    print(json.dumps(ResultsCatalog().manifest(), indent=2))
+    print(json.dumps(ResultsCatalog().contents(), indent=2))
     return 0
 
 
@@ -822,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_axes(gc)
     gc.set_defaults(func=cmd_catalog_gc)
     cstats = catalog_sub.add_parser(
-        "stats", help="print the catalog manifest as JSON"
+        "stats", help="print the catalog's schema, directory, entries "
+                      "and bytes as JSON"
     )
     cstats.add_argument("--catalog-dir", default=None, metavar="DIR",
                         help="results-catalog directory")

@@ -60,6 +60,7 @@ from ..allocation.index import PlacementEngine
 from ..allocation.scheduler import Server
 from ..allocation.traces import VmTrace
 from ..core import telemetry
+from ..core.checks import check_count, check_finite
 from ..core.errors import CapacityError, ConfigError, SizingError
 from ..hardware.sku import ServerSKU
 
@@ -78,6 +79,10 @@ class ClusterSizing:
         mixed_green_servers: GreenSKUs in the mixed cluster.
         oos_overhead_baseline / oos_overhead_green: Out-of-service server
             fractions applied on top of the counts when computing carbon.
+
+    Raises:
+        ConfigError: A count is not an integer >= 0, or a fraction is
+            not finite and >= 0.
     """
 
     baseline_only_servers: int
@@ -85,6 +90,21 @@ class ClusterSizing:
     mixed_green_servers: int
     oos_overhead_baseline: float = 0.0
     oos_overhead_green: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_count(self.baseline_only_servers, "baseline-only servers")
+        check_count(self.mixed_baseline_servers, "mixed baseline servers")
+        check_count(self.mixed_green_servers, "mixed GreenSKU servers")
+        check_finite(
+            self.oos_overhead_baseline,
+            "baseline out-of-service fraction",
+            at_least=0,
+        )
+        check_finite(
+            self.oos_overhead_green,
+            "GreenSKU out-of-service fraction",
+            at_least=0,
+        )
 
     @property
     def mixed_total(self) -> int:

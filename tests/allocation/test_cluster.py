@@ -1,18 +1,25 @@
 """Cluster simulation tests."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.allocation import cluster as cluster_module
 from repro.allocation.cluster import (
     ClusterSpec,
     adopt_everything,
     adopt_nothing,
+    outcome_digest,
     simulate,
 )
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
+from repro.core import telemetry
 from repro.core.errors import CapacityError, ConfigError
 from repro.hardware.sku import baseline_gen3, greensku_full
+from tests.oracles import allocation as oracle
 
 
 def tiny_trace(vms):
@@ -149,6 +156,103 @@ class TestAdoptionRouting:
         spec = ClusterSpec.of((greensku_full(), 2))
         out = simulate(tiny_trace([vm]), spec, adoption=adopt_everything)
         assert not out.feasible
+
+
+class TestAdoptionFactorCheck:
+    """A factor below 1 is checked once, when its pair first resolves."""
+
+    #: Five Redis VMs, then the first of three Xapian VMs (all Gen3).
+    TRACE = tiny_trace(
+        [make_vm(i, arrival=float(i), lifetime=24.0) for i in range(5)]
+        + [
+            make_vm(i, arrival=float(i), lifetime=24.0, app_name="Xapian")
+            for i in range(5, 8)
+        ]
+    )
+
+    @staticmethod
+    def policy(calls):
+        def halve_xapian(app, generation):
+            calls.append((app, generation))
+            return 0.5 if app == "Xapian" else 1.0
+
+        return halve_xapian
+
+    def test_raises_at_first_arrival_of_its_pair(self):
+        calls = []
+        spec = ClusterSpec.of((baseline_gen3(), 2), (greensku_full(), 2))
+        match = "scaling factor must be a finite value >= 1, got 0.5"
+        with telemetry.capture() as tel:
+            with pytest.raises(ConfigError, match=match):
+                simulate(self.TRACE, spec, self.policy(calls))
+        assert calls == [("Redis", 3), ("Xapian", 3)]
+        # The five Redis VMs before it were placed, and nothing after.
+        assert tel.counters["alloc.placements"] == 5
+        with pytest.raises(ConfigError, match=match):
+            oracle.simulate(self.TRACE, spec, self.policy([]))
+
+    def test_baseline_only_cluster_replays_normally(self):
+        # With no GreenSKU the factor is never applied, so it is never
+        # checked: every VM that has one counts as a fallback.
+        calls = []
+        spec = ClusterSpec.of((baseline_gen3(), 2))
+        out = simulate(self.TRACE, spec, self.policy(calls))
+        assert calls == [("Redis", 3), ("Xapian", 3)]
+        assert out.placed_vms == out.fallback_placements == 8
+        assert outcome_digest(out) == outcome_digest(
+            oracle.simulate(self.TRACE, spec, self.policy([]))
+        )
+
+
+class TestEventStreamCache:
+    """A trace merges its event stream once per window end."""
+
+    @pytest.fixture()
+    def merges(self, monkeypatch):
+        ends = []
+        real_merge = cluster_module._merged_events
+
+        def counting_merge(columns, end):
+            ends.append(end)
+            return real_merge(columns, end)
+
+        monkeypatch.setattr(cluster_module, "_merged_events", counting_merge)
+        return ends
+
+    def test_replays_share_one_merge(self, merges):
+        trace = generate_trace(
+            seed=3, params=TraceParams(duration_days=2, mean_concurrent_vms=40)
+        )
+        spec = ClusterSpec.of((baseline_gen3(), 12))
+        first = simulate(trace, spec, snapshot_hours=4.0)
+        simulate(trace, ClusterSpec.of((baseline_gen3(), 4)))
+        again = simulate(trace, spec, snapshot_hours=4.0)
+        assert merges == [trace.end_hours]
+        assert outcome_digest(again) == outcome_digest(first)
+        assert all(not a.flags.writeable for a in trace._events[1])
+        # The stream is never pickled: a copy merges its own.
+        twin = pickle.loads(pickle.dumps(trace))
+        assert twin._events is None
+        assert outcome_digest(
+            simulate(twin, spec, snapshot_hours=4.0)
+        ) == outcome_digest(first)
+        assert len(merges) == 2
+
+    def test_new_window_end_merges_again(self, merges):
+        # A longer window drains departures after the last arrival up to
+        # its own end, so the stream merged for the old end must not
+        # answer it.
+        trace = generate_trace(
+            seed=3, params=TraceParams(duration_days=2, mean_concurrent_vms=40)
+        )
+        spec = ClusterSpec.of((baseline_gen3(), 12))
+        simulate(trace, spec, snapshot_hours=4.0)
+        trace.params = dataclasses.replace(trace.params, duration_days=3)
+        longer = simulate(trace, spec, snapshot_hours=4.0)
+        assert len(merges) == 2 and merges[1] == trace.end_hours
+        assert outcome_digest(longer) == outcome_digest(
+            oracle.simulate(trace, spec, snapshot_hours=4.0)
+        )
 
 
 class TestSnapshots:

@@ -34,7 +34,7 @@ from repro.allocation.cluster import (
     simulate,
 )
 from repro.allocation.index import PlacementEngine
-from repro.allocation.scheduler import PLACEMENT_POLICIES, Server
+from repro.allocation.scheduler import MEM_EPS, PLACEMENT_POLICIES, Server
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
 from repro.carbon.grid import CarbonAccountant, carbon_aware_policy, diurnal_signal
@@ -654,6 +654,128 @@ class TestAdversarialChurn:
             engine.remove_server(0)
 
 
+def first_entry_miss(view, cores, memory_gb):
+    """How a best-fit busy query is answered past a bucket's first entry.
+
+    ``None`` when the first non-empty candidate bucket's first entry
+    meets the memory threshold (or no candidate bucket exists);
+    otherwise ``"same_bucket"`` when a later entry of that bucket fits,
+    ``"later_bucket"`` when only a later bucket holds one, and
+    ``"no_busy"`` when no busy server fits at all.
+    """
+    thresh = memory_gb - MEM_EPS
+    candidates = [
+        bucket for bucket in view.buckets[cores:] if bucket
+    ]
+    if not candidates or candidates[0][0][0] >= thresh:
+        return None
+    if any(free >= thresh for free, _sid in candidates[0]):
+        return "same_bucket"
+    if any(free >= thresh for b in candidates[1:] for free, _sid in b):
+        return "later_bucket"
+    return "no_busy"
+
+
+class TestFastPaths:
+    """The shortcuts a replay event takes, each cross-checked.
+
+    A best-fit busy query takes the first entry of the first candidate
+    bucket when it meets the memory threshold and bisects otherwise; a
+    busy-to-busy move deletes an entry at the front of its bucket
+    without a bisect and appends to an empty target bucket.
+    """
+
+    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+    def test_first_entry_short_of_memory(self, policy):
+        """Memory-heavy churn: first entries that miss the threshold.
+
+        Requests take 8 cores, so busy servers share free-core buckets,
+        and 1 to 64 GB per core, so the server with the least free
+        memory in a bucket often cannot host the VM while a later one in
+        the same bucket, or only one in a later bucket, can.  Every
+        choice equals the oracle's scan.
+        """
+        rng = random.Random(2)
+        servers = [Server(sid, baseline_gen3()) for sid in range(16)]
+        engine = PlacementEngine(servers, policy=policy)
+        live = []
+        tally = dict(same_bucket=0, later_bucket=0, no_busy=0)
+        for vm_id in range(1000):
+            if live and rng.random() < 0.35:
+                server, gone = live.pop(rng.randrange(len(live)))
+                engine.remove(server, gone)
+                assert_index_matches(engine, servers)
+                continue
+            cores = 8
+            memory_gb = cores * rng.choice((1.0, 4.0, 24.0, 64.0))
+            vm = make_vm(vm_id, cores, memory_gb)
+            miss = first_entry_miss(engine.base_all, cores, memory_gb)
+            choice = engine.choose_baseline(vm, cores, memory_gb)
+            assert choice is oracle.choose(
+                policy, vm, servers, cores, memory_gb
+            )
+            if miss is not None:
+                tally[miss] += 1
+            if choice is not None:
+                engine.place(choice, vm, cores, memory_gb)
+                live.append((choice, vm_id))
+            assert_index_matches(engine, servers)
+        assert min(tally["same_bucket"], tally["later_bucket"]) >= 20, tally
+
+    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+    def test_distinct_free_cores_move_one_entry_buckets(self, policy):
+        """Every move empties a one-entry bucket and fills an empty one.
+
+        The busy servers always hold distinct free-core counts, so each
+        bucket holds at most one server.  After every move the views
+        match the servers, and probes of several sizes (which fill the
+        first-fit and worst-fit suffix-min caches) pick the oracle's
+        server.
+        """
+        rng = random.Random(3)
+        servers = [Server(sid, baseline_gen3()) for sid in range(8)]
+        engine = PlacementEngine(servers, policy=policy)
+        hosted = {}  # server id -> {vm_id: cores}
+        next_id = 0
+        for server in servers:
+            cores = server.server_id + 1
+            engine.place(server, make_vm(next_id, cores, 4.0), cores, 4.0)
+            hosted[server.server_id] = {next_id: cores}
+            next_id += 1
+        moves = 0
+        for _step in range(400):
+            taken = {s.free_cores for s in servers}
+            server = rng.choice(servers)
+            vms = hosted[server.server_id]
+            if len(vms) > 1 and rng.random() < 0.4:
+                vm_id = rng.choice(sorted(vms)[1:])
+                if server.free_cores + vms[vm_id] in taken:
+                    continue
+                engine.remove(server, vm_id)
+                del vms[vm_id]
+            else:
+                cores = rng.randint(1, 6)
+                if cores > server.free_cores or (
+                    server.free_cores - cores in taken
+                ):
+                    continue
+                engine.place(
+                    server, make_vm(next_id, cores, 2.0 * cores),
+                    cores, 2.0 * cores,
+                )
+                vms[next_id] = cores
+                next_id += 1
+            moves += 1
+            assert max(map(len, engine.base_all.buckets)) == 1
+            assert_index_matches(engine, servers)
+            for cores in (1, 9, 40):
+                probe = make_vm(next_id, cores, 8.0)
+                assert engine.choose_baseline(probe, cores, 8.0) is (
+                    oracle.choose(policy, probe, servers, cores, 8.0)
+                )
+        assert moves > 150
+        assert all(not s.is_empty for s in servers)
+
 class TestPlacementRules:
     """The engine rejects what ``Server`` rejects and never misroutes."""
 
@@ -753,6 +875,30 @@ class TestPlacementRules:
                 engine, "CXL pool exhausted", engine.place,
                 server, make_vm(99, 8, 300.0), 8, 300.0, cxl_gb=cxl_gb,
             )
+
+    def test_nan_memory_and_negative_cxl_rejected(self):
+        # Server.place writes its fit and CXL checks out in threshold
+        # form, so a NaN memory request still fails the fit, and a
+        # negative CXL share still fails the share check: on busy and
+        # empty, baseline and green servers, with the index untouched.
+        engine = self._busy_engine()
+        vm = make_vm(99, 1, 1.0)
+        for sid in (0, 1, 4, 5):
+            server = engine.servers[sid]
+            self._assert_rejected(
+                engine, "does not fit", engine.place,
+                server, vm, 1, float("nan"),
+            )
+            self._assert_rejected(
+                engine, "CXL share", engine.place,
+                server, vm, 1, 1.0, cxl_gb=-0.5,
+            )
+        server = Server(0, greensku_full())
+        with pytest.raises(SimulationError, match="does not fit"):
+            server.place(vm, 1, float("nan"))
+        with pytest.raises(SimulationError, match="CXL share"):
+            server.place(vm, 1, 1.0, cxl_gb=-1e-6)
+        assert server.is_empty and server.cxl_used_gb == 0.0
 
     def test_remove_unknown_vm_rejected(self):
         engine = self._engine()

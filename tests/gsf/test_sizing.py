@@ -3,10 +3,12 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.allocation import cluster as cluster_module
 from repro.allocation.cluster import ClusterSpec, adopt_nothing, simulate
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
@@ -146,6 +148,33 @@ class TestSearchEfficiency:
         assert counters["sizing.trim_steps"] == (
             n_base + n_green - sizing.mixed_total
         )
+
+    def test_mixed_sizing_merges_each_trace_once(
+        self, gsf, full_sku, monkeypatch
+    ):
+        # The full trace replays for the reference right-size and for
+        # every trim probe, but its event stream is merged once; the
+        # rest and the adopters merge theirs once each.
+        merged = []
+        real_merge = cluster_module._merged_events
+
+        def counting_merge(columns, end):
+            merged.append(columns)
+            return real_merge(columns, end)
+
+        monkeypatch.setattr(cluster_module, "_merged_events", counting_merge)
+        trace = generate_trace(
+            3, TraceParams(duration_days=2, mean_concurrent_vms=60)
+        )
+        policy = gsf.adoption_model(full_sku).policy()
+        with telemetry.capture() as tel:
+            size_mixed_cluster(trace, baseline_gen3(), full_sku, policy)
+        trim_probes = tel.counters["sizing.simulate_calls"] - 3
+        assert trim_probes >= 2
+        adopters, rest = sizing_module._split_trace(trace, policy)
+        assert len(merged) == 3
+        assert merged[0] is trace.columns
+        assert merged[1:] == [rest.columns, adopters.columns]
 
     def test_stats_accumulate_across_searches(self, small_trace):
         with telemetry.capture() as tel:
@@ -517,3 +546,32 @@ class TestClusterSizingRecord:
         )
         assert sizing.mixed_total == 9
         assert sizing.deployed_baseline_only == 10
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (float("nan"), 4, 5),
+            (10, 4.5, 5),
+            (10, 4, float("inf")),
+            (10, -1, 5),
+            (True, 4, 5),
+        ],
+    )
+    def test_bad_count_rejected_at_construction(self, counts):
+        # A NaN count used to reach the buffer plan and raise a bare
+        # ValueError there; a fractional one evaluated a fractional
+        # deployment.
+        with pytest.raises(ConfigError, match="servers must be an integer"):
+            ClusterSizing(*counts)
+
+    @pytest.mark.parametrize(
+        "field", ["oos_overhead_baseline", "oos_overhead_green"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.01])
+    def test_bad_oos_fraction_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match="out-of-service fraction"):
+            ClusterSizing(10, 4, 5, **{field: value})
+
+    def test_numpy_counts_accepted(self):
+        sizing = ClusterSizing(np.int64(10), np.int64(4), np.int64(5))
+        assert sizing.mixed_total == 9

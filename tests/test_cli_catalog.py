@@ -103,6 +103,23 @@ class TestCatalogSubcommands:
         assert manifest["schema"] == "repro-catalog/1"
         assert manifest["entries"] == 3
 
+    def test_stats_prints_only_what_the_directory_holds(self, dirs, capsys):
+        # The command runs in a fresh process, so per-run counters would
+        # always read 0; a run's counts are in its telemetry manifest.
+        cold = dirs / "cold.json"
+        assert main(["--telemetry", str(cold), "sweep"] + AXES) == 0
+        assert main(["sweep"] + AXES) == 0
+        capsys.readouterr()
+        assert main(["catalog", "stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert list(stats) == ["schema", "directory", "entries", "total_bytes"]
+        written = json.loads(cold.read_text())["counters"]["catalog.writes"]
+        assert stats["entries"] == written == 3
+        assert stats["directory"] == str(dirs / "catalog")
+        assert stats["total_bytes"] == sum(
+            p.stat().st_size for p in (dirs / "catalog").glob("*.json.gz")
+        )
+
 
 class TestProvenanceFlag:
     def test_sweep_writes_provenance_log(self, dirs, capsys):
