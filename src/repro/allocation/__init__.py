@@ -2,17 +2,14 @@
 
 from .columnar import ColumnarTrace
 from .cluster import (
-    CARBON_PLACEMENT_POLICIES,
     AdoptionPolicy,
     ClusterSpec,
-    PlacementPolicy,
     SimOutcome,
     SnapshotStats,
     adopt_everything,
     adopt_nothing,
     outcome_digest,
     replay_on_engine,
-    resolve_placement,
     simulate,
 )
 from .fleet import ClusterTask, FleetOutcome, FleetSpec, simulate_fleet
@@ -42,17 +39,14 @@ from .vm import VmRequest
 __all__ = [
     "ColumnarTrace",
     "TraceStore",
-    "CARBON_PLACEMENT_POLICIES",
     "AdoptionPolicy",
     "ClusterSpec",
-    "PlacementPolicy",
     "SimOutcome",
     "SnapshotStats",
     "adopt_everything",
     "adopt_nothing",
     "outcome_digest",
     "replay_on_engine",
-    "resolve_placement",
     "simulate",
     "ClusterTask",
     "FleetOutcome",

@@ -61,12 +61,6 @@ from .traces import VmTrace
 #: pure function: a replay asks once per pair and reuses the answer.
 AdoptionPolicy = Callable[[str, int], Optional[float]]
 
-#: Emission-aware placement policy names (orthogonal to the scheduler's
-#: best-fit/first-fit/worst-fit heuristics): ``"blind"`` is today's
-#: behavior, ``"carbon_aware"`` tiers servers by marginal operational
-#: carbon.
-CARBON_PLACEMENT_POLICIES = ("blind", "carbon_aware")
-
 #: Default number of merged arrival/departure events the streaming
 #: replay gathers per chunk: large enough to amortize the
 #: fancy-index + ``tolist`` per chunk, small enough that a chunk's
@@ -76,75 +70,6 @@ DEFAULT_CHUNK_EVENTS = 4096
 #: Marks an (app, generation) pair the replay has not asked its adoption
 #: policy about yet (``None`` is a resolved "stay on baseline").
 _UNRESOLVED = object()
-
-
-@dataclass(frozen=True)
-class PlacementPolicy:
-    """An emission-aware placement policy for the replay drivers.
-
-    ``"blind"`` reproduces today's behavior bit-for-bit (the replay
-    takes the exact pre-policy code path — no wrapper, no overhead).
-    ``"carbon_aware"`` partitions the cluster into *tiers* of equal
-    ``carbon_key`` (marginal operational carbon per core, ascending)
-    and consults tiers in order: within a tier, placement is exactly
-    the blind scheduler.
-
-    Build ``"carbon_aware"`` policies with
-    :func:`repro.carbon.grid.carbon_aware_policy`, which derives
-    ``carbon_key`` from the carbon model's Eq. 1 watts-per-core and
-    attaches the grid :class:`~repro.carbon.grid.CarbonSignal` (opaque
-    to this layer — with a single signal the instantaneous intensity
-    scales every server equally, so the tier ordering is static).
-
-    Attributes:
-        name: One of :data:`CARBON_PLACEMENT_POLICIES`.
-        carbon_key: SKU -> finite rank; required for ``carbon_aware``.
-        signal: The attached grid signal (metadata; not read here).
-    """
-
-    name: str
-    carbon_key: Optional[Callable[[ServerSKU], float]] = None
-    signal: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.name not in CARBON_PLACEMENT_POLICIES:
-            raise ConfigError(
-                f"unknown placement policy {self.name!r}; "
-                f"known: {CARBON_PLACEMENT_POLICIES}"
-            )
-        if self.name == "carbon_aware" and self.carbon_key is None:
-            raise ConfigError(
-                "carbon_aware placement needs a carbon_key; build the "
-                "policy with repro.carbon.grid.carbon_aware_policy(signal)"
-            )
-
-
-def resolve_placement(placement) -> Optional[PlacementPolicy]:
-    """Normalize a placement argument to an active policy or ``None``.
-
-    ``None``, ``"blind"``, and a blind :class:`PlacementPolicy` all
-    resolve to ``None`` — the signal to take the exact pre-policy code
-    path.  The string ``"carbon_aware"`` alone is rejected: the rank
-    function cannot be derived without a carbon model, so callers must
-    construct the policy via ``repro.carbon.grid.carbon_aware_policy``.
-    """
-    if placement is None:
-        return None
-    if isinstance(placement, str):
-        if placement == "blind":
-            return None
-        if placement == "carbon_aware":
-            raise ConfigError(
-                "carbon_aware placement cannot be named by string alone; "
-                "build it with repro.carbon.grid.carbon_aware_policy(signal)"
-            )
-        raise ConfigError(
-            f"unknown placement policy {placement!r}; "
-            f"known: {CARBON_PLACEMENT_POLICIES}"
-        )
-    if placement.name == "blind":
-        return None
-    return placement
 
 
 def adopt_nothing(app_name: str, generation: int) -> Optional[float]:
@@ -330,11 +255,6 @@ class SimOutcome:
             baseline server for lack of GreenSKU capacity.
         baseline_stats / green_stats: Snapshot statistics on non-empty
             servers, split by server kind.
-        operational: The :class:`~repro.carbon.grid.OperationalCarbonReport`
-            produced when an accountant was attached to the replay, else
-            None.  Deliberately *excluded* from :func:`outcome_digest` —
-            the digest pins placement behavior, and attaching an
-            accountant must not move the blind goldens.
     """
 
     cluster: ClusterSpec
@@ -344,7 +264,6 @@ class SimOutcome:
     fallback_placements: int = 0
     baseline_stats: SnapshotStats = field(default_factory=SnapshotStats)
     green_stats: SnapshotStats = field(default_factory=SnapshotStats)
-    operational: Optional[object] = None
 
     @property
     def feasible(self) -> bool:
@@ -368,75 +287,6 @@ def outcome_digest(outcome: SimOutcome) -> str:
         outcome.green_stats.canonical(),
     )
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
-
-
-class _TieredBackend:
-    """Composite backend: one :class:`PlacementEngine` per carbon tier.
-
-    Servers are grouped by exact ``carbon_key`` value and each group
-    becomes an independent engine, consulted in ascending-key order — so
-    ``choose_*`` prefers the lowest-marginal-carbon tier that can host
-    the VM, and within a tier behaves exactly like the blind scheduler.
-
-    Note one deliberate semantic: generation routing is computed *per
-    tier*.  A multi-generation baseline fleet split across tiers routes
-    within each tier's own generations; the carbon ordering outranks
-    generation affinity (documented in docs/carbon_aware.md).
-    """
-
-    def __init__(
-        self,
-        tiers: List[PlacementEngine],
-        owner: Dict[int, PlacementEngine],
-        track_stats: bool,
-    ):
-        self.tiers = tiers
-        self._owner = owner  # server_id -> owning tier engine
-        self.track_stats = track_stats
-        self.stat_tier_probes = 0
-
-    def has_green(self) -> bool:
-        return any(tier.has_green() for tier in self.tiers)
-
-    def choose_green(self, vm, cores: int, memory_gb: float):
-        for tier in self.tiers:
-            self.stat_tier_probes += 1
-            server = tier.choose_green(vm, cores, memory_gb)
-            if server is not None:
-                return server
-        return None
-
-    def choose_baseline(self, vm, cores: int, memory_gb: float):
-        for tier in self.tiers:
-            self.stat_tier_probes += 1
-            server = tier.choose_baseline(vm, cores, memory_gb)
-            if server is not None:
-                return server
-        return None
-
-    def place(self, server, vm, cores, memory_gb, cxl_gb=0.0):
-        self._owner[server.server_id].place(
-            server, vm, cores, memory_gb, cxl_gb=cxl_gb
-        )
-
-    def remove(self, server, vm_id):
-        self._owner[server.server_id].remove(server, vm_id)
-
-    def snapshot(self, outcome: SimOutcome) -> None:
-        # Snapshot accumulation is associative (exact integer buckets),
-        # so folding tier by tier equals one whole-cluster snapshot.
-        for tier in self.tiers:
-            tier.snapshot(outcome)
-
-    def telemetry_counters(self) -> Dict[str, int]:
-        """Summed inner counters plus the tier-walk probe count."""
-        totals: Dict[str, int] = {
-            "placement.tier_probes": self.stat_tier_probes,
-        }
-        for tier in self.tiers:
-            for key, value in tier.telemetry_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
 
 class _VmView:
@@ -522,12 +372,11 @@ def _trace_events(
 def _replay_events(
     trace: VmTrace,
     cluster: ClusterSpec,
-    backend,
+    engine: PlacementEngine,
     adoption: AdoptionPolicy,
     snapshot_hours: float,
     raise_on_reject: bool,
     chunk_events: int,
-    accountant=None,
 ) -> SimOutcome:
     """Streaming replay over chunked columnar event arrays.
 
@@ -535,7 +384,7 @@ def _replay_events(
     chunk, the needed column slices are gathered with one fancy index
     and converted to plain Python scalars via ``tolist``, so the hot
     loop never boxes numpy scalars and never materializes ``VmRequest``
-    rows.  Telemetry snapshots the backend's cumulative counters up
+    rows.  Telemetry snapshots the engine's cumulative counters up
     front and folds the deltas (plus per-replay event tallies kept as
     plain local ints, which the ``finally`` also writes to the outcome)
     once at the end, even when a probe replay aborts on its first
@@ -551,10 +400,10 @@ def _replay_events(
       resolves, so a bad factor raises at the first VM that asks.
     - Snapshots are tested inline against the next grid time and taken
       only when an event reaches it.
-    - Pond tiering runs only when ``backend.track_stats`` is on.  Its
+    - Pond tiering runs only when ``engine.track_stats`` is on.  Its
       ``cxl_gb`` is bookkeeping inside a placement's ``memory_gb``: no
       feasibility check or index key reads it, only the ``cxl``
-      snapshot aggregate does, and a backend that keeps no aggregates
+      snapshot aggregate does, and an engine that keeps no aggregates
       contributes nothing to any snapshot.  Skipping it there changes
       no placement and no outcome field.  Where it runs, the VM's CXL
       share comes from :func:`~repro.perf.pond.cxl_share`, the split
@@ -565,13 +414,13 @@ def _replay_events(
         raise ConfigError("chunk_events must be > 0")
     columns = trace.columns
     outcome = SimOutcome(cluster=cluster)
-    has_green = backend.has_green()
-    tiering = backend.track_stats
+    has_green = engine.has_green()
+    tiering = engine.track_stats
     factors: Dict[int, Optional[float]] = {}
 
     tel = telemetry.active()
     if tel is not None:
-        counters_before = backend.telemetry_counters()
+        counters_before = engine.telemetry_counters()
         t_start = time.perf_counter()
     n_placed = 0
     n_green = 0
@@ -579,7 +428,6 @@ def _replay_events(
     n_departures = 0
     n_snapshots = 0
     n_chunks = 0
-    acct_events_before = accountant.events if accountant is not None else 0
 
     start = columns.start_hours()
     end = start + trace.duration_hours
@@ -589,7 +437,7 @@ def _replay_events(
     def take_snapshots_until(now: float) -> None:
         nonlocal next_snapshot, n_snapshots
         while next_snapshot <= now:
-            backend.snapshot(outcome)
+            engine.snapshot(outcome)
             n_snapshots += 1
             next_snapshot += snapshot_hours
 
@@ -601,7 +449,7 @@ def _replay_events(
     pair_col = columns.app_index * 4 + gen_col
     mmf_col = columns.max_memory_fraction
     full_col = columns.full_node
-    active: Dict[int, Tuple[object, int]] = {}  # vm_id -> (server, cores)
+    active: Dict[int, Server] = {}  # vm_id -> server
     view = _VmView()
     try:
         for start in range(0, ev_times.size, chunk_events):
@@ -621,16 +469,13 @@ def _replay_events(
                 if not kinds[j]:
                     # Departure; VMs that were rejected at arrival have
                     # no active placement to release.
-                    entry = active.pop(vm_id, None)
-                    if entry is None:
+                    server = active.pop(vm_id, None)
+                    if server is None:
                         continue
-                    server, vm_cores = entry
                     now = times[j]
                     if now >= next_snapshot:
                         take_snapshots_until(now)
-                    backend.remove(server, vm_id)
-                    if accountant is not None:
-                        accountant.on_remove(now, server.sku, vm_cores)
+                    engine.remove(server, vm_id)
                     n_departures += 1
                     continue
                 now = times[j]
@@ -671,13 +516,13 @@ def _replay_events(
                     else:
                         scaled_cores = int(math.ceil(cores * factor))
                         scaled_mem = memory_gb * factor
-                    placed_server = backend.choose_green(
+                    placed_server = engine.choose_green(
                         view, scaled_cores, scaled_mem
                     )
                     if placed_server is not None:
                         cores, memory_gb = scaled_cores, scaled_mem
                 if placed_server is None:
-                    placed_server = backend.choose_baseline(
+                    placed_server = engine.choose_baseline(
                         view, cores, memory_gb
                     )
                     if placed_server is None:
@@ -708,16 +553,12 @@ def _replay_events(
                             ),
                             placed_server.free_cxl_gb,
                         )
-                backend.place(placed_server, view, cores, memory_gb, cxl_gb)
+                engine.place(placed_server, view, cores, memory_gb, cxl_gb)
                 n_placed += 1
                 if placed_server.is_green:
                     n_green += 1
-                if accountant is not None:
-                    accountant.on_place(now, placed_server.sku, cores)
-                active[vm_id] = (placed_server, cores)
+                active[vm_id] = placed_server
         take_snapshots_until(end)
-        if accountant is not None:
-            outcome.operational = accountant.finalize(end)
     finally:
         outcome.placed_vms = n_placed
         outcome.green_placements = n_green
@@ -725,7 +566,7 @@ def _replay_events(
         if tel is not None:
             deltas = {
                 key: value - counters_before.get(key, 0)
-                for key, value in backend.telemetry_counters().items()
+                for key, value in engine.telemetry_counters().items()
             }
             deltas["alloc.replays"] = 1
             deltas["alloc.event_chunks"] = n_chunks
@@ -735,51 +576,9 @@ def _replay_events(
             deltas["alloc.fallback_placements"] = n_fallback
             deltas["alloc.departures"] = n_departures
             deltas["alloc.snapshots"] = n_snapshots
-            if accountant is not None:
-                deltas["carbon.accounted_events"] = (
-                    accountant.events - acct_events_before
-                )
             tel.count_many(deltas)
             tel.record_timer("alloc.replay", time.perf_counter() - t_start)
     return outcome
-
-
-def _build_backend(
-    servers: List[Server],
-    policy: str,
-    track_stats: bool,
-    placement: Optional[PlacementPolicy] = None,
-):
-    """Instantiate the placement engine, tiered when carbon-aware.
-
-    With an active ``carbon_aware`` policy, servers are grouped by the
-    exact value of ``placement.carbon_key(sku)`` and each group gets its
-    own engine (ascending key order; a group keeps its servers' original
-    ascending-id order, so the per-tier min-id tie-break is unchanged).
-    A cluster without servers has no tiers and gets one plain engine,
-    which still checks ``policy``.
-    """
-    if placement is None or not servers:
-        return PlacementEngine(servers, policy=policy, track_stats=track_stats)
-    keyed: Dict[float, List[Server]] = {}
-    for server in servers:
-        key = float(placement.carbon_key(server.sku))
-        if not math.isfinite(key):
-            raise ConfigError(
-                f"carbon_key returned non-finite rank {key!r} for "
-                f"SKU {server.sku.name!r}"
-            )
-        keyed.setdefault(key, []).append(server)
-    tiers: List[PlacementEngine] = []
-    owner: Dict[int, PlacementEngine] = {}
-    for key in sorted(keyed):
-        tier = PlacementEngine(
-            keyed[key], policy=policy, track_stats=track_stats
-        )
-        tiers.append(tier)
-        for server in keyed[key]:
-            owner[server.server_id] = tier
-    return _TieredBackend(tiers, owner, track_stats)
 
 
 def replay_on_engine(
@@ -836,8 +635,6 @@ def simulate(
     snapshot_hours: float = 6.0,
     raise_on_reject: bool = False,
     policy: str = "best-fit",
-    placement=None,
-    accountant=None,
     chunk_events: int = DEFAULT_CHUNK_EVENTS,
 ) -> SimOutcome:
     """Replay ``trace`` against ``cluster`` under ``adoption``.
@@ -857,35 +654,23 @@ def simulate(
             ``"best-fit"`` (the production rules) or ``"first-fit"`` /
             ``"worst-fit"`` for ablations (:class:`ConfigError`
             otherwise).
-        placement: Emission-aware policy — ``None`` / ``"blind"`` / a
-            :class:`PlacementPolicy`.  Blind resolves to the exact
-            pre-policy code path; ``carbon_aware`` (built via
-            ``repro.carbon.grid.carbon_aware_policy``) tiers servers by
-            marginal operational carbon.
-        accountant: Optional ``repro.carbon.grid.CarbonAccountant``;
-            when given, every placement/departure is integrated against
-            its grid signal and the exact operational-carbon report
-            lands on ``outcome.operational``.  Attaching an accountant
-            never changes placement behavior or ``outcome_digest``.
         chunk_events: How many merged arrival/departure events the
             streaming loop gathers per fancy-index batch (memory
             ~O(chunk), independent of trace size).  Outcomes do not
             depend on it.
     """
     check_finite(snapshot_hours, "snapshot interval", above=0)
-    backend = _build_backend(
+    engine = PlacementEngine(
         cluster.build_servers(),
-        policy,
-        _wants_stats(trace, snapshot_hours),
-        placement=resolve_placement(placement),
+        policy=policy,
+        track_stats=_wants_stats(trace, snapshot_hours),
     )
     return _replay_events(
         trace,
         cluster,
-        backend,
+        engine,
         adoption,
         snapshot_hours,
         raise_on_reject,
         chunk_events,
-        accountant=accountant,
     )

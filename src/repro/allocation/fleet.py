@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core import settings, telemetry
 from ..core.checks import check_finite
@@ -30,7 +30,6 @@ from ..core.errors import ConfigError, SimulationError
 from ..core.resilience import ResiliencePolicy, TaskFailure, resilient_map
 from ..core.runner import DiskCache, content_key
 from .cluster import (
-    CARBON_PLACEMENT_POLICIES,
     AdoptionPolicy,
     ClusterSpec,
     DEFAULT_CHUNK_EVENTS,
@@ -43,9 +42,9 @@ from .cluster import (
 from .traces import TraceParams, VmTrace, generate_trace
 
 #: Part of every fleet cache/journal key; bump when the worker's
-#: behavior changes in a result-affecting way.  v2: placement policy and
-#: grid signal joined the job identity.
-FLEET_KEY_VERSION = "fleet-v2"
+#: behavior changes in a result-affecting way.  v3: placement policy and
+#: grid signal left the job identity.
+FLEET_KEY_VERSION = "fleet-v3"
 
 
 @dataclass(frozen=True)
@@ -130,18 +129,6 @@ class FleetOutcome:
         """Number of shards that produced an outcome (holes excluded)."""
         return sum(1 for outcome in self.outcomes if outcome is not None)
 
-    def operational_kg(self) -> float:
-        """Summed operational kgCO2e over shards that carried an accountant.
-
-        Zero when the fleet ran without a ``grid_signal`` (no shard has
-        an :class:`~repro.carbon.grid.OperationalCarbonReport` attached).
-        """
-        return sum(
-            outcome.operational.total_kg
-            for outcome in self.outcomes
-            if outcome is not None and outcome.operational is not None
-        )
-
     def cluster_digests(self) -> Tuple[Tuple[str, Optional[str]], ...]:
         """(name, outcome digest) per shard, spec order; None = failed."""
         return tuple(
@@ -219,20 +206,13 @@ def _adoption_key(adoption: AdoptionPolicy) -> str:
 
 @dataclass(frozen=True)
 class _ClusterJob:
-    """The picklable unit of work a fleet worker executes.
-
-    Placement policy and grid signal travel as *names* (policies hold
-    closures, which do not pickle); workers rebuild the live objects via
-    :mod:`repro.carbon.grid`.
-    """
+    """The picklable unit of work a fleet worker executes."""
 
     task: ClusterTask
     adoption: AdoptionPolicy
     chunk_events: int
     snapshot_hours: float
     mmap: bool
-    placement_policy: str = "blind"
-    grid_signal: Optional[str] = None
 
 
 def _job_key(job: _ClusterJob) -> str:
@@ -245,8 +225,6 @@ def _job_key(job: _ClusterJob) -> str:
         job.task.cluster,
         _adoption_key(job.adoption),
         job.snapshot_hours,
-        job.placement_policy,
-        job.grid_signal,
     )
 
 
@@ -272,28 +250,12 @@ def _load_trace(job: _ClusterJob) -> VmTrace:
 
 
 def _run_cluster(job: _ClusterJob) -> SimOutcome:
-    """Replay one shard through the streaming replay.
-
-    Rebuilds the placement policy / carbon accountant from their string
-    names inside the worker (live policies close over an unpicklable
-    carbon key).
-    """
-    trace = _load_trace(job)
-    placement = accountant = None
-    if job.grid_signal is not None:
-        from ..carbon import grid
-
-        signal = grid.grid_signal(job.grid_signal)
-        accountant = grid.CarbonAccountant(signal)
-        if job.placement_policy == "carbon_aware":
-            placement = grid.carbon_aware_policy(signal)
+    """Replay one shard through the streaming replay."""
     return simulate(
-        trace,
+        _load_trace(job),
         job.task.cluster,
         job.adoption,
         snapshot_hours=job.snapshot_hours,
-        placement=placement,
-        accountant=accountant,
         chunk_events=job.chunk_events,
     )
 
@@ -307,8 +269,6 @@ def simulate_fleet(
     jobs: Optional[int] = None,
     cache: Optional[DiskCache] = None,
     policy: Optional[ResiliencePolicy] = None,
-    placement_policy: str = "blind",
-    grid_signal: Optional[str] = None,
 ) -> FleetOutcome:
     """Replay every cluster of ``spec`` and merge the outcomes exactly.
 
@@ -333,29 +293,8 @@ def simulate_fleet(
     The merged aggregates are reconciled against the shard outcomes
     before returning (raises :class:`SimulationError` on any bit of
     divergence).
-
-    ``placement_policy`` / ``grid_signal`` are *names* (see
-    ``CARBON_PLACEMENT_POLICIES`` and ``repro.carbon.grid.GRID_SIGNALS``)
-    so jobs stay picklable; workers rebuild the live policy and a
-    :class:`~repro.carbon.grid.CarbonAccountant` per shard.  Both enter
-    the cache key — a carbon-aware fleet never reuses a blind journal.
     """
     check_finite(snapshot_hours, "snapshot interval", above=0)
-    if placement_policy not in CARBON_PLACEMENT_POLICIES:
-        raise ConfigError(
-            f"unknown placement policy {placement_policy!r}; "
-            f"known: {CARBON_PLACEMENT_POLICIES}"
-        )
-    if grid_signal is not None:
-        from ..carbon.grid import GRID_SIGNALS
-
-        if grid_signal not in GRID_SIGNALS:
-            raise ConfigError(
-                f"unknown grid signal {grid_signal!r}; "
-                f"known: {GRID_SIGNALS}"
-            )
-    elif placement_policy == "carbon_aware":
-        raise ConfigError("carbon_aware placement needs a grid_signal")
     task_jobs = [
         _ClusterJob(
             task=task,
@@ -363,8 +302,6 @@ def simulate_fleet(
             chunk_events=chunk_events,
             snapshot_hours=snapshot_hours,
             mmap=mmap,
-            placement_policy=placement_policy,
-            grid_signal=grid_signal,
         )
         for task in spec.clusters
     ]

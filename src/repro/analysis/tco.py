@@ -11,10 +11,10 @@ designs are close to cost-efficient ones).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from ..core.errors import ConfigError
+from ..core.checks import check_finite
 from ..core.units import energy_kwh, years_to_hours
 from ..hardware.components import Category, CpuSpec, DramSpec, SsdSpec
 from ..hardware.datacenter import DataCenterConfig
@@ -54,8 +54,11 @@ class CostData:
     maintenance_usd_per_repair: float = 600.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.reused_part_discount <= 1:
-            raise ConfigError("reused-part discount must be in [0, 1]")
+        for item in fields(self):
+            check_finite(getattr(self, item.name), item.name, at_least=0)
+        check_finite(
+            self.reused_part_discount, "reused_part_discount", at_most=1
+        )
 
 
 @dataclass(frozen=True)

@@ -22,20 +22,6 @@ from .intensity import (
     intensity_sweep,
     mix_for_intensity,
 )
-from .grid import (
-    GRID_SIGNALS,
-    CarbonAccountant,
-    CarbonSignal,
-    GridCsvReport,
-    OperationalCarbonReport,
-    carbon_aware_policy,
-    diurnal_signal,
-    flat_signal,
-    grid_signal,
-    marginal_watts_per_core,
-    seasonal_signal,
-    signal_from_csv,
-)
 from .model import CarbonModel, ServerEmissions, SkuAssessment
 from .power import PowerCurve, fleet_derate, synthesize_utilization_trace
 from .temporal import (
@@ -70,18 +56,6 @@ __all__ = [
     "azure_average_mix",
     "intensity_sweep",
     "mix_for_intensity",
-    "GRID_SIGNALS",
-    "CarbonAccountant",
-    "CarbonSignal",
-    "GridCsvReport",
-    "OperationalCarbonReport",
-    "carbon_aware_policy",
-    "diurnal_signal",
-    "flat_signal",
-    "grid_signal",
-    "marginal_watts_per_core",
-    "seasonal_signal",
-    "signal_from_csv",
     "CarbonModel",
     "ServerEmissions",
     "SkuAssessment",

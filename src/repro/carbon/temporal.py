@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.checks import check_finite
 from ..core.errors import ConfigError
 
 
@@ -40,8 +41,7 @@ def diurnal_intensity_profile(
             50% below the mean, nights 50% above, sinusoidally).
         hours: Profile length (wraps daily).
     """
-    if mean_ci < 0:
-        raise ConfigError("mean carbon intensity must be >= 0")
+    check_finite(mean_ci, "mean carbon intensity", at_least=0)
     if not 0 <= solar_swing < 1:
         raise ConfigError("solar swing must be in [0, 1)")
     t = np.arange(hours)
@@ -70,8 +70,7 @@ class BatchJob:
     def __post_init__(self) -> None:
         if self.duration_hours <= 0:
             raise ConfigError(f"job {self.job_id}: duration must be > 0")
-        if self.power_kw <= 0:
-            raise ConfigError(f"job {self.job_id}: power must be > 0")
+        check_finite(self.power_kw, f"job {self.job_id}: power", above=0)
         if self.deadline_hour < self.submit_hour + self.duration_hours:
             raise ConfigError(
                 f"job {self.job_id}: deadline precedes earliest finish"

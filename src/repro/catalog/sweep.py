@@ -29,12 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..allocation.cluster import CARBON_PLACEMENT_POLICIES
 from ..allocation.ingest import azure_tables, azure_trace_suite, file_digest
 from ..allocation.traces import TraceParams, generate_trace
-from ..carbon.grid import GRID_SIGNALS
 from ..core import provenance, settings, telemetry
 from ..core.checks import check_finite
 from ..core.errors import ConfigError, SimulationError
@@ -65,15 +63,6 @@ class SweepSpec:
             stock SKU, an even integer rebuilds it via
             :func:`with_cxl_dimms`.
         backends: Trace backends (``synthetic`` / ``azure``).
-        grid_signals: Time-varying grid-signal names from
-            :data:`repro.carbon.grid.GRID_SIGNALS`; ``None`` (the
-            default) skips the carbon-aware replay pair entirely,
-            keeping the point's payload byte-identical to pre-axis
-            sweeps.
-        placement_policies: Placement-policy names from
-            :data:`~repro.allocation.cluster.CARBON_PLACEMENT_POLICIES`.
-            ``carbon_aware`` requires every ``grid_signals`` value to
-            name a real signal.
         carbon_intensity: Grid CI override (``None`` = framework default).
         seed / vms / days: Synthetic-trace generator inputs.  They shape
             the ``trace/synthetic`` *leaf digest*, not the point
@@ -86,8 +75,6 @@ class SweepSpec:
     buffer_fractions: Tuple[float, ...] = (0.15,)
     cxl_dimm_counts: Tuple[Optional[int], ...] = (None,)
     backends: Tuple[str, ...] = ("synthetic",)
-    grid_signals: Tuple[Optional[str], ...] = (None,)
-    placement_policies: Tuple[str, ...] = ("blind",)
     carbon_intensity: Optional[float] = None
     seed: int = 7
     vms: int = 60
@@ -101,29 +88,8 @@ class SweepSpec:
         for backend in self.backends:
             if backend not in settings.TRACE_BACKENDS:
                 raise ConfigError(f"unknown trace backend {backend!r}")
-        for signal in self.grid_signals:
-            if signal is not None and signal not in GRID_SIGNALS:
-                raise ConfigError(
-                    f"unknown grid signal {signal!r}; "
-                    f"known: {GRID_SIGNALS} (or None)"
-                )
-        for policy in self.placement_policies:
-            if policy not in CARBON_PLACEMENT_POLICIES:
-                raise ConfigError(
-                    f"unknown placement policy {policy!r}; "
-                    f"known: {CARBON_PLACEMENT_POLICIES}"
-                )
-        if "carbon_aware" in self.placement_policies and any(
-            signal is None for signal in self.grid_signals
-        ):
-            raise ConfigError(
-                "carbon_aware placement needs a grid signal on every "
-                "grid_signals value (None mixes a signal-less point "
-                "into the policy axis)"
-            )
         if not (self.skus and self.adoption_rules and self.buffer_fractions
-                and self.cxl_dimm_counts and self.backends
-                and self.grid_signals and self.placement_policies):
+                and self.cxl_dimm_counts and self.backends):
             raise ConfigError("every sweep axis needs at least one value")
         for fraction in self.buffer_fractions:
             check_finite(fraction, "buffer fraction", at_least=0, below=1)
@@ -145,13 +111,18 @@ class SweepPoint:
     the cone) rather than renaming every artifact.
     """
 
+    # Constants, not fields: perfbench's goldens and
+    # benchmarks/golden_catalog_cone.json pin artifact ids ending
+    # ``/sigNone/polblind`` and payloads carrying both keys; a change to
+    # perfbench's goldens may drop them.
+    grid_signal: ClassVar[Optional[str]] = None
+    placement_policy: ClassVar[str] = "blind"
+
     sku: str
     rule: str
     buffer_fraction: float
     cxl_dimms: Optional[int]
     backend: str
-    grid_signal: Optional[str]
-    placement_policy: str
     carbon_intensity: Optional[float]
     seed: int
     vms: int
@@ -175,25 +146,19 @@ def sweep_points(spec: SweepSpec) -> List[SweepPoint]:
             for buffer_fraction in spec.buffer_fractions:
                 for cxl_dimms in spec.cxl_dimm_counts:
                     for backend in spec.backends:
-                        for signal in spec.grid_signals:
-                            for policy in spec.placement_policies:
-                                points.append(
-                                    SweepPoint(
-                                        sku=sku,
-                                        rule=rule,
-                                        buffer_fraction=buffer_fraction,
-                                        cxl_dimms=cxl_dimms,
-                                        backend=backend,
-                                        grid_signal=signal,
-                                        placement_policy=policy,
-                                        carbon_intensity=(
-                                            spec.carbon_intensity
-                                        ),
-                                        seed=spec.seed,
-                                        vms=spec.vms,
-                                        days=spec.days,
-                                    )
-                                )
+                        points.append(
+                            SweepPoint(
+                                sku=sku,
+                                rule=rule,
+                                buffer_fraction=buffer_fraction,
+                                cxl_dimms=cxl_dimms,
+                                backend=backend,
+                                carbon_intensity=spec.carbon_intensity,
+                                seed=spec.seed,
+                                vms=spec.vms,
+                                days=spec.days,
+                            )
+                        )
     return points
 
 
@@ -321,13 +286,6 @@ def _compute_point(point: SweepPoint) -> Dict[str, object]:
     policy, runs the sizing search + GSF evaluation, and returns the
     JSON payload.  Policy callables are rebuilt from the rule name here
     because closures do not pickle.
-
-    Points carrying a ``grid_signal`` additionally replay the trace on a
-    two-generation mixed cluster under the blind and carbon-aware
-    placement policies (see
-    :func:`repro.experiments.expt_carbon_aware.run_trace`) and attach
-    the operational delta as a ``carbon_aware`` payload section;
-    signal-less points keep the pre-axis payload shape byte-for-byte.
     """
     from ..analysis.ablations import adoption_policy
     from ..gsf.framework import Gsf, GsfConfig
@@ -361,13 +319,6 @@ def _compute_point(point: SweepPoint) -> Dict[str, object]:
         "grid_signal": point.grid_signal,
         "placement_policy": point.placement_policy,
     }
-    if point.grid_signal is not None:
-        from ..experiments.expt_carbon_aware import run_trace as carbon_pair
-
-        delta = carbon_pair(trace, gsf, sku, point.grid_signal)
-        section = delta.to_payload()["carbon_aware"]
-        section["policy"] = point.placement_policy
-        payload["carbon_aware"] = section
     return payload
 
 
@@ -415,7 +366,7 @@ def _summary_payload(
     for point, payload in zip(points, payloads):
         if payload is None:
             continue
-        row = {
+        rows.append({
             "id": point.artifact_id,
             "sku": point.sku,
             "rule": point.rule,
@@ -425,10 +376,7 @@ def _summary_payload(
             "grid_signal": point.grid_signal,
             "placement_policy": point.placement_policy,
             "cluster_savings": payload["cluster_savings"],
-        }
-        if "carbon_aware" in payload:
-            row["carbon_delta_kg"] = payload["carbon_aware"]["delta_kg"]
-        rows.append(row)
+        })
     return {"points": rows, "count": len(rows)}
 
 

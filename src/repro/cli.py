@@ -379,18 +379,12 @@ def _sweep_spec(args: argparse.Namespace):
         )
     except ValueError:
         raise ConfigError("--buffers values must be numbers") from None
-    signals = tuple(
-        None if part == "none" else part
-        for part in _parse_axis(args.signals, "signals")
-    )
     return SweepSpec(
         skus=tuple(_parse_axis(args.skus, "skus")),
         adoption_rules=tuple(_parse_axis(args.rules, "rules")),
         buffer_fractions=buffers,
         cxl_dimm_counts=tuple(cxl),
         backends=tuple(_parse_axis(args.backends, "backends")),
-        grid_signals=signals,
-        placement_policies=tuple(_parse_axis(args.policies, "policies")),
         carbon_intensity=args.ci,
         seed=args.seed,
         vms=args.vms,
@@ -421,16 +415,6 @@ def _add_sweep_axes(parser: argparse.ArgumentParser) -> None:
         "--backends", default="synthetic", metavar="A,B",
         help="trace backends: synthetic, azure",
     )
-    parser.add_argument(
-        "--signals", default="none", metavar="A,B",
-        help="grid carbon signals: none, flat, diurnal, seasonal "
-             "('none' skips the carbon-aware replay pair)",
-    )
-    parser.add_argument(
-        "--policies", default="blind", metavar="A,B",
-        help="placement policies: blind, carbon_aware "
-             "(carbon_aware needs a non-'none' --signals value)",
-    )
     parser.add_argument("--ci", type=float, default=None,
                         help="grid carbon intensity override, kgCO2e/kWh")
     parser.add_argument("--seed", type=int, default=7,
@@ -454,22 +438,13 @@ def _sweep_rows(summary) -> List[List[str]]:
             f"{row['buffer_fraction']:g}",
             "stock" if row["cxl_dimms"] is None else str(row["cxl_dimms"]),
             row["backend"],
-            row["grid_signal"] or "-",
-            row["placement_policy"],
             f"{row['cluster_savings']:.2%}",
-            (
-                f"{row['carbon_delta_kg']:+.4f}"
-                if "carbon_delta_kg" in row else "-"
-            ),
         ]
         for row in summary["points"]
     ]
 
 
-_SWEEP_HEADER = [
-    "sku", "rule", "buffer", "cxl", "backend", "signal", "policy",
-    "savings", "op-delta-kg",
-]
+_SWEEP_HEADER = ["sku", "rule", "buffer", "cxl", "backend", "savings"]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -520,14 +495,10 @@ def cmd_catalog_query(args: argparse.Namespace) -> int:
         key = closure_key(point_inputs(point, leaves))
         payload = catalog.get_payload(key)
         if payload is None:
-            savings = delta = "(miss)"
+            savings = "(miss)"
         else:
             hits += 1
             savings = f"{payload['cluster_savings']:.2%}"
-            delta = (
-                f"{payload['carbon_aware']['delta_kg']:+.4f}"
-                if "carbon_aware" in payload else "-"
-            )
         rows.append(
             [
                 point.sku,
@@ -535,10 +506,7 @@ def cmd_catalog_query(args: argparse.Namespace) -> int:
                 f"{point.buffer_fraction:g}",
                 "stock" if point.cxl_dimms is None else str(point.cxl_dimms),
                 point.backend,
-                point.grid_signal or "-",
-                point.placement_policy,
                 savings,
-                delta,
             ]
         )
     print(

@@ -7,7 +7,6 @@ paper reports, as text), and ``main()`` (run + print).
 
 from . import (
     end_to_end,
-    expt_carbon_aware,
     fig1_breakdown,
     fig2_failures,
     fig7_latency,
@@ -32,7 +31,6 @@ __all__ = [
     "get_experiment",
     "run_all",
     "end_to_end",
-    "expt_carbon_aware",
     "fig1_breakdown",
     "fig2_failures",
     "fig7_latency",

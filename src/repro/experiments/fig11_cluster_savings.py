@@ -111,8 +111,10 @@ def render(result: Fig11Result) -> str:
     sku_names = sorted(result.points[0].savings_by_sku)
     rows = []
     for p in result.points:
+        # The CI axis steps by 0.05, so it needs two decimals of its own;
+        # the savings cells keep the table's one.
         rows.append(
-            [p.carbon_intensity]
+            [f"{p.carbon_intensity:.2f}"]
             + [100 * p.savings_by_sku[name] for name in sku_names]
             + [p.best_sku()[0]]
         )

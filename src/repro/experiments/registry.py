@@ -16,7 +16,6 @@ from ..core import telemetry
 from ..core.errors import ConfigError
 from . import (
     end_to_end,
-    expt_carbon_aware,
     fig1_breakdown,
     fig2_failures,
     fig7_latency,
@@ -68,9 +67,6 @@ _EXPERIMENTS: List[Experiment] = [
                section7_alternatives),
     Experiment("sec7-tco", "Cost vs carbon efficiency", section7_tco),
     Experiment("end-to-end", "28% -> 15% -> 8% savings chain", end_to_end),
-    Experiment("carbon-aware",
-               "Carbon-aware vs blind placement under diurnal grids",
-               expt_carbon_aware),
     Experiment("validation", "All fast calibration anchors, PASS/FAIL",
                validation),
 ]

@@ -10,7 +10,6 @@ from .buffer import (
 from .framework import GenerationAwareEvaluation, Gsf, GsfConfig
 from .report import evaluation_markdown
 from .results import (
-    CarbonAwareDelta,
     DeploymentEmissions,
     GsfEvaluation,
     IntensitySweepPoint,
@@ -35,7 +34,6 @@ __all__ = [
     "GenerationAwareEvaluation",
     "Gsf",
     "GsfConfig",
-    "CarbonAwareDelta",
     "DeploymentEmissions",
     "GsfEvaluation",
     "IntensitySweepPoint",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from ..core.errors import ConfigError
+from ..core.checks import check_finite
 
 #: Default buffer as a fraction of serving capacity, a typical headroom
 #: figure for hyperscale inventory management (Chopra et al.-style safety
@@ -54,12 +54,11 @@ def baseline_only_buffer(
         baseline_cores_per_server: Cores per baseline server.
         buffer_fraction: Buffer headroom as a fraction of serving cores.
     """
-    if serving_cores < 0:
-        raise ConfigError("serving cores must be >= 0")
-    if baseline_cores_per_server <= 0:
-        raise ConfigError("baseline cores per server must be > 0")
-    if not 0 <= buffer_fraction < 1:
-        raise ConfigError("buffer fraction must be in [0, 1)")
+    check_finite(serving_cores, "serving cores", at_least=0)
+    check_finite(
+        baseline_cores_per_server, "baseline cores per server", above=0
+    )
+    check_finite(buffer_fraction, "buffer fraction", at_least=0, below=1)
     buffer_cores = serving_cores * buffer_fraction
     servers = int(math.ceil(buffer_cores / baseline_cores_per_server))
     return BufferPlan(baseline_buffer_servers=servers)
@@ -78,12 +77,13 @@ def proportional_dual_buffer(
     reason the paper avoids it) but shows what a mature deployment's
     buffer would cost.
     """
-    if baseline_cores < 0 or green_cores < 0:
-        raise ConfigError("core capacities must be >= 0")
-    if baseline_cores_per_server <= 0 or green_cores_per_server <= 0:
-        raise ConfigError("cores per server must be > 0")
-    if not 0 <= buffer_fraction < 1:
-        raise ConfigError("buffer fraction must be in [0, 1)")
+    check_finite(baseline_cores, "baseline cores", at_least=0)
+    check_finite(green_cores, "green cores", at_least=0)
+    check_finite(
+        baseline_cores_per_server, "baseline cores per server", above=0
+    )
+    check_finite(green_cores_per_server, "green cores per server", above=0)
+    check_finite(buffer_fraction, "buffer fraction", at_least=0, below=1)
     base_servers = int(
         math.ceil(baseline_cores * buffer_fraction / baseline_cores_per_server)
     )

@@ -118,61 +118,6 @@ class GsfEvaluation:
 
 
 @dataclass(frozen=True)
-class CarbonAwareDelta:
-    """Operational-carbon delta of carbon-aware vs blind placement.
-
-    Produced by the ``carbon-aware`` experiment family and the sweep
-    service when a ``grid_signal`` axis is active: the same trace is
-    replayed on the same mixed cluster under the blind policy and the
-    carbon-aware policy, each with a :class:`~repro.carbon.grid.\
-CarbonAccountant` attached, and the exact operational kgCO2e of both
-    runs is compared.
-
-    Attributes:
-        evaluation: The underlying GSF evaluation of the cluster (the
-            embodied/operational framing carbon-aware placement rides on).
-        signal_name: Name of the attached grid :class:`CarbonSignal`.
-        blind_kg: Operational kgCO2e of the carbon-blind replay.
-        aware_kg: Operational kgCO2e of the carbon-aware replay.
-        blind_digest: ``outcome_digest`` of the blind replay.
-        aware_digest: ``outcome_digest`` of the carbon-aware replay.
-    """
-
-    evaluation: GsfEvaluation
-    signal_name: str
-    blind_kg: float
-    aware_kg: float
-    blind_digest: str
-    aware_digest: str
-
-    @property
-    def delta_kg(self) -> float:
-        """Operational kg saved by the carbon-aware policy (blind - aware)."""
-        return self.blind_kg - self.aware_kg
-
-    @property
-    def delta_fraction(self) -> float:
-        """Fractional operational savings relative to the blind replay."""
-        if self.blind_kg == 0:
-            return 0.0
-        return self.delta_kg / self.blind_kg
-
-    def to_payload(self) -> Dict[str, object]:
-        """The evaluation payload plus a ``carbon_aware`` section."""
-        payload = self.evaluation.to_payload()
-        payload["carbon_aware"] = {
-            "signal": self.signal_name,
-            "blind_kg": self.blind_kg,
-            "aware_kg": self.aware_kg,
-            "delta_kg": self.delta_kg,
-            "delta_fraction": self.delta_fraction,
-            "blind_digest": self.blind_digest,
-            "aware_digest": self.aware_digest,
-        }
-        return payload
-
-
-@dataclass(frozen=True)
 class IntensitySweepPoint:
     """One point of a Fig.-11-style carbon-intensity sweep."""
 

@@ -17,6 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
+from ..core.checks import check_finite
 from ..core.errors import ConfigError
 from ..core.rng import RngFactory
 
@@ -51,10 +52,14 @@ class FailureTraceParams:
     def __post_init__(self) -> None:
         if self.months < 1:
             raise ConfigError("trace needs at least one month")
-        if self.infant_mortality < 0 or self.noise_cv < 0:
-            raise ConfigError("rates and noise must be >= 0")
-        if self.infant_decay_months <= 0:
-            raise ConfigError("infant decay time must be > 0")
+        check_finite(self.infant_mortality, "infant mortality", at_least=0)
+        check_finite(self.noise_cv, "noise CV", at_least=0)
+        check_finite(
+            self.infant_decay_months, "infant decay time", above=0
+        )
+        check_finite(
+            self.wearout_slope_per_month, "wear-out slope", at_least=0
+        )
 
 
 def expected_rate(params: FailureTraceParams, month: np.ndarray) -> np.ndarray:

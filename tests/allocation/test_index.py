@@ -9,8 +9,7 @@ exact snapshot statistics.  Two layers:
 
 - whole-replay equivalence over generated traces: seeds x heuristics x
   baseline-only / mixed / multi-generation clusters, each at every
-  chunk size and under blind and carbon-aware placement (with the
-  accountant's operational kg), plus rejections,
+  chunk size, plus rejections,
 - adversarial churn on the engine itself: randomized place/remove
   sequences (full-node dedication, servers emptying and refilling,
   memory-tight requests, memory sizes that leave float dust) where every
@@ -37,7 +36,6 @@ from repro.allocation.index import PlacementEngine
 from repro.allocation.scheduler import MEM_EPS, PLACEMENT_POLICIES, Server
 from repro.allocation.traces import TraceParams, VmTrace, generate_trace
 from repro.allocation.vm import VmRequest
-from repro.carbon.grid import CarbonAccountant, carbon_aware_policy, diurnal_signal
 from repro.core import telemetry
 from repro.core.errors import ConfigError, SimulationError
 from repro.core.rng import RngFactory
@@ -70,36 +68,19 @@ CHUNKS = (1, 64, 10**9)
 def assert_matches_oracle(
     trace, spec, adoption, policy, snapshot_hours=3.0
 ) -> SimOutcome:
-    """Production equals the oracle at every chunk size, blind and aware.
+    """Production equals the oracle at every chunk size.
 
-    Both placements replay with a carbon accountant, whose exact
-    operational kg must agree too.  Returns the blind oracle outcome.
+    Returns the oracle outcome.
     """
-    signal = diurnal_signal()
-    outcomes = []
-    for placement in (None, carbon_aware_policy(signal)):
-        kwargs = dict(
-            adoption=adoption,
-            snapshot_hours=snapshot_hours,
-            policy=policy,
-            placement=placement,
-        )
-        expected = oracle.simulate(
-            trace, spec, accountant=CarbonAccountant(signal), **kwargs
-        )
-        for chunk in CHUNKS:
-            got = simulate(
-                trace,
-                spec,
-                accountant=CarbonAccountant(signal),
-                chunk_events=chunk,
-                **kwargs,
-            )
-            assert got == expected, (placement, chunk)
-            assert outcome_digest(got) == outcome_digest(expected)
-            assert got.operational.total_kg == expected.operational.total_kg
-        outcomes.append(expected)
-    return outcomes[0]
+    kwargs = dict(
+        adoption=adoption, snapshot_hours=snapshot_hours, policy=policy
+    )
+    expected = oracle.simulate(trace, spec, **kwargs)
+    for chunk in CHUNKS:
+        got = simulate(trace, spec, chunk_events=chunk, **kwargs)
+        assert got == expected, chunk
+        assert outcome_digest(got) == outcome_digest(expected)
+    return expected
 
 
 class TestReplayEquivalence:

@@ -377,11 +377,12 @@ class TestIngestProperties:
     )
     def test_row_order_does_not_matter(self, tmp_path, rows, data):
         # Unique ids and arrivals: with ties broken by file order the
-        # property would not hold, so the strategy removes the ties.
+        # property would not hold, so the strategy removes the ties
+        # (``i < len(rows)``, so each arrival is distinct).
         full = [
             (
-                f"vm-{i}-{suffix}", "sub", "dep", created * 7 + i,
-                created * 7 + i + 3600, "50.0", "10.0", "45.0",
+                f"vm-{i}-{suffix}", "sub", "dep", created * len(rows) + i,
+                created * len(rows) + i + 3600, "50.0", "10.0", "45.0",
                 category, cores, memory,
             )
             for i, (suffix, created, _d, cores, memory, category)

@@ -13,7 +13,6 @@ from repro.analysis.ablations import (
     placement_policy_ablation,
 )
 from repro.allocation.cluster import ClusterSpec, simulate
-from repro.carbon.grid import carbon_aware_policy, diurnal_signal
 from repro.core import settings, telemetry
 from repro.core.errors import ConfigError
 from repro.core.faults import FaultPlan
@@ -81,7 +80,6 @@ class TestPlacementAblation:
                 small_trace,
                 ClusterSpec.of((baseline_gen3(), 0)),
                 policy="random-fit",
-                placement=carbon_aware_policy(diurnal_signal()),
             )
 
 

@@ -68,3 +68,20 @@ class TestValidation:
     def test_discount_bounds(self):
         with pytest.raises(ConfigError):
             CostData(reused_part_discount=1.5)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("cpu_usd_per_core", float("nan")),
+            ("dram_usd_per_gb", float("inf")),
+            ("electricity_usd_per_kwh", -1.0),
+            ("maintenance_usd_per_repair", float("nan")),
+            ("reused_part_discount", float("nan")),
+        ],
+    )
+    def test_non_finite_or_negative_cost_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CostData(**{field: value})
+
+    def test_free_parts_accepted(self):
+        assert CostData(nic_usd=0.0, reused_part_discount=0.0).nic_usd == 0

@@ -27,12 +27,27 @@ class TestProfile:
         with pytest.raises(ConfigError):
             diurnal_intensity_profile(solar_swing=1.0)
 
+    @pytest.mark.parametrize("mean_ci", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_mean_rejected(self, mean_ci):
+        with pytest.raises(ConfigError, match="mean carbon intensity"):
+            diurnal_intensity_profile(mean_ci=mean_ci)
+
+    def test_zero_mean_is_a_flat_zero_profile(self):
+        assert not diurnal_intensity_profile(mean_ci=0.0).any()
+
 
 class TestBatchJob:
     def test_impossible_deadline_rejected(self):
         with pytest.raises(ConfigError):
             BatchJob(1, submit_hour=0, duration_hours=5, deadline_hour=3,
                      power_kw=1.0)
+
+    @pytest.mark.parametrize(
+        "power_kw", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_non_finite_or_non_positive_power_rejected(self, power_kw):
+        with pytest.raises(ConfigError, match="job 1: power"):
+            BatchJob(1, 0, 3, 10, power_kw=power_kw)
 
     def test_emissions_sum_over_hours(self):
         profile = [0.1] * 24

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.ablations import ADOPTION_RULES
 from repro.catalog import (
     ResultsCatalog,
+    SweepPoint,
     SweepSpec,
     closure_key,
     current_leaf_inputs,
@@ -180,6 +181,20 @@ class TestRunSweep:
             assert rows[point.artifact_id]["cluster_savings"] == (
                 payload["cluster_savings"]
             )
+        # perfbench's goldens and the catalog cone golden pin these ids
+        # and keys: the grid signal and placement policy are SweepPoint
+        # constants (None and "blind"), not fields, so they stay out of
+        # each point's closure key.
+        field_names = {f.name for f in dataclasses.fields(SweepPoint)}
+        assert not field_names & {"grid_signal", "placement_policy"}
+        for point, payload in zip(outcome.points, outcome.payloads):
+            assert point.grid_signal is None
+            assert point.placement_policy == "blind"
+            assert point.artifact_id.endswith("/sigNone/polblind")
+            for record in (payload["point"], rows[point.artifact_id]):
+                assert record["grid_signal"] is None
+                assert record["placement_policy"] == "blind"
+            assert "carbon_aware" not in payload
 
     def test_incremental_recompute_after_input_change(self, tmp_path):
         catalog = ResultsCatalog(tmp_path / "catalog")
@@ -282,87 +297,3 @@ class TestSharedScalingTable:
         for point in points:
             _compute_point(point)
         assert len(table_derivations) == 1
-
-
-class TestCarbonAxes:
-    """The ``grid_signal`` x ``placement_policy`` axes (PR 10)."""
-
-    def test_new_axes_multiply_the_grid(self):
-        spec = dataclasses.replace(
-            TINY,
-            grid_signals=("diurnal", "seasonal"),
-            placement_policies=("blind", "carbon_aware"),
-        )
-        points = sweep_points(spec)
-        assert len(points) == 2 * 2 * 2  # rules x signals x policies
-        assert len({p.artifact_id for p in points}) == len(points)
-
-    def test_default_axes_are_singletons(self):
-        # The pre-axis grid cardinality must be preserved exactly.
-        assert len(sweep_points(TINY)) == 2
-        point = sweep_points(TINY)[0]
-        assert point.grid_signal is None
-        assert point.placement_policy == "blind"
-
-    def test_unknown_signal_rejected(self):
-        with pytest.raises(ConfigError, match="unknown grid signal"):
-            dataclasses.replace(TINY, grid_signals=("lunar",))
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError, match="unknown placement policy"):
-            dataclasses.replace(TINY, placement_policies=("greedy",))
-
-    def test_carbon_aware_requires_signals(self):
-        with pytest.raises(ConfigError, match="needs a grid signal"):
-            dataclasses.replace(
-                TINY,
-                grid_signals=(None,),
-                placement_policies=("blind", "carbon_aware"),
-            )
-
-    def test_axes_rekey_points(self):
-        leaves = current_leaf_inputs(TINY)
-        base = {
-            closure_key(point_inputs(p, leaves)) for p in sweep_points(TINY)
-        }
-        signed = dataclasses.replace(TINY, grid_signals=("diurnal",))
-        keyed = {
-            closure_key(point_inputs(p, leaves))
-            for p in sweep_points(signed)
-        }
-        assert base.isdisjoint(keyed)
-
-    def test_signal_points_carry_carbon_payload(self, tmp_path):
-        spec = dataclasses.replace(
-            TINY,
-            adoption_rules=("always",),
-            grid_signals=("diurnal",),
-            placement_policies=("blind", "carbon_aware"),
-        )
-        catalog = ResultsCatalog(tmp_path / "catalog")
-        log = ProvenanceLog(tmp_path / "p.jsonl")
-        cold = run_sweep(spec, catalog, log)
-        assert len(cold.recomputed) == 2
-        for point, payload in zip(cold.points, cold.payloads):
-            section = payload["carbon_aware"]
-            assert section["signal"] == "diurnal"
-            assert section["policy"] == point.placement_policy
-            assert section["blind_kg"] > section["aware_kg"] > 0
-            assert section["blind_digest"] != section["aware_digest"]
-            assert payload["point"]["grid_signal"] == "diurnal"
-        rows = {row["id"]: row for row in cold.summary["points"]}
-        for point in cold.points:
-            assert "carbon_delta_kg" in rows[point.artifact_id]
-        # Warm pass: every carbon point served from the catalog.
-        warm = run_sweep(spec, catalog, log)
-        assert warm.recomputed == [] and len(warm.warm) == 2
-        assert warm.payloads == cold.payloads
-
-    def test_signalless_payload_keeps_pre_axis_shape(self, tmp_path):
-        outcome = run_sweep(
-            TINY,
-            ResultsCatalog(tmp_path / "catalog"),
-            ProvenanceLog(tmp_path / "p.jsonl"),
-        )
-        for payload in outcome.payloads:
-            assert "carbon_aware" not in payload

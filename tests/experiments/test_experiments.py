@@ -28,11 +28,12 @@ from repro.experiments import (
 )
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all
 from repro.core.errors import ConfigError
+from repro.gsf.results import IntensitySweepPoint
 
 
 class TestRegistry:
-    def test_seventeen_experiments(self):
-        assert len(EXPERIMENTS) == 17
+    def test_sixteen_experiments(self):
+        assert len(EXPERIMENTS) == 16
 
     def test_lookup(self):
         assert get_experiment("fig11").module is fig11_cluster_savings
@@ -214,6 +215,26 @@ class TestFig11:
 
     def test_regions_annotated(self, result):
         assert len(result.regions) == 3
+
+    def test_ci_labels_distinct_and_match_csv(self):
+        # The default nine-point axis steps by 0.05; one decimal printed
+        # 0.1, 0.2 and 0.4 twice.  Rendering needs no replay.
+        points = [
+            IntensitySweepPoint(ci, {"GreenSKU-Full": 0.1})
+            for ci in fig11_cluster_savings.DEFAULT_INTENSITIES
+        ]
+        result = fig11_cluster_savings.Fig11Result(points, regions={})
+        table = fig11_cluster_savings.render(result).splitlines()
+        first = table.index(next(l for l in table if l.startswith("---")))
+        labels = [line.split("|")[0].strip() for line in table[first + 1:]]
+        labels = labels[: len(points)]
+        assert len(set(labels)) == len(points) == 9
+        csv_values = [
+            line.split(",")[0]
+            for line in fig11_cluster_savings.to_csv(result).splitlines()[1:]
+        ]
+        assert [float(x) for x in labels] == [float(x) for x in csv_values]
+        assert labels[:3] == ["0.00", "0.05", "0.10"]
 
 
 class TestSection5:

@@ -36,6 +36,19 @@ class TestBaselineOnlyBuffer:
         with pytest.raises(ConfigError):
             baseline_only_buffer(-1, 80)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (float("nan"), 80),
+            (float("inf"), 80),
+            (100, float("nan")),
+            (100, 80, float("nan")),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, args):
+        with pytest.raises(ConfigError):
+            baseline_only_buffer(*args)
+
 
 class TestDualBuffer:
     def test_per_pool_sizing(self):
@@ -51,6 +64,20 @@ class TestDualBuffer:
     def test_dual_buffer_validation(self):
         with pytest.raises(ConfigError):
             proportional_dual_buffer(-1, 0, 80, 128)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (float("nan"), 0, 80, 128),
+            (0, float("nan"), 80, 128),
+            (800, 1280, float("inf"), 128),
+            (800, 1280, 80, float("nan")),
+            (800, 1280, 80, 128, float("nan")),
+        ],
+    )
+    def test_dual_buffer_non_finite_inputs_rejected(self, args):
+        with pytest.raises(ConfigError):
+            proportional_dual_buffer(*args)
 
 
 class TestPolicyComparison:

@@ -5,9 +5,8 @@ Production replays stream a precomputed event array through the indexed
 original implementation: every placement query scans every server of its
 pool with :func:`choose`, which states the placement rules one server at
 a time, every snapshot walks every server, and the replay is a row loop
-over ``trace.vms`` with a heap of pending departures.  Carbon-aware
-placement consults one such scan per carbon tier, lowest tier first.  It
-is slow (O(servers) per query), so tests run it on small traces.
+over ``trace.vms`` with a heap of pending departures.  It is slow
+(O(servers) per query), so tests run it on small traces.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.allocation.cluster import (
     SimOutcome,
     SnapshotStats,
     adopt_nothing,
-    resolve_placement,
 )
 from repro.allocation.index import scaled_int
 from repro.allocation.scheduler import MEM_EPS, PLACEMENT_POLICIES, Server
@@ -112,51 +110,39 @@ def observe(stats: SnapshotStats, server: Server) -> None:
 
 
 class _ReferenceBackend:
-    """The O(n_servers) scan/walk over one or more carbon tiers.
+    """The O(n_servers) scan/walk over the cluster's servers.
 
-    Each tier holds its GreenSKU pool, its baseline pool, and the
-    baseline pool split by generation.  When a tier's baselines span
-    more than one generation, a VM's baseline placements go to its own
-    generation's pool (old VM images run on their own hardware
-    generation).
+    Holds the GreenSKU pool, the baseline pool, and the baseline pool
+    split by generation.  When the baselines span more than one
+    generation, a VM's baseline placements go to its own generation's
+    pool (old VM images run on their own hardware generation).
     """
 
-    def __init__(self, tiers: List[List[Server]], policy: str):
+    def __init__(self, servers: List[Server], policy: str):
         if policy not in PLACEMENT_POLICIES:
             raise ConfigError(
                 f"unknown placement policy {policy!r}; "
                 f"known: {PLACEMENT_POLICIES}"
             )
         self.policy = policy
-        self.servers = [server for tier in tiers for server in tier]
-        self.tiers = []
-        for servers in tiers:
-            base = [s for s in servers if not s.is_green]
-            by_gen: Dict[int, List[Server]] = {}
-            for server in base:
-                by_gen.setdefault(server.sku.generation, []).append(server)
-            green = [s for s in servers if s.is_green]
-            self.tiers.append((green, base, by_gen))
+        self.servers = servers
+        self.base = [s for s in servers if not s.is_green]
+        self.by_gen: Dict[int, List[Server]] = {}
+        for server in self.base:
+            self.by_gen.setdefault(server.sku.generation, []).append(server)
+        self.green = [s for s in servers if s.is_green]
 
     def has_green(self) -> bool:
-        return any(green for green, _base, _by_gen in self.tiers)
+        return bool(self.green)
 
     def choose_green(self, vm, cores: int, memory_gb: float):
-        for green, _base, _by_gen in self.tiers:
-            server = choose(self.policy, vm, green, cores, memory_gb)
-            if server is not None:
-                return server
-        return None
+        return choose(self.policy, vm, self.green, cores, memory_gb)
 
     def choose_baseline(self, vm, cores: int, memory_gb: float):
-        for _green, base, by_gen in self.tiers:
-            pool = base
-            if len(by_gen) > 1 and vm.generation in by_gen:
-                pool = by_gen[vm.generation]
-            server = choose(self.policy, vm, pool, cores, memory_gb)
-            if server is not None:
-                return server
-        return None
+        pool = self.base
+        if len(self.by_gen) > 1 and vm.generation in self.by_gen:
+            pool = self.by_gen[vm.generation]
+        return choose(self.policy, vm, pool, cores, memory_gb)
 
     def snapshot(self, outcome: SimOutcome) -> None:
         for server in self.servers:
@@ -170,17 +156,6 @@ class _ReferenceBackend:
             observe(stats, server)
 
 
-def _tiers(servers: List[Server], placement) -> List[List[Server]]:
-    """One tier for blind placement; carbon-key groups, lowest first."""
-    if placement is None:
-        return [servers]
-    keyed: Dict[float, List[Server]] = {}
-    for server in servers:
-        key = float(placement.carbon_key(server.sku))
-        keyed.setdefault(key, []).append(server)
-    return [keyed[key] for key in sorted(keyed)]
-
-
 def simulate(
     trace: VmTrace,
     cluster: ClusterSpec,
@@ -188,8 +163,6 @@ def simulate(
     snapshot_hours: float = 6.0,
     raise_on_reject: bool = False,
     policy: str = "best-fit",
-    placement=None,
-    accountant=None,
 ) -> SimOutcome:
     """Reference replay of ``trace`` against ``cluster``.
 
@@ -198,18 +171,14 @@ def simulate(
     """
     if snapshot_hours <= 0:
         raise ConfigError("snapshot interval must be > 0")
-    backend = _ReferenceBackend(
-        _tiers(cluster.build_servers(), resolve_placement(placement)),
-        policy,
-    )
+    backend = _ReferenceBackend(cluster.build_servers(), policy)
     outcome = SimOutcome(cluster=cluster)
     has_green = backend.has_green()
 
-    # Departures as a heap of (time, vm_id, server, cores); the trailing
-    # cores element is never compared — (time, vm_id) is unique — it
-    # just rides along for the carbon accountant.  Arrivals in order.
-    # The snapshot grid anchors at the window start (first arrival).
-    departures: List[Tuple[float, int, Server, int]] = []
+    # Departures as a heap of (time, vm_id, server); the server is never
+    # compared — (time, vm_id) is unique.  Arrivals in order.  The
+    # snapshot grid anchors at the window start (first arrival).
+    departures: List[Tuple[float, int, Server]] = []
     rows = trace.vms
     start = rows[0].arrival_hours if rows else 0.0
     next_snapshot = start + snapshot_hours
@@ -220,11 +189,9 @@ def simulate(
             backend.snapshot(outcome)
             next_snapshot += snapshot_hours
 
-    def release(dep_time: float, vm_id: int, server: Server, cores: int):
+    def release(dep_time: float, vm_id: int, server: Server):
         take_snapshots_until(dep_time)
         server.remove(vm_id)
-        if accountant is not None:
-            accountant.on_remove(dep_time, server.sku, cores)
 
     for vm in rows:
         # Release departures and take snapshots up to this arrival.
@@ -272,12 +239,8 @@ def simulate(
         outcome.placed_vms += 1
         if placed.is_green:
             outcome.green_placements += 1
-        if accountant is not None:
-            accountant.on_place(vm.arrival_hours, placed.sku, cores)
         if math.isfinite(vm.departure_hours):
-            heapq.heappush(
-                departures, (vm.departure_hours, vm.vm_id, placed, cores)
-            )
+            heapq.heappush(departures, (vm.departure_hours, vm.vm_id, placed))
 
     # Drain remaining departures within the trace window for final
     # snapshots.
@@ -285,6 +248,4 @@ def simulate(
     while departures and departures[0][0] <= end:
         release(*heapq.heappop(departures))
     take_snapshots_until(end)
-    if accountant is not None:
-        outcome.operational = accountant.finalize(end)
     return outcome

@@ -58,6 +58,21 @@ class TestSynthesis:
         with pytest.raises(ConfigError):
             FailureTraceParams(infant_decay_months=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("wearout_slope_per_month", float("nan")),
+            ("wearout_slope_per_month", float("inf")),
+            ("wearout_slope_per_month", -0.01),
+            ("infant_mortality", float("nan")),
+            ("noise_cv", float("inf")),
+            ("infant_decay_months", float("nan")),
+        ],
+    )
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            FailureTraceParams(**{field: value})
+
 
 class TestMovingAverage:
     def test_constant_series(self):
